@@ -24,7 +24,7 @@ def run(n_points=17):
         rho_t = evolve_density(rho0, prop.unitary(wt / omega0))
         e_val = entanglement_measure(rho_t)
         neg = negativity(rho_t, SubsystemDims(2, 2))
-        bell, _ = max_bell(rho_t, n_starts=12)
+        bell, _ = max_bell(rho_t)
         print(f"{wt:6.3f} {e_val:12.3e} {np.sin(wt) ** 4 / 128:12.3e} "
               f"{neg:8.4f} {bell:8.4f} {abs(np.sin(wt)):8.4f}")
     return 0

@@ -25,7 +25,7 @@ from .dynamics import (
     muon_polarization_function,
 )
 from .entanglement import EntanglementReport, entanglement_measure, max_bell, negativity
-from .linalg import SubsystemDims, partial_trace, require_density_matrix
+from .linalg import PAULI, SubsystemDims, partial_trace, require_density_matrix
 from .materials import available_presets, load_material
 from .musr import (
     DecayModel,
@@ -39,9 +39,7 @@ from .reconstruction import (
     identifiability,
     reconstruct_initial,
 )
-from .tomography import Direction, X_AXIS, Y_AXIS, Z_AXIS, rotation_matrix
-
-_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
+from .tomography import AXES, Direction
 
 DEFAULT_SWEEPS = {
     "quartz": [0.0, 790.0, 1580.0, 3160.0],
@@ -55,8 +53,8 @@ class ConfigError(Exception):
 
 
 def _axis(name: str) -> Direction:
-    if name in _AXES:
-        return _AXES[name]
+    if name in AXES:
+        return AXES[name]
     try:
         parts = [float(x) for x in name.split(",")]
         return Direction.from_vector(parts)
@@ -82,7 +80,15 @@ def _propagator_from_args(args, b_field: float) -> tuple[PropagatorSpec, float]:
     return PropagatorSpec(spec), material.j_e
 
 
+def _check_time_flags(args) -> None:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.t_max_ns is not None and not (np.isfinite(args.t_max_ns) and args.t_max_ns > 0):
+        raise ConfigError(f"--t-max-ns must be finite and > 0, got {args.t_max_ns}")
+
+
 def _time_grid(prop: PropagatorSpec, args) -> np.ndarray:
+    _check_time_flags(args)
     if args.t_max_ns is not None:
         t_max = args.t_max_ns
     else:
@@ -91,11 +97,11 @@ def _time_grid(prop: PropagatorSpec, args) -> np.ndarray:
     return np.linspace(0.0, t_max, args.steps)
 
 
-def _reduced_value(rho: np.ndarray, j_e: float, axis: Direction) -> float:
+def _muon_bloch(rho: np.ndarray, j_e: float) -> np.ndarray:
+    """P = Tr[rho_mu sigma]; the reduced tomogram is w(+1/2, n) = 1/2 + P.n/2."""
     d_e = int(round(2 * j_e + 1))
     rho_mu = partial_trace(rho, SubsystemDims(2, d_e), keep="a")
-    r = rotation_matrix(0.5, axis)
-    return float((r[:, 0].conj() @ rho_mu @ r[:, 0]).real)
+    return np.einsum("ab,kba->k", rho_mu, PAULI).real
 
 
 def cmd_evolve(args) -> int:
@@ -121,15 +127,16 @@ def cmd_evolve(args) -> int:
             neg = negativity(rho_t, SubsystemDims(2, int(round(2 * j_e + 1)))) \
                 if j_e in (0.5, 1.0) else None
             mb = max_bell(rho_t)[0] if (args.bell and two_qubit) else None
-            for name, axis in _AXES.items():
-                w = min(max(_reduced_value(rho_t, j_e, axis), 0.0), 1.0)
+            bloch = _muon_bloch(rho_t, j_e)
+            for name, axis in AXES.items():
+                w = min(max(0.5 + 0.5 * float(bloch @ axis.vector), 0.0), 1.0)
                 row = [repr(float(t)), name, repr(w),
                        "" if e_val is None else repr(e_val),
                        "" if neg is None else repr(neg)]
                 if args.bell:
                     row.append("" if mb is None else repr(mb))
                 writer.writerow(row)
-        fname = out_dir / f"evolve_{args.material}_B{b_field:g}.csv"
+        fname = out_dir / f"evolve_{Path(args.material).stem}_B{b_field:g}.csv"
         fname.write_text(buf.getvalue())
         manifest["files"].append(fname.name)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -138,6 +145,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_time_flags(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     b_field = args.B[0] if args.B else 0.0
@@ -252,7 +260,7 @@ def cmd_bell(args) -> int:
     writer.writerow(["t_ns", "max_bell", "E", "negativity"])
     for t in times:
         rho_t = evolve_density(rho0, prop.unitary(t))
-        writer.writerow([repr(float(t)), repr(max_bell(rho_t, seed=args.seed)[0]),
+        writer.writerow([repr(float(t)), repr(max_bell(rho_t)[0]),
                          repr(entanglement_measure(rho_t)),
                          repr(negativity(rho_t, SubsystemDims(2, 2)))])
     Path(args.out).write_text(buf.getvalue())
@@ -271,8 +279,7 @@ def cmd_report(args) -> int:
     for t in times:
         rho_t = evolve_density(rho0, prop.unitary(t))
         rep = EntanglementReport.from_state(rho_t, t=float(t),
-                                            include_max_bell=not args.no_bell,
-                                            seed=args.seed)
+                                            include_max_bell=not args.no_bell)
         reports.append(json.loads(rep.to_json()))
     Path(args.out).write_text(json.dumps(reports, indent=2))
     print(f"wrote {len(reports)} entanglement reports to {args.out}")
@@ -290,7 +297,6 @@ def _common_physics_flags(p):
     p.add_argument("--steps", type=int, default=512)
     p.add_argument("--init", default="default",
                    help="'default' or path to a JSON density matrix {real, imag}")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="field-sweep time traces of the reduced tomogram")
     _common_physics_flags(p)
-    p.add_argument("--bell", action="store_true", help="include max_bell (slow)")
+    p.add_argument("--bell", action="store_true", help="include max_bell")
     p.add_argument("--out", default="evolve_out")
     p.set_defaults(fn=cmd_evolve)
 
@@ -311,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-angle-deg", dest="half_angle_deg", type=float, default=70.0)
     p.add_argument("--background", type=float, default=0.01)
     p.add_argument("--asymmetry", type=float, default=1.0 / 3.0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="simulate_out")
     p.set_defaults(fn=cmd_simulate)
 
@@ -340,12 +347,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    # LinAlgError subclasses ValueError, so numeric failures are caught first
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

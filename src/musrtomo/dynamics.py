@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import kron, propagator, require_density_matrix
-from .tomography import Direction, QuadratureGrid, angular_momentum_ops
+from .linalg import PAULI, kron, require_density_matrix
+from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
 from .twospin import TwoSpinTomogram, individual_tomogram_unitary
 
 
@@ -85,6 +85,9 @@ class HamiltonianSpec:
     j_e: float = 0.5
 
     def __post_init__(self):
+        for name in ("a", "delta_a", "b_field"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.family is HamiltonianFamily.ANISOTROPIC and self.aniso_axis is None:
             raise ValueError("anisotropic family requires an anisotropy axis")
         if self.b_field != 0.0 and self.b_axis is None:
@@ -131,16 +134,12 @@ def build_hamiltonian(spec: HamiltonianSpec,
 # --------------------------------------------------------------------------
 # closed forms
 
-_AXES = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]),
-         "z": np.array([0, 0, 1.0])}
-
-
 def _axis_name(direction: Direction | None) -> str | None:
     if direction is None:
         return None
     v = direction.vector
-    for name, ref in _AXES.items():
-        if np.linalg.norm(v - ref) < 1e-12:
+    for name, ref in AXES.items():
+        if np.linalg.norm(v - ref.vector) < 1e-12:
             return name
     return None
 
@@ -400,12 +399,6 @@ class PropagatorSpec:
         return np.array([g for g in gaps if g > 1e-12])
 
 
-def propagator_numeric(spec: HamiltonianSpec, t: float,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """exp(-i H t / hbar) through the generic eigensolve."""
-    return propagator(build_hamiltonian(spec, constants), t)
-
-
 def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """U rho0 U^dag; trace, Hermiticity and spectrum preserved."""
     rho0 = require_density_matrix(rho0)
@@ -492,14 +485,9 @@ def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
     rho0 = require_density_matrix(rho0)
     w, v = np.linalg.eigh(prop.matrix())
     d_e = rho0.shape[0] // 2
-    sigmas = (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
     rho_p = v.conj().T @ rho0 @ v
     coeffs = []
-    for s in sigmas:
+    for s in PAULI:
         s_p = v.conj().T @ kron(s, np.eye(d_e)) @ v
         coeffs.append((rho_p * s_p.T).reshape(-1))
     coeffs = np.array(coeffs)  # (3, dim^2)

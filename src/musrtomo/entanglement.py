@@ -1,12 +1,12 @@
 """Entanglement and separability diagnostics in the tomographic picture.
 
 Implements the Bell-like number built from joint projection probabilities at
-two settings per spin, its maximization over settings, the partial-transpose
-map at both the density-matrix and tomogram level, the positivity
-coefficients M2..M4 of a unit-trace 4x4 Hermitian matrix, the entanglement
-measure E = |M3| + |M4| - M3 - M4 evaluated on the partial transpose,
-negativity for 2x2 and 2x3 systems, and the tomographic star-product route to
-M3/M4.
+two settings per spin, its closed-form maximum over settings, the
+partial-transpose map at both the density-matrix and tomogram level, the
+positivity coefficients M2..M4 of a unit-trace 4x4 Hermitian matrix, the
+entanglement measure E = |M3| + |M4| - M3 - M4 evaluated on the partial
+transpose, negativity for 2x2 and 2x3 systems, and the tomographic
+star-product route to M3/M4.
 
 Bell-number convention: with W[outcome, setting] the 4x4 matrix of joint
 probabilities (outcomes ++, +-, -+, -- by row; settings 11, 12, 21, 22 by
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubsystemDims, eig_hermitian, partial_transpose, require_density_matrix
+from .linalg import (PAULI, SubsystemDims, eig_hermitian, partial_transpose,
+                     require_density_matrix)
 from .tomography import Direction
 from .twospin import TwoSpinTomogram, individual_tomogram
 
@@ -33,12 +34,6 @@ CHSH_SIGNS = np.array([
     [-1, 1, 1, -1],
 ], dtype=float)
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class BellSetting:
@@ -48,15 +43,6 @@ class BellSetting:
     n2_mu: Direction
     n1_e: Direction
     n2_e: Direction
-
-    @classmethod
-    def from_angles(cls, angles) -> "BellSetting":
-        """Eight angles (theta, phi) x (n1_mu, n2_mu, n1_e, n2_e)."""
-        a = np.asarray(angles, dtype=float)
-        if a.shape != (8,):
-            raise ValueError("expected 8 angles")
-        return cls(Direction(a[0], a[1]), Direction(a[2], a[3]),
-                   Direction(a[4], a[5]), Direction(a[6], a[7]))
 
 
 def bell_cells(rho: np.ndarray, setting: BellSetting) -> np.ndarray:
@@ -91,100 +77,25 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ValueError("correlation matrix requires a two-qubit state")
     t = np.empty((3, 3))
-    for i, si in enumerate(_PAULI):
-        for j, sj in enumerate(_PAULI):
+    for i, si in enumerate(PAULI):
+        for j, sj in enumerate(PAULI):
             t[i, j] = np.trace(rho @ np.kron(si, sj)).real
     return t
 
 
-def _bell_from_t(t_matrix: np.ndarray, angles: np.ndarray) -> float:
-    """Bell number as -(1/2)(a1-a2)^T T (b1-b2); identical to the cell sum."""
-    th = angles
-    def vec(k):
-        return np.array([np.cos(th[2 * k + 1]) * np.sin(th[2 * k]),
-                         np.sin(th[2 * k + 1]) * np.sin(th[2 * k]),
-                         np.cos(th[2 * k])])
-    da = vec(0) - vec(1)
-    db = vec(2) - vec(3)
-    return -0.5 * float(da @ t_matrix @ db)
+def max_bell(rho: np.ndarray):
+    """Maximum of |B| over the four directions, with an exact argmax setting.
 
-
-def max_bell(rho: np.ndarray, n_starts: int = 32, seed: int = 0,
-             angle_tol: float = 1e-4):
-    """Maximize |B| over the four directions (eight angles).
-
-    Multi-start coordinate descent: each start sweeps the angles with a coarse
-    scan plus golden-section refinement until no angle moves by more than
-    ``angle_tol``. Two starts are seeded from the top singular vectors of the
-    correlation matrix, the rest are random. Returns (max |B|, argmax setting).
+    Since |a1 - a2| <= 2 and |b1 - b2| <= 2, |B| <= 2 s_max(T). The bound is
+    attained at a1 = -a2 = u and b2 = -b1 = v for the top singular pair (u, v)
+    of T (Horodecki et al., Phys. Lett. A 200, 340 (1995)), where B = +2 s_max.
+    Returns (max |B|, that setting).
     """
-    t_matrix = correlation_matrix(rho)
-    rng = np.random.default_rng(seed)
-
-    def objective(angles):
-        return abs(_bell_from_t(t_matrix, angles))
-
-    def golden_refine(angles, k, lo, hi):
-        invphi = (np.sqrt(5) - 1) / 2
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        def f(x):
-            angles[k] = x
-            return -objective(angles)
-        fc, fd = f(c), f(d)
-        while b - a > angle_tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-        angles[k] = (a + b) / 2
-        return objective(angles)
-
-    def descend(angles):
-        angles = np.array(angles, dtype=float)
-        best = objective(angles)
-        for _ in range(60):
-            moved = 0.0
-            for k in range(8):
-                period = np.pi if k % 2 == 0 else 2 * np.pi
-                scan = np.linspace(0, period, 13)
-                old = angles[k]
-                vals = []
-                for x in scan:
-                    angles[k] = x
-                    vals.append(objective(angles))
-                i0 = int(np.argmax(vals))
-                span = scan[1] - scan[0]
-                best = golden_refine(angles, k, scan[i0] - span, scan[i0] + span)
-                moved = max(moved, abs(angles[k] - old))
-            if moved <= angle_tol:
-                break
-        return best, angles
-
-    starts = []
-    u, s, vt = np.linalg.svd(t_matrix)
-    for sign in (1.0, -1.0):
-        a1 = Direction.from_vector(u[:, 0])
-        a2 = Direction.from_vector(-u[:, 0])
-        b1 = Direction.from_vector(sign * vt[0])
-        b2 = Direction.from_vector(-sign * vt[0])
-        starts.append(np.array([a1.theta, a1.phi, a2.theta, a2.phi,
-                                b1.theta, b1.phi, b2.theta, b2.phi]))
-    while len(starts) < n_starts:
-        starts.append(np.concatenate([[rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)]
-                                      for _ in range(4)]))
-
-    best_val, best_angles = -1.0, None
-    for start in starts:
-        val, angles = descend(start)
-        if val > best_val:
-            best_val, best_angles = val, angles
-    return float(best_val), BellSetting.from_angles(best_angles)
+    u, s, vt = np.linalg.svd(correlation_matrix(rho))
+    a, b = u[:, 0], vt[0]
+    setting = BellSetting(Direction.from_vector(a), Direction.from_vector(-a),
+                          Direction.from_vector(-b), Direction.from_vector(b))
+    return 2 * float(s[0]), setting
 
 
 def ppt_tomogram(w: TwoSpinTomogram) -> TwoSpinTomogram:
@@ -377,12 +288,12 @@ class EntanglementReport:
 
     @classmethod
     def from_state(cls, rho: np.ndarray, t: float = 0.0,
-                   include_max_bell: bool = True, seed: int = 0) -> "EntanglementReport":
+                   include_max_bell: bool = True) -> "EntanglementReport":
         rho = require_density_matrix(rho)
         ppt = partial_transpose(rho, SubsystemDims(2, 2), which="a")
         coeff = positivity_coefficients(ppt)
         e_val = abs(coeff.m3) + abs(coeff.m4) - coeff.m3 - coeff.m4
-        mb = max_bell(rho, seed=seed)[0] if include_max_bell else float("nan")
+        mb = max_bell(rho)[0] if include_max_bell else float("nan")
         return cls(t=t, e_measure=e_val, m2=coeff.m2, m3=coeff.m3, m4=coeff.m4,
                    max_bell=mb, negativity=negativity(rho, SubsystemDims(2, 2)))
 

@@ -13,6 +13,13 @@ import numpy as np
 
 HERMITIAN_RTOL = 1e-12
 
+# Pauli matrices (sigma_x, sigma_y, sigma_z), stacked along the first axis
+PAULI = np.array([
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
+
 
 @dataclass(frozen=True)
 class SubsystemDims:

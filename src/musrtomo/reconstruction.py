@@ -22,22 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PropagatorSpec
-from .linalg import eig_hermitian, kron, require_density_matrix
+from .linalg import PAULI, eig_hermitian, kron, require_density_matrix
 from .tomography import X_AXIS, Y_AXIS, Z_AXIS
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = (_SX, _SY, _SZ)
 
 
 def operator_basis_two_qubit() -> list[np.ndarray]:
     """The 15 orthonormal traceless Hermitian operators
     {sigma_i x I, I x sigma_j, sigma_i x sigma_j} / 2."""
     eye = np.eye(2)
-    basis = [kron(p, eye) / 2 for p in _PAULI]
-    basis += [kron(eye, p) / 2 for p in _PAULI]
-    basis += [kron(pi, pj) / 2 for pi in _PAULI for pj in _PAULI]
+    basis = [kron(p, eye) / 2 for p in PAULI]
+    basis += [kron(eye, p) / 2 for p in PAULI]
+    basis += [kron(pi, pj) / 2 for pi in PAULI for pj in PAULI]
     return basis
 
 
@@ -159,8 +154,7 @@ def build_design_matrix(plan: MeasurementPlan) -> DesignMatrix:
     for t in plan.times:
         u = plan.unitary(t)
         for direction in plan.directions:
-            n = direction.vector
-            proj = (eye + n[0] * _SX + n[1] * _SY + n[2] * _SZ) / 2
+            proj = (eye + np.tensordot(direction.vector, PAULI, axes=1)) / 2
             evolved = u.conj().T @ kron(proj, eye) @ u
             rows.append([np.trace(g @ evolved).real for g in basis])
     return DesignMatrix(np.array(rows))

@@ -29,7 +29,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import propagator, require_density_matrix
+from .linalg import PAULI, propagator, require_density_matrix
 
 SUPPORTED_SPINS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -72,6 +72,7 @@ class Direction:
 X_AXIS = Direction(np.pi / 2, 0.0)
 Y_AXIS = Direction(np.pi / 2, np.pi / 2)
 Z_AXIS = Direction(0.0, 0.0)
+AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
 @dataclass(frozen=True)
@@ -419,7 +420,4 @@ def reconstruct_qubit_three_directions(ws, directions) -> np.ndarray:
             raise ValueError(f"probability {w} outside [0, 1]")
     l1, l2, l3 = dual_basis(*directions)
     bloch = sum((2 * w - 1) * l for w, l in zip(ws, (l1, l2, l3)))
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return (np.eye(2) + bloch[0] * sx + bloch[1] * sy + bloch[2] * sz) / 2
+    return (np.eye(2) + np.tensordot(bloch, PAULI, axes=1)) / 2

@@ -2,12 +2,14 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from musrtomo.cli import main
 from musrtomo.materials import load_material
 from musrtomo.reconstruction import MeasurementPlan, forward_model
-from musrtomo.dynamics import PropagatorSpec, initial_muonium_state
+from musrtomo.dynamics import PropagatorSpec, evolve_density, initial_muonium_state
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS
+from musrtomo.twospin import reduced_tomogram
 
 
 def read_csv(path):
@@ -34,6 +36,20 @@ class TestEvolve:
             assert 0.0 <= w <= 1.0
             assert float(row["E"]) >= 0.0
 
+    def test_reduced_values_match_rotation_route(self, tmp_path):
+        # the CLI reads w(+1/2, n) off the Bloch vector; the reference rotates
+        out = tmp_path / "ev"
+        rc = main(["evolve", "--material", "quartz", "--B", "790", "--B-axis", "x",
+                   "--t-max-ns", "1.0", "--steps", "8", "--out", str(out)])
+        assert rc == 0
+        prop = PropagatorSpec(load_material("quartz").hamiltonian_spec(
+            b_field=790.0, b_axis=X_AXIS))
+        axes = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
+        for row in read_csv(out / "evolve_quartz_B790.csv"):
+            rho_t = evolve_density(initial_muonium_state(), prop.unitary(float(row["t_ns"])))
+            ref = reduced_tomogram(rho_t, 0.5, 0.5, axes[row["axis"]])[0]
+            assert abs(float(row["w_reduced"]) - ref) <= 1e-12
+
     def test_quartz_default_sweep_emits_four_traces(self, tmp_path):
         out = tmp_path / "sweep"
         rc = main(["evolve", "--material", "quartz", "--t-max-ns", "0.5",
@@ -55,6 +71,53 @@ class TestEvolve:
     def test_unknown_material_is_config_error(self, tmp_path):
         rc = main(["evolve", "--material", "nothere", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_material_file_names_trace_by_stem(self, tmp_path):
+        material = tmp_path / "spin1-hyperfine.json"
+        material.write_text(json.dumps({
+            "name": "spin1-hyperfine", "family": "hyperfine", "A_MHz": 2000.0,
+            "A_is_angular": False, "j_e": 1.0}))
+        out = tmp_path / "ev"
+        rc = main(["evolve", "--material", str(material), "--B", "0",
+                   "--t-max-ns", "1.0", "--steps", "8", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out / "evolve_spin1-hyperfine_B0.csv")
+        assert len(rows) == 3 * 8
+        assert all(row["E"] == "" and float(row["negativity"]) >= 0 for row in rows)
+
+
+class TestExitCodes:
+    def test_ok_is_zero(self, tmp_path):
+        assert main(["evolve", "--B", "0", "--t-max-ns", "1.0", "--steps", "2",
+                     "--out", str(tmp_path)]) == 0
+
+    def test_non_finite_field_is_config_error(self, tmp_path, capsys):
+        rc = main(["evolve", "--B", "nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "b_field must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--t-max-ns", "-1"],
+                                       ["--t-max-ns", "inf"]])
+    @pytest.mark.parametrize("verb", ["evolve", "simulate"])
+    def test_bad_time_grid_is_config_error(self, tmp_path, capsys, verb, flags):
+        extra = ["--n-muons", "100"] if verb == "simulate" else []
+        rc = main([verb, *flags, *extra, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: --" in capsys.readouterr().err
+
+    def test_linalg_failure_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(self, t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(PropagatorSpec, "unitary", fail)
+        rc = main(["evolve", "--B", "0", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["evolve", "bell", "report"])
+    def test_seed_belongs_to_simulate_only(self, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:
