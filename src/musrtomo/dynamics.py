@@ -393,10 +393,7 @@ class PropagatorSpec:
 
     def eigenfrequency_gaps(self) -> np.ndarray:
         """Distinct positive gaps of H/hbar (rad/ns), ascending."""
-        w, _ = self._eigensystem()
-        gaps = sorted({round(abs(a - b), 12)
-                       for i, a in enumerate(w) for b in w[:i]})
-        return np.array([g for g in gaps if g > 1e-12])
+        return _frequency_gaps(self._eigensystem()[0])[0][1:]
 
 
 def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -475,28 +472,55 @@ def analytic_free_mu_reduced(m_mu: float, n_mu: Direction, t: float,
     return 0.5 * (1 + m_mu * n_mu.vector[2] * (1 + np.cos(omega0 * t)))
 
 
+def _frequency_gaps(w: np.ndarray):
+    """Distinct gaps of the ascending eigenvalues w, and the gap of each pair.
+
+    Pairs are (lo[p], hi[p]) with lo < hi, so w[hi] - w[lo] >= 0. Gaps closer
+    than 1e-12 max|w| are one; ``gaps[0]`` is the zero gap of degenerate
+    levels and ``labels[p]`` indexes the gap of pair p.
+    """
+    lo, hi = np.triu_indices(len(w), 1)
+    pair_gaps = w[hi] - w[lo]
+    order = np.argsort(pair_gaps)
+    ranked = np.concatenate([[0.0], pair_gaps[order]])
+    starts = np.diff(ranked) > 1e-12 * np.abs(w).max()
+    labels = np.empty(len(order), dtype=int)
+    labels[order] = np.cumsum(starts)
+    return ranked[np.concatenate([[True], starts])], labels, lo, hi
+
+
 def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
     """Vectorized t -> muon Bloch vectors P(t) of the evolved reduced state.
 
-    Expands Tr[rho(t) (sigma_a x I)] over the eigenfrequencies of the
-    propagator, so evaluation is a handful of complex exponentials per time;
+    Writes P_a(t) = Tr[rho(t) (sigma_a x I)] in the eigenbasis of the
+    propagator as c_a + sum_k [A_ak cos(w_k t) + B_ak sin(w_k t)] over the
+    distinct nonzero level gaps w_k: each (k, l) term is paired with its
+    complex-conjugate (l, k) term, equal gaps are merged and the zero gaps of
+    degenerate levels join the constant. One evaluation is at most
+    d(d-1)/2 real cosines and sines per time and one small real matmul;
     suitable for millions of Monte Carlo decay times.
     """
     rho0 = require_density_matrix(rho0)
-    w, v = np.linalg.eigh(prop.matrix())
+    w, v = prop._eigensystem()
     d_e = rho0.shape[0] // 2
     rho_p = v.conj().T @ rho0 @ v
-    coeffs = []
-    for s in PAULI:
-        s_p = v.conj().T @ kron(s, np.eye(d_e)) @ v
-        coeffs.append((rho_p * s_p.T).reshape(-1))
-    coeffs = np.array(coeffs)  # (3, dim^2)
-    omegas = (w[:, None] - w[None, :]).reshape(-1)
+    # c[a, k, l] = rho_p[k, l] (sigma_a)_p[l, k]; c[a, l, k] is its conjugate
+    c = np.array([rho_p * (v.conj().T @ kron(s, np.eye(d_e)) @ v).T for s in PAULI])
+    gaps, labels, lo, hi = _frequency_gaps(w)
+    # 2 c[a, hi, lo] summed over the pairs of each gap: (n_gaps, 3), complex
+    merged = (labels == np.arange(len(gaps))[:, None]) @ (2 * c[:, hi, lo].T)
+    const = np.einsum("akk->a", c).real + merged[0].real
+    omegas = gaps[1:]
+    amps = np.concatenate([merged[1:].real, merged[1:].imag])  # (2K, 3)
+    n_gaps = len(omegas)
 
     def polarization(times):
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        phases = np.exp(-1j * times[:, None] * omegas[None, :])
-        return (phases @ coeffs.T).real
+        phases = np.multiply.outer(times, omegas)
+        trig = np.empty((len(times), 2 * n_gaps))
+        np.cos(phases, out=trig[:, :n_gaps])
+        np.sin(phases, out=trig[:, n_gaps:])
+        return trig @ amps + const
 
     return polarization
 

@@ -162,7 +162,7 @@ def negativity(rho: np.ndarray, dims: SubsystemDims) -> float:
     dims.check(rho)
     ppt = partial_transpose(rho, dims, which="a")
     w, _ = eig_hermitian(ppt)
-    return float(-w[w < 0].sum())
+    return float(np.abs(w[w < 0]).sum())  # +0.0, not -0.0, for PPT states
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,8 @@ import numpy as np
 from .tomography import Direction
 
 MUON_LIFETIME_NS = 2197.0
+# muons per Monte Carlo block; each block draws from its own spawned stream
+BLOCK_MUONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -211,11 +213,14 @@ def _sample_emission(rng, polar: np.ndarray, k_signed: float) -> np.ndarray:
     # orthonormal frame around P_hat (z for unpolarized events)
     p_hat = np.where(norms[:, None] > 1e-12, polar / np.maximum(norms, 1e-300)[:, None],
                      np.array([0.0, 0.0, 1.0]))
-    helper = np.where(np.abs(p_hat[:, 2:3]) < 0.9,
-                      np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    e1 = np.cross(p_hat, helper)
+    px, py, pz = p_hat.T
+    # e1 = P_hat x z, or P_hat x x where P_hat lies near z; e2 = P_hat x e1
+    near_z = np.abs(pz) >= 0.9
+    e1 = np.stack([np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
+                   np.where(near_z, -py, 0.0)], axis=1)
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(p_hat, e1)
+    e2 = np.stack([py * e1[:, 2] - pz * e1[:, 1], pz * e1[:, 0] - px * e1[:, 2],
+                   px * e1[:, 1] - py * e1[:, 0]], axis=1)
     sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
     return (x[:, None] * p_hat
             + sin_t[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2))
@@ -223,8 +228,7 @@ def _sample_emission(rng, polar: np.ndarray, k_signed: float) -> np.ndarray:
 
 def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayModel,
                     n_muons: int, seed: int, bin_edges,
-                    background_fraction: float = 0.01,
-                    chunk_size: int = 200_000) -> HistogramSeries:
+                    background_fraction: float = 0.01) -> HistogramSeries:
     """Monte Carlo decay histograms.
 
     Each muon draws an exponential decay time, evaluates the instantaneous
@@ -233,9 +237,9 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     an efficiency draw). Background clicks are added per detector as a
     Poisson count proportional to its signal, uniform in time.
 
-    Generation is partitioned into fixed-size chunks with independent
-    spawned seeds, so results are bit-identical for a given seed regardless
-    of chunking-internal vectorization.
+    Generation runs in fixed blocks of BLOCK_MUONS muons, each with its own
+    stream spawned from the seed, so the counts are a function of
+    (seed, n_muons, inputs) only.
 
     Args:
         polarization_of_t: callable mapping an array of times (ns) to muon
@@ -261,11 +265,11 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     cos_half = np.array([np.cos(d.half_angle) for d in geometry.detectors])
     effs = np.array([d.efficiency for d in geometry.detectors])
 
-    n_chunks = (n_muons + chunk_size - 1) // chunk_size
-    streams = np.random.SeedSequence(seed).spawn(n_chunks + 1)
-    for c in range(n_chunks):
+    n_blocks = (n_muons + BLOCK_MUONS - 1) // BLOCK_MUONS
+    streams = np.random.SeedSequence(seed).spawn(n_blocks + 1)
+    for c in range(n_blocks):
         rng = np.random.default_rng(streams[c])
-        n = min(chunk_size, n_muons - c * chunk_size)
+        n = min(BLOCK_MUONS, n_muons - c * BLOCK_MUONS)
         t = rng.exponential(model.lifetime_ns, n)
         inside = t < t_max
         t = t[inside]

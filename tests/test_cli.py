@@ -7,8 +7,14 @@ import pytest
 from musrtomo.cli import main
 from musrtomo.materials import load_material
 from musrtomo.reconstruction import MeasurementPlan, forward_model
-from musrtomo.dynamics import PropagatorSpec, evolve_density, initial_muonium_state
-from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS
+from musrtomo.dynamics import (
+    PropagatorSpec,
+    evolve_density,
+    initial_muonium_state,
+    muon_polarization_function,
+)
+from musrtomo.musr import DecayModel
+from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction
 from musrtomo.twospin import reduced_tomogram
 
 
@@ -96,6 +102,13 @@ class TestExitCodes:
         assert rc == 2
         assert "b_field must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["evolve", "simulate"])
+    def test_config_error_leaves_no_output_dir(self, tmp_path, verb):
+        out = tmp_path / "x"
+        extra = ["--n-muons", "100"] if verb == "simulate" else []
+        assert main([verb, "--B", "nan", *extra, "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--steps", "0"], ["--t-max-ns", "-1"],
                                        ["--t-max-ns", "inf"]])
     @pytest.mark.parametrize("verb", ["evolve", "simulate"])
@@ -142,6 +155,32 @@ class TestSimulate:
         assert meta["n_muons"] == 50000
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison, "comparison report should not be empty"
+
+    def test_truth_is_decay_weighted_bin_average(self, tmp_path):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--material", "quartz", "--B", "790", "--B-axis", "x",
+                   "--detectors", "z+x+y", "--n-muons", "20000", "--seed", "5",
+                   "--steps", "24", "--t-max-ns", "6000", "--out", str(out)])
+        assert rc == 0
+        prop = PropagatorSpec(load_material("quartz").hamiltonian_spec(
+            b_field=790.0, b_axis=X_AXIS))
+        polarization = muon_polarization_function(initial_muonium_state(), prop)
+        lifetime = DecayModel().lifetime_ns
+        edges = np.linspace(0.0, 6000.0, 25)
+        kept = {(round(float(r["axis_theta"]), 12), round(float(r["axis_phi"]), 12),
+                 float(r["t_ns"]))
+                for r in read_csv(out / "tomogram_estimate.csv") if r["low_confidence"] == "0"}
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert {(round(c["axis"][0], 12), round(c["axis"][1], 12), c["t_ns"])
+                for c in comparison} == kept
+        assert len(comparison) < 3 * 24  # the late bins fall below the count floor
+        for c in comparison:
+            i = int(c["t_ns"] // (6000.0 / 24))
+            ts = np.linspace(edges[i], edges[i + 1], 33)
+            wdecay = np.exp(-ts / lifetime)
+            n = Direction(*c["axis"]).vector
+            w_true = 0.5 + 0.5 * polarization(ts) @ n
+            assert abs(c["w_truth"] - np.sum(w_true * wdecay) / np.sum(wdecay)) <= 1e-12
 
 
 class TestReconstruct:

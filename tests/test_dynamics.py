@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_direction
 from musrtomo.dynamics import (
@@ -23,8 +24,8 @@ from musrtomo.dynamics import (
     propagator_mustar_yz,
     with_field,
 )
-from musrtomo.linalg import SubsystemDims, partial_trace, random_density_matrix
-from musrtomo.materials import load_material
+from musrtomo.linalg import PAULI, SubsystemDims, partial_trace, random_density_matrix
+from musrtomo.materials import available_presets, load_material, material_from_dict
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS
 from musrtomo.twospin import reduced_tomogram
 
@@ -316,6 +317,11 @@ class TestAnalyticFreeMu:
                 assert abs(total - analytic_free_mu_reduced(m_mu, n_mu, t, omega0)) < 1e-14
 
 
+SPIN1_MATERIAL = material_from_dict({"name": "spin1", "family": "hyperfine",
+                                     "A_MHz": 2000.0, "A_is_angular": False,
+                                     "deltaA_MHz": 0.0, "j_e": 1.0})
+
+
 class TestPolarizationFunction:
     def test_matches_direct_evolution(self, rng):
         mat = load_material("si-mustar")
@@ -331,6 +337,31 @@ class TestPolarizationFunction:
             rho_mu = partial_trace(evolve_density(rho0, prop.unitary(t)),
                                    SubsystemDims(2, 2), "a")
             ref = [np.trace(rho_mu @ p).real for p in paulis]
+            assert np.abs(got[k] - ref).max() < 1e-11
+
+    @given(material=st.sampled_from([*available_presets(), "spin1"]),
+           b_field=st.one_of(st.just(0.0), st.floats(1.0, 3200.0)),
+           seed=st.integers(0, 10_000), fresh=st.booleans())
+    @settings(deadline=None, max_examples=80)
+    def test_matches_partial_trace(self, material, b_field, seed, fresh):
+        # random fields, axes and initial states on every preset and the
+        # j_e = 1 material; zero field makes the level gaps degenerate
+        rng = np.random.default_rng(seed)
+        mat = SPIN1_MATERIAL if material == "spin1" else load_material(material)
+        spec = mat.hamiltonian_spec(
+            b_field=b_field, b_axis=random_direction(rng) if b_field else None,
+            aniso_axis=random_direction(rng))
+        prop = PropagatorSpec(spec)
+        d_e = int(round(2 * mat.j_e + 1))
+        rho0 = initial_muonium_state(mat.j_e) if fresh else \
+            random_density_matrix(2 * d_e, rng)
+        ts = np.concatenate([[0.0], rng.uniform(0, 100, 6)])
+        got = muon_polarization_function(rho0, prop)(ts)
+        assert got.shape == (len(ts), 3)
+        for k, t in enumerate(ts):
+            rho_mu = partial_trace(evolve_density(rho0, prop.unitary(t)),
+                                   SubsystemDims(2, d_e), "a")
+            ref = [np.trace(rho_mu @ p).real for p in PAULI]
             assert np.abs(got[k] - ref).max() < 1e-11
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -263,6 +264,13 @@ class TestNegativity:
 
     def test_singlet(self, singlet):
         assert abs(negativity(singlet, SubsystemDims(2, 2)) - 0.5) < 1e-13
+
+    def test_ppt_state_gives_positive_zero(self):
+        # a product state has no negative partial-transpose eigenvalue to
+        # sum, and the empty sum must print as 0.0, not -0.0
+        neg = negativity(initial_muonium_state(), SubsystemDims(2, 2))
+        assert neg == 0.0
+        assert math.copysign(1.0, neg) == 1.0
 
     def test_qubit_qutrit_evolution(self):
         # coupling to a spin-1 shell entangles the fresh state

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_direction
 from musrtomo.musr import (
+    BLOCK_MUONS,
     AxisEstimate,
     DecayModel,
     Detector,
@@ -108,14 +109,15 @@ class TestSimulateEvents:
         assert np.array_equal(h1.counts, h2.counts)
 
     def test_partial_chunks(self):
-        # n_muons not divisible by the chunk size still books every muon
+        # n_muons not divisible by the block size still books every muon
         model = DecayModel()
+        n_muons = 2 * BLOCK_MUONS + 1
         edges = np.array([0.0, 50 * model.lifetime_ns])
         geom = DetectorGeometry.opposing_pairs([Z_AXIS], half_angle=np.pi)
-        hist = simulate_events(STATIC_UP, geom, model, 7_501, 42, edges,
-                               background_fraction=0.0, chunk_size=3_000)
+        hist = simulate_events(STATIC_UP, geom, model, n_muons, 42, edges,
+                               background_fraction=0.0)
         # hemispheres with half angle pi double-count every event
-        assert hist.counts.sum() == 2 * 7_501
+        assert hist.counts.sum() == 2 * n_muons
 
     def test_lifetime_recovered(self):
         # Poisson/exponential oracle: the mean decay time over a window
