@@ -70,7 +70,6 @@ from .tomography import (
     rotation_matrix,
     three_j,
     tomogram,
-    wigner_small_d,
 )
 from .twospin import (
     TwoSpinBasis,

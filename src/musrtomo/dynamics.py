@@ -20,13 +20,13 @@ test suite.
 """
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import PAULI, kron, require_density_matrix
 from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
-from .twospin import TwoSpinTomogram, individual_tomogram_unitary
+from .twospin import TwoSpinTomogram
 
 
 @dataclass(frozen=True)
@@ -332,14 +332,14 @@ def closed_form_variant(spec: HamiltonianSpec) -> str:
 
 @dataclass
 class PropagatorSpec:
-    """Hamiltonian plus evolution method; the callable ``unitary(t)``.
+    """Hamiltonian and constants behind the callable ``unitary(t)``.
 
-    method "closed_form" transcribes the tabulated matrices; "numeric" uses
-    the Hermitian eigensolve; "auto" prefers the closed form and falls back.
+    ``unitary`` transcribes the tabulated closed form of the orientation
+    (``closed_form_unitary``) and falls back to the Hermitian eigensolve
+    (``numeric_unitary``) where none is tabulated.
     """
 
     hamiltonian: HamiltonianSpec
-    method: str = "auto"
     constants: PhysicalConstants = DEFAULT_CONSTANTS
     _eig: tuple = field(default=None, repr=False, compare=False)
 
@@ -357,10 +357,6 @@ class PropagatorSpec:
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
-        if self.method == "numeric":
-            return self.numeric_unitary(t)
-        if self.method == "closed_form":
-            return self.closed_form_unitary(t)
         try:
             return self.closed_form_unitary(t)
         except OrientationNotTabulated:
@@ -417,39 +413,14 @@ def initial_muonium_state(j_e: float = 0.5) -> np.ndarray:
 def evolve_tomogram(rho0: np.ndarray, unitary_of_t, times,
                     j_mu: float = 0.5, j_e: float = 0.5,
                     grid_mu: QuadratureGrid | None = None,
-                    grid_e: QuadratureGrid | None = None,
-                    method: str = "conjugation") -> list[TwoSpinTomogram]:
-    """Individual two-spin tomogram along a time grid.
-
-    method "conjugation" evolves the state and samples it; "composition"
-    folds the evolution into the measurement unitary of each grid node
-    (w_t(m, u) = w_0(m, u U(t))). The two paths agree to roundoff.
-    """
+                    grid_e: QuadratureGrid | None = None) -> list[TwoSpinTomogram]:
+    """Individual two-spin tomogram along a time grid: the state is evolved
+    by conjugation, rho(t) = U(t) rho0 U(t)^dag, and sampled on the grids."""
     grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
     grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
-    out = []
-    if method == "conjugation":
-        for t in times:
-            rho_t = evolve_density(rho0, unitary_of_t(t))
-            out.append(TwoSpinTomogram.from_state(rho_t, j_mu, j_e, grid_mu, grid_e))
-        return out
-    if method != "composition":
-        raise ValueError("method must be 'conjugation' or 'composition'")
-    from .tomography import rotation_matrix
-    d_mu = int(round(2 * j_mu + 1))
-    d_e = int(round(2 * j_e + 1))
-    rots_mu = [rotation_matrix(j_mu, node) for node in grid_mu.nodes()]
-    rots_e = [rotation_matrix(j_e, node) for node in grid_e.nodes()]
-    for t in times:
-        u_t = unitary_of_t(t)
-        vals = np.empty((d_mu, grid_mu.n_nodes, d_e, grid_e.n_nodes))
-        for ni, r_mu in enumerate(rots_mu):
-            for nj, r_e in enumerate(rots_e):
-                u = kron(r_mu, r_e).conj().T @ u_t
-                joint = individual_tomogram_unitary(rho0, u).reshape(d_mu, d_e)
-                vals[:, ni, :, nj] = joint
-        out.append(TwoSpinTomogram(j_mu, j_e, grid_mu, grid_e, vals))
-    return out
+    return [TwoSpinTomogram.from_state(evolve_density(rho0, unitary_of_t(t)),
+                                       j_mu, j_e, grid_mu, grid_e)
+            for t in times]
 
 
 def analytic_free_mu(m_mu: float, n_mu: Direction, m_e: float, n_e: Direction,
@@ -523,12 +494,3 @@ def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
         return trig @ amps + const
 
     return polarization
-
-
-def with_field(spec: HamiltonianSpec, b_field: float, b_axis: Direction) -> HamiltonianSpec:
-    """Copy of a Hamiltonian spec with the field replaced."""
-    family = spec.family
-    if family is HamiltonianFamily.HYPERFINE and b_field != 0.0:
-        family = HamiltonianFamily.ISOTROPIC
-    return replace(spec, family=family, b_field=b_field,
-                   b_axis=b_axis if b_field != 0.0 else spec.b_axis)

@@ -99,23 +99,6 @@ class MeasurementPlan:
             return self.propagator.unitary(t)
         return self.propagator(t)
 
-    def coincidence_issues(self, tol: float = 1e-9) -> list[str]:
-        """Time pairs congruent modulo an eigenfrequency period (a warning
-        sign for resonant plans; the rank test is authoritative)."""
-        if not isinstance(self.propagator, PropagatorSpec):
-            return []
-        issues = []
-        for gap in self.propagator.eigenfrequency_gaps():
-            period = 2 * np.pi / gap
-            for i, ti in enumerate(self.times):
-                for tj in self.times[:i]:
-                    r = abs(ti - tj) % period
-                    if min(r, period - r) < tol:
-                        issues.append(
-                            f"times {tj:.6g} and {ti:.6g} coincide modulo "
-                            f"period {period:.6g}")
-        return issues
-
 
 @dataclass
 class DesignMatrix:

@@ -5,20 +5,22 @@ probability of finding spin projection m along the unit direction n. This
 module provides
 
 - :class:`Direction` and the product :class:`QuadratureGrid` on the sphere,
-- SU(2) rotation matrices, Wigner small-d functions and 3j symbols,
+- SU(2) rotation matrices, 3j symbols and Clebsch-Gordan coefficients,
 - the forward map state -> tomogram and the quantizer operators that invert
   it by quadrature over the sphere,
-- the three-direction inverse for qubits (dual-basis formula).
+- the three-direction inverse for qubits (dual-basis formula),
+- the CSV reader shared by the single- and two-spin tomogram containers.
 
 Conventions
 -----------
 Projections m are ordered descending (+j first). ``rotation_matrix(j, n)``
-is exp(-i (n_perp . J) theta) with n_perp = (-sin phi, cos phi, 0); its first
-column is the spin-up state along n. The tomogram is the diagonal of
-R^dag rho R, which for a qubit gives w(m, n) = 1/2 + m Tr[rho (n.sigma)].
-The pairing tomogram/quantizer is fixed by requiring the sphere-quadrature
-round trip to be exact, which also makes the j=1/2 quantizer equal
-I/2 + 3m (n.sigma).
+is exp(-i (n_perp . J) theta) with n_perp = (-sin phi, cos phi, 0), computed
+as e^{-i phi Jz} d^j(theta) e^{+i phi Jz} with d^j(theta) = e^{-i theta Jy}
+taken from the cached eigensystem of Jy; its first column is the spin-up
+state along n. The tomogram is the diagonal of R^dag rho R, which for a
+qubit gives w(m, n) = 1/2 + m Tr[rho (n.sigma)]. The pairing
+tomogram/quantizer is fixed by requiring the sphere-quadrature round trip to
+be exact, which also makes the j=1/2 quantizer equal I/2 + 3m (n.sigma).
 """
 
 import csv
@@ -29,7 +31,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import PAULI, propagator, require_density_matrix
+from .linalg import PAULI, require_density_matrix
 
 SUPPORTED_SPINS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -56,6 +58,8 @@ class Direction:
     @classmethod
     def from_vector(cls, v) -> "Direction":
         v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"direction components must be finite, got {v.tolist()}")
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise ValueError("cannot build a direction from a (near) zero vector")
@@ -153,25 +157,6 @@ def _lf(x: float) -> float:
     return lgamma(x + 1.0)
 
 
-def wigner_small_d(j: float, mp: float, m: float, beta: float) -> float:
-    """Wigner small-d matrix element d^j_{mp,m}(beta) = <j mp|e^{-i beta Jy}|j m>."""
-    if abs(mp) > j or abs(m) > j:
-        raise ValueError("projections must satisfy |m| <= j")
-    for proj in (mp, m):
-        if round(2 * proj) != 2 * proj or (j - proj) != round(j - proj):
-            raise ValueError("projections must differ from j by integers")
-    kmin = int(round(max(0.0, m - mp)))
-    kmax = int(round(min(j + m, j - mp)))
-    pre = 0.5 * (_lf(j + m) + _lf(j - m) + _lf(j + mp) + _lf(j - mp))
-    c, s = np.cos(beta / 2), np.sin(beta / 2)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        ln = pre - (_lf(j + m - k) + _lf(k) + _lf(j - mp - k) + _lf(k - m + mp))
-        total += (-1.0) ** round(mp - m + k) * np.exp(ln) \
-            * c ** round(2 * j - 2 * k + m - mp) * s ** round(2 * k - m + mp)
-    return float(total)
-
-
 def three_j(j1: float, j2: float, j3: float, m1: float, m2: float, m3: float) -> float:
     """Wigner 3j symbol via the Racah sum with log-factorials.
 
@@ -220,21 +205,16 @@ def rotation_matrix(j: float, direction: Direction) -> np.ndarray:
     """
     if j not in SUPPORTED_SPINS:
         raise ValueError(f"unsupported spin j={j}; supported: {SUPPORTED_SPINS}")
-    ms = spin_projections(j)
-    dim = len(ms)
-    u = np.zeros((dim, dim), dtype=complex)
-    for a, mp in enumerate(ms):
-        for b, m in enumerate(ms):
-            u[a, b] = np.exp(-1j * (mp - m) * direction.phi) \
-                * wigner_small_d(j, mp, m, direction.theta)
-    return u
+    mu, v = _jy_eigensystem(int(round(2 * j)))
+    small_d = ((v * np.exp(-1j * direction.theta * mu)) @ v.conj().T).real
+    phase = np.exp(-1j * direction.phi * spin_projections(j))
+    return phase[:, None] * small_d * phase.conj()
 
 
-def rotation_from_generators(j: float, direction: Direction) -> np.ndarray:
-    """Same rotation through the generic matrix exponential (cross-check path)."""
-    jx, jy, jz = angular_momentum_ops(j)
-    nperp = direction.n_perp
-    return propagator(nperp[0] * jx + nperp[1] * jy + nperp[2] * jz, direction.theta)
+@lru_cache(maxsize=len(SUPPORTED_SPINS))
+def _jy_eigensystem(two_j: int) -> tuple:
+    """Eigenvalues and eigenvectors of Jy for spin two_j / 2."""
+    return np.linalg.eigh(angular_momentum_ops(two_j / 2.0)[1])
 
 
 def measurement_projector(j: float, m: float, direction: Direction) -> np.ndarray:
@@ -267,14 +247,7 @@ def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
 
 def tomogram_on_grid(rho: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
     """Tomogram values on every grid node, shape (2j+1, n_nodes)."""
-    rho = require_density_matrix(rho)
-    cols = [tomogram_unchecked(rho, j, node) for node in grid.nodes()]
-    return np.array(cols).T
-
-
-def tomogram_unchecked(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
-    r = rotation_matrix(j, direction)
-    return np.einsum("ai,ab,bi->i", r.conj(), rho, r).real
+    return operator_symbol_on_grid(require_density_matrix(rho), j, grid).real
 
 
 @lru_cache(maxsize=None)
@@ -353,22 +326,29 @@ class SpinTomogram:
         """Rebuild from ``to_csv`` output; the grid must match the file's
         (theta, phi) layout (the default grid for ``j`` unless given)."""
         grid = grid if grid is not None else QuadratureGrid.for_spin(j)
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        reader = csv.DictReader(rows)
-        table = {}
-        for rec in reader:
-            key = (round(float(rec["m"]), 9), round(float(rec["theta"]), 12),
-                   round(float(rec["phi"]), 12))
-            table[key] = float(rec["probability"])
-        dim = int(round(2 * j)) + 1
-        values = np.empty((dim, grid.n_nodes))
-        for mi, m in enumerate(spin_projections(j)):
-            for ni, node in enumerate(grid.nodes()):
-                key = (round(float(m), 9), round(node.theta, 12), round(node.phi, 12))
-                if key not in table:
-                    raise ValueError(f"file misses sample {key}")
-                values[mi, ni] = table[key]
-        return cls(j, grid, values)
+        ms, nodes = spin_projections(j), grid.nodes()
+        keys = [(m, node.theta, node.phi) for m in ms for node in nodes]
+        values = read_sample_csv(text, ("m", "theta", "phi"), keys)
+        return cls(j, grid, values.reshape(len(ms), len(nodes)))
+
+
+def read_sample_csv(text: str, columns: tuple, keys) -> np.ndarray:
+    """Probabilities of a tomogram CSV in the order of ``keys``.
+
+    Lines starting with '#' are skipped; each row is keyed by its ``columns``
+    values and each key of ``keys`` holds the same values in that order, both
+    compared rounded to 12 digits. A key without a row raises ValueError.
+    """
+    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    table = {tuple(round(float(rec[c]), 12) for c in columns): float(rec["probability"])
+             for rec in csv.DictReader(rows)}
+    values = []
+    for key in keys:
+        key = tuple(round(float(x), 12) for x in key)
+        if key not in table:
+            raise ValueError(f"file misses sample {key}")
+        values.append(table[key])
+    return np.array(values)
 
 
 def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:
@@ -388,10 +368,11 @@ def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:
 
 def operator_symbol_on_grid(op: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
     """Tomographic symbol Tr[op R|j m><j m|R^dag] of an arbitrary operator."""
+    op = np.asarray(op, dtype=complex)
     cols = []
     for node in grid.nodes():
         r = rotation_matrix(j, node)
-        cols.append(np.einsum("ai,ab,bi->i", r.conj(), np.asarray(op, complex), r))
+        cols.append(np.einsum("ai,ab,bi->i", r.conj(), op, r))
     return np.array(cols).T
 
 

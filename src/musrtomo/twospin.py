@@ -24,6 +24,7 @@ from .tomography import (
     clebsch_gordan,
     measurement_projector,
     quantizer,
+    read_sample_csv,
     rotation_matrix,
     spin_projections,
 )
@@ -266,30 +267,14 @@ class TwoSpinTomogram:
                  grid_e: QuadratureGrid | None = None) -> "TwoSpinTomogram":
         grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
         grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        reader = csv.DictReader(rows)
-        table = {}
-        for rec in reader:
-            key = (round(float(rec["m_mu"]), 9),
-                   round(float(rec["theta_mu"]), 12), round(float(rec["phi_mu"]), 12),
-                   round(float(rec["m_e"]), 9),
-                   round(float(rec["theta_e"]), 12), round(float(rec["phi_e"]), 12))
-            table[key] = float(rec["probability"])
-        shape = (int(round(2 * j_mu + 1)), grid_mu.n_nodes,
-                 int(round(2 * j_e + 1)), grid_e.n_nodes)
-        values = np.empty(shape)
-        for mi, m_mu in enumerate(spin_projections(j_mu)):
-            for ni, node_mu in enumerate(grid_mu.nodes()):
-                for mj, m_e in enumerate(spin_projections(j_e)):
-                    for nj, node_e in enumerate(grid_e.nodes()):
-                        key = (round(float(m_mu), 9),
-                               round(node_mu.theta, 12), round(node_mu.phi, 12),
-                               round(float(m_e), 9),
-                               round(node_e.theta, 12), round(node_e.phi, 12))
-                        if key not in table:
-                            raise ValueError(f"file misses sample {key}")
-                        values[mi, ni, mj, nj] = table[key]
-        return cls(j_mu, j_e, grid_mu, grid_e, values)
+        ms_mu, ms_e = spin_projections(j_mu), spin_projections(j_e)
+        nodes_mu, nodes_e = grid_mu.nodes(), grid_e.nodes()
+        keys = [(m_mu, n_mu.theta, n_mu.phi, m_e, n_e.theta, n_e.phi)
+                for m_mu in ms_mu for n_mu in nodes_mu for m_e in ms_e for n_e in nodes_e]
+        values = read_sample_csv(
+            text, ("m_mu", "theta_mu", "phi_mu", "m_e", "theta_e", "phi_e"), keys)
+        shape = (len(ms_mu), len(nodes_mu), len(ms_e), len(nodes_e))
+        return cls(j_mu, j_e, grid_mu, grid_e, values.reshape(shape))
 
 
 def reconstruct_two_spin(w: TwoSpinTomogram) -> np.ndarray:

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert rc == 2
         assert "b_field must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,1"])
+    def test_non_finite_field_axis_is_config_error(self, tmp_path, capsys, axis):
+        rc = main(["evolve", "--material", "quartz", "--B", "100", "--B-axis", axis,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "cannot parse axis" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["evolve", "simulate"])
     def test_config_error_leaves_no_output_dir(self, tmp_path, verb):
         out = tmp_path / "x"

@@ -22,12 +22,11 @@ from musrtomo.dynamics import (
     propagator_mu_transverse_y,
     propagator_mustar_xz,
     propagator_mustar_yz,
-    with_field,
 )
-from musrtomo.linalg import PAULI, SubsystemDims, partial_trace, random_density_matrix
+from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace, random_density_matrix
 from musrtomo.materials import available_presets, load_material, material_from_dict
-from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS
-from musrtomo.twospin import reduced_tomogram
+from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, rotation_matrix
+from musrtomo.twospin import individual_tomogram_unitary, reduced_tomogram
 
 
 def phase_insensitive_error(u, v):
@@ -257,13 +256,18 @@ class TestEvolveDensity:
 
 class TestEvolveTomogram:
     def test_paths_agree(self):
+        # conjugating the state equals folding the evolution into each node's
+        # measurement unitary: w_t(m, u) = w_0(m, u U(t))
         prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
         rho0 = initial_muonium_state()
         ts = [0.0, 0.7, 2.3]
-        via_state = evolve_tomogram(rho0, prop.unitary, ts, method="conjugation")
-        via_unitary = evolve_tomogram(rho0, prop.unitary, ts, method="composition")
-        for a, b in zip(via_state, via_unitary):
-            assert np.abs(a.values - b.values).max() <= 1e-10
+        for t, w in zip(ts, evolve_tomogram(rho0, prop.unitary, ts)):
+            u_t = prop.unitary(t)
+            for ni, n_mu in enumerate(w.grid_mu.nodes()):
+                for nj, n_e in enumerate(w.grid_e.nodes()):
+                    u = kron(rotation_matrix(0.5, n_mu), rotation_matrix(0.5, n_e)).conj().T
+                    joint = individual_tomogram_unitary(rho0, u @ u_t).reshape(2, 2)
+                    assert np.abs(w.values[:, ni, :, nj] - joint).max() <= 1e-10
 
     def test_matches_closed_form(self):
         omega0 = 4.453
@@ -394,9 +398,3 @@ class TestMaterials:
     def test_missing_material(self):
         with pytest.raises(FileNotFoundError):
             load_material("unobtainium")
-
-    def test_with_field_helper(self):
-        spec = HamiltonianSpec.hyperfine(3.0)
-        lifted = with_field(spec, 100.0, Z_AXIS)
-        assert lifted.family is HamiltonianFamily.ISOTROPIC
-        assert lifted.b_field == 100.0

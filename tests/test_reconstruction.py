@@ -164,16 +164,6 @@ class TestMeasurementPlan:
         with pytest.raises(ValueError):
             MeasurementPlan(mustar_xz_prop(), times=(1.0, 1.0, 2.0))
 
-    def test_coincidence_detection(self):
-        prop = mustar_xz_prop()
-        gap = prop.eigenfrequency_gaps()[0]
-        period = 2 * np.pi / gap
-        plan = MeasurementPlan(prop, times=(1.0, 1.0 + period, 2.0, 3.0, 4.0))
-        issues = plan.coincidence_issues()
-        assert issues
-        clean = MeasurementPlan(prop)
-        assert clean.coincidence_issues() == []
-
 
 class TestReconstructInitial:
     def test_noiseless_roundtrip_full_rank(self, rng):

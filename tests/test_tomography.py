@@ -1,35 +1,67 @@
 import itertools
+from math import lgamma
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_direction
-from musrtomo.linalg import random_density_matrix
+from musrtomo.linalg import propagator, random_density_matrix
 from musrtomo.tomography import (
+    SUPPORTED_SPINS,
     Direction,
     QuadratureGrid,
     SpinTomogram,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    angular_momentum_ops,
     clebsch_gordan,
     dual_basis,
     operator_symbol_on_grid,
     quantizer,
     reconstruct_from_sphere,
     reconstruct_qubit_three_directions,
-    rotation_from_generators,
     rotation_matrix,
     three_j,
     tomogram,
-    wigner_small_d,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PAULI = (SX, SY, SZ)
+
+
+def racah_small_d(j, mp, m, beta):
+    """Oracle: d^j_{mp,m}(beta) = <j mp|e^{-i beta Jy}|j m> by the Racah sum
+    with log-factorials."""
+    def lf(x):
+        return lgamma(x + 1.0)
+
+    kmin = int(round(max(0.0, m - mp)))
+    kmax = int(round(min(j + m, j - mp)))
+    pre = 0.5 * (lf(j + m) + lf(j - m) + lf(j + mp) + lf(j - mp))
+    c, s = np.cos(beta / 2), np.sin(beta / 2)
+    total = 0.0
+    for k in range(kmin, kmax + 1):
+        ln = pre - (lf(j + m - k) + lf(k) + lf(j - mp - k) + lf(k - m + mp))
+        total += (-1.0) ** round(mp - m + k) * np.exp(ln) \
+            * c ** round(2 * j - 2 * k + m - mp) * s ** round(2 * k - m + mp)
+    return total
+
+
+def racah_rotation(j, direction):
+    """Oracle: e^{-i(m'-m)phi} d^j_{m'm}(theta), element by element."""
+    ms = j - np.arange(int(round(2 * j)) + 1)
+    return np.array([[np.exp(-1j * (mp - m) * direction.phi)
+                      * racah_small_d(j, mp, m, direction.theta) for m in ms]
+                     for mp in ms])
+
+
+def small_d(j, beta):
+    """d^j(beta) through the library: the rotation about y (phi = 0)."""
+    return rotation_matrix(j, Direction(beta, 0.0))
 
 
 class TestDirection:
@@ -50,6 +82,11 @@ class TestDirection:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             Direction.from_vector([0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Direction.from_vector([bad, 0.0, 1.0])
 
 
 class TestQuadratureGrid:
@@ -97,10 +134,12 @@ class TestRotationMatrix:
 
     def test_matches_generator_exponential(self, rng):
         for j in (0.5, 1.0, 1.5, 2.0):
+            jx, jy, jz = angular_momentum_ops(j)
             for _ in range(5):
                 d = random_direction(rng)
-                assert np.abs(rotation_matrix(j, d)
-                              - rotation_from_generators(j, d)).max() <= 1e-12
+                n = d.n_perp
+                generated = propagator(n[0] * jx + n[1] * jy + n[2] * jz, d.theta)
+                assert np.abs(rotation_matrix(j, d) - generated).max() <= 1e-12
 
     def test_unsupported_spin(self):
         with pytest.raises(ValueError):
@@ -110,24 +149,33 @@ class TestRotationMatrix:
 class TestWignerSmallD:
     def test_half_spin_diagonal(self, rng):
         for beta in rng.uniform(0, np.pi, 5):
-            assert abs(wigner_small_d(0.5, 0.5, 0.5, beta) - np.cos(beta / 2)) < 1e-14
+            assert abs(small_d(0.5, beta)[0, 0] - np.cos(beta / 2)) < 1e-14
 
     def test_identity_at_zero(self):
         for j in (0.5, 1.0, 1.5, 2.0):
-            ms = j - np.arange(int(2 * j) + 1)
-            for mp in ms:
-                for m in ms:
-                    expect = 1.0 if mp == m else 0.0
-                    assert abs(wigner_small_d(j, mp, m, 0.0) - expect) < 1e-14
+            dim = int(2 * j) + 1
+            assert np.abs(small_d(j, 0.0) - np.eye(dim)).max() < 1e-14
 
     def test_row_orthonormality(self, rng):
-        # unitarity of the beta rotation
+        # unitarity of the beta rotation, whose matrix is real
         for j in (0.5, 1.0, 1.5, 2.0):
-            ms = j - np.arange(int(2 * j) + 1)
-            beta = rng.uniform(0, np.pi)
-            for mp in ms:
-                total = sum(wigner_small_d(j, mp, m, beta) ** 2 for m in ms)
-                assert abs(total - 1) < 1e-12
+            d = small_d(j, rng.uniform(0, np.pi))
+            assert np.abs(d.imag).max() == 0.0
+            assert np.abs((d.real ** 2).sum(axis=1) - 1).max() < 1e-12
+
+
+class TestEverySupportedSpin:
+    @given(j=st.sampled_from(SUPPORTED_SPINS), seed=st.integers(0, 10_000))
+    @settings(deadline=None, max_examples=40)
+    def test_rotation_and_round_trips(self, j, seed):
+        rng = np.random.default_rng(seed)
+        d = random_direction(rng)
+        assert np.abs(rotation_matrix(j, d) - racah_rotation(j, d)).max() <= 1e-13
+        rho = random_density_matrix(int(round(2 * j)) + 1, rng)
+        tom = SpinTomogram.from_state(rho, j)
+        assert np.abs(reconstruct_from_sphere(tom) - rho).max() <= 1e-9
+        back = SpinTomogram.from_csv(tom.to_csv(), j)
+        assert np.array_equal(back.values, tom.values)
 
 
 class TestThreeJ:
@@ -348,3 +396,9 @@ class TestSpinTomogramContainer:
         tom = SpinTomogram.from_state(rho, 1.0)
         back = SpinTomogram.from_csv(tom.to_csv(), 1.0)
         assert np.array_equal(back.values, tom.values)
+
+    def test_csv_missing_row_rejected(self, rng):
+        tom = SpinTomogram.from_state(random_density_matrix(2, rng), 0.5)
+        lines = tom.to_csv().splitlines()
+        with pytest.raises(ValueError, match="file misses sample"):
+            SpinTomogram.from_csv("\n".join(lines[:-1]), 0.5)

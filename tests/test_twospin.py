@@ -335,3 +335,9 @@ class TestTwoSpinTomogramContainer:
         w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
         back = TwoSpinTomogram.from_csv(w.to_csv(), 0.5, 0.5)
         assert np.array_equal(back.values, w.values)
+
+    def test_csv_missing_row_rejected(self, rng):
+        w = TwoSpinTomogram.from_state(random_density_matrix(4, rng), 0.5, 0.5)
+        lines = w.to_csv().splitlines()
+        with pytest.raises(ValueError, match="file misses sample"):
+            TwoSpinTomogram.from_csv("\n".join(lines[:-1]), 0.5, 0.5)
