@@ -22,6 +22,7 @@ from .entanglement import (
     bell_number,
     bell_number_of_state,
     entanglement_measure,
+    entanglement_series,
     max_bell,
     negativity,
     positivity_coefficients,

@@ -11,6 +11,7 @@ dependency. Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,7 +25,7 @@ from .dynamics import (
     initial_muonium_state,
     muon_polarization_function,
 )
-from .entanglement import EntanglementReport, entanglement_measure, max_bell, negativity
+from .entanglement import entanglement_series, negativity
 from .linalg import PAULI, SubsystemDims, partial_trace, require_density_matrix
 from .materials import available_presets, load_material
 from .musr import (
@@ -98,10 +99,20 @@ def _time_grid(prop: PropagatorSpec, args) -> np.ndarray:
 
 
 def _muon_bloch(rho: np.ndarray, j_e: float) -> np.ndarray:
-    """P = Tr[rho_mu sigma]; the reduced tomogram is w(+1/2, n) = 1/2 + P.n/2."""
+    """P = Tr[rho_mu sigma] of each state of a stack, shape (n, 3); the
+    reduced tomogram is w(+1/2, n) = 1/2 + P.n/2."""
     d_e = int(round(2 * j_e + 1))
     rho_mu = partial_trace(rho, SubsystemDims(2, d_e), keep="a")
-    return np.einsum("ab,kba->k", rho_mu, PAULI).real
+    return np.einsum("...ab,kba->...k", rho_mu, PAULI).real
+
+
+def _cells(values, n: int, repeat: int = 1) -> list:
+    """CSV cells of one column: repr of each value, each repeated ``repeat``
+    times; n * repeat empty cells when there are no values."""
+    if values is None:
+        return [""] * (n * repeat)
+    return [text for text in map(repr, np.asarray(values).tolist())
+            for _ in range(repeat)]
 
 
 def cmd_evolve(args) -> int:
@@ -114,30 +125,29 @@ def cmd_evolve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"material": args.material, "fields_gauss": fields, "files": []}
+    axes = np.array([axis.vector for axis in AXES.values()])
     for b_field, prop, j_e, rho0, times in runs:
-        two_qubit = j_e == 0.5
-        buf = io.StringIO()
-        buf.write("# schema: musrtomo/evolve-trace/v1\n")
-        writer = csv.writer(buf)
+        rho = evolve_density(rho0, prop.unitary(times))  # (n, d, d), one pass
+        e_val = neg = mb = None
+        if j_e == 0.5:
+            series = entanglement_series(rho, include_max_bell=args.bell)
+            e_val, neg, mb = series["E"], series["negativity"], series["max_bell"]
+        elif j_e == 1.0:
+            neg = negativity(rho, SubsystemDims(2, 3))
+        # rows run over times, then over the axes x, y, z
+        w = np.clip(0.5 + 0.5 * _muon_bloch(rho, j_e) @ axes.T, 0.0, 1.0)
+        n, n_axes = w.shape
+        columns = [_cells(times, n, n_axes), list(AXES) * n, _cells(w.ravel(), n * n_axes),
+                   _cells(e_val, n, n_axes), _cells(neg, n, n_axes)]
         header = ["t_ns", "axis", "w_reduced", "E", "negativity"]
         if args.bell:
             header.append("max_bell")
+            columns.append(_cells(mb, n, n_axes))
+        buf = io.StringIO()
+        buf.write("# schema: musrtomo/evolve-trace/v1\n")
+        writer = csv.writer(buf)
         writer.writerow(header)
-        for t in times:
-            rho_t = evolve_density(rho0, prop.unitary(t))
-            e_val = float(entanglement_measure(rho_t)) if two_qubit else None
-            neg = negativity(rho_t, SubsystemDims(2, int(round(2 * j_e + 1)))) \
-                if j_e in (0.5, 1.0) else None
-            mb = max_bell(rho_t)[0] if (args.bell and two_qubit) else None
-            bloch = _muon_bloch(rho_t, j_e)
-            for name, axis in AXES.items():
-                w = min(max(0.5 + 0.5 * float(bloch @ axis.vector), 0.0), 1.0)
-                row = [repr(float(t)), name, repr(w),
-                       "" if e_val is None else repr(e_val),
-                       "" if neg is None else repr(neg)]
-                if args.bell:
-                    row.append("" if mb is None else repr(mb))
-                writer.writerow(row)
+        writer.writerows(zip(*columns))
         fname = out_dir / f"evolve_{Path(args.material).stem}_B{b_field:g}.csv"
         fname.write_text(buf.getvalue())
         manifest["files"].append(fname.name)
@@ -251,40 +261,38 @@ def _read_measurements(path: str, plan: MeasurementPlan):
     return np.array(values), (np.array(sigmas, dtype=float) if has_sigma else None)
 
 
-def cmd_bell(args) -> int:
+def _two_qubit_series(args, what: str, include_max_bell: bool = True):
     b_field = args.B[0] if args.B else 0.0
     prop, j_e = _propagator_from_args(args, b_field)
     if j_e != 0.5:
-        raise ConfigError("bell maximization requires a two-qubit system")
+        raise ConfigError(f"{what} requires a two-qubit system")
     rho0 = _load_init(args.init, j_e)
     times = _time_grid(prop, args)
+    rho = evolve_density(rho0, prop.unitary(times))
+    return times, entanglement_series(rho, include_max_bell)
+
+
+def cmd_bell(args) -> int:
+    times, series = _two_qubit_series(args, "bell maximization")
     buf = io.StringIO()
     buf.write("# schema: musrtomo/bell-trace/v1\n")
     writer = csv.writer(buf)
     writer.writerow(["t_ns", "max_bell", "E", "negativity"])
-    for t in times:
-        rho_t = evolve_density(rho0, prop.unitary(t))
-        writer.writerow([repr(float(t)), repr(max_bell(rho_t)[0]),
-                         repr(entanglement_measure(rho_t)),
-                         repr(negativity(rho_t, SubsystemDims(2, 2)))])
+    n = len(times)
+    writer.writerows(zip(_cells(times, n), _cells(series["max_bell"], n),
+                         _cells(series["E"], n), _cells(series["negativity"], n)))
     Path(args.out).write_text(buf.getvalue())
     print(f"wrote bell trace to {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    b_field = args.B[0] if args.B else 0.0
-    prop, j_e = _propagator_from_args(args, b_field)
-    if j_e != 0.5:
-        raise ConfigError("entanglement report requires a two-qubit system")
-    rho0 = _load_init(args.init, j_e)
-    times = _time_grid(prop, args)
-    reports = []
-    for t in times:
-        rho_t = evolve_density(rho0, prop.unitary(t))
-        rep = EntanglementReport.from_state(rho_t, t=float(t),
-                                            include_max_bell=not args.no_bell)
-        reports.append(json.loads(rep.to_json()))
+    times, series = _two_qubit_series(args, "entanglement report",
+                                      include_max_bell=not args.no_bell)
+    # one EntanglementReport.to_json record per instant, keys in its order
+    columns = {"t": times, **series}
+    reports = [dict(zip(columns, values))
+               for values in zip(*(c.tolist() for c in columns.values()))]
     Path(args.out).write_text(json.dumps(reports, indent=2))
     print(f"wrote {len(reports)} entanglement reports to {args.out}")
     return 0
@@ -303,7 +311,9 @@ def _common_physics_flags(p):
                    help="'default' or path to a JSON density matrix {real, imag}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(prog="musrtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_physics_flags(p)
     p.add_argument("--bell", action="store_true", help="include max_bell")
     p.add_argument("--out", default="evolve_out")
-    p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("simulate", help="Monte Carlo histograms and tomogram estimate")
     _common_physics_flags(p)
@@ -323,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--asymmetry", type=float, default=1.0 / 3.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="simulate_out")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="initial state from measured tomogram values")
     p.add_argument("--plan", required=True, help="plan JSON")
@@ -331,26 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-deficient", action="store_true",
                    help="return the minimum-norm solution for rank-deficient plans")
     p.add_argument("--out", default="reconstruction.json")
-    p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("bell", help="Bell-number maximization along an evolution")
     _common_physics_flags(p)
     p.add_argument("--out", default="bell_trace.csv")
-    p.set_defaults(fn=cmd_bell)
 
     p = sub.add_parser("report", help="entanglement report time series (JSON)")
     _common_physics_flags(p)
     p.add_argument("--no-bell", action="store_true", help="skip max_bell")
     p.add_argument("--out", default="entanglement_report.json")
-    p.set_defaults(fn=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a rebound or patched cmd_* is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     # LinAlgError subclasses ValueError, so numeric failures are caught first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -172,40 +172,49 @@ class DerivedScalars:
         )
 
 
-def _sin_ratio(num: float, freq: float, t: float) -> float:
+def _sin_ratio(num: float, freq: float, t):
     """num * sin(freq t) / freq, finite in the freq -> 0 limit."""
     return num * t * np.sinc(freq * t / np.pi)
 
 
-def propagator_hyperfine(omega0: float, t: float) -> np.ndarray:
+# Every closed form takes a time t, or an array of times, and returns U(t)
+# with shape t.shape + (d, d): the entries are elementwise in t.
+
+def _phase(x) -> np.ndarray:
+    """e^{i x} shaped to scale a stack of matrices."""
+    return np.exp(1j * x)[..., None, None]
+
+
+def propagator_hyperfine(omega0: float, t) -> np.ndarray:
     """4x4 propagator of the pure coupling: triplet phase e^{-i w0 t/4},
     singlet e^{+3i w0 t/4}, written in the product basis."""
+    t = np.asarray(t, dtype=float)
     e = np.exp(1j * omega0 * t)
-    u = np.array([
-        [2, 0, 0, 0],
-        [0, 1 + e, 1 - e, 0],
-        [0, 1 - e, 1 + e, 0],
-        [0, 0, 0, 2],
-    ], dtype=complex)
-    return 0.5 * np.exp(-1j * omega0 * t / 4) * u
+    u = np.zeros(t.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = 2
+    u[..., 1, 1] = u[..., 2, 2] = 1 + e
+    u[..., 1, 2] = u[..., 2, 1] = 1 - e
+    return 0.5 * _phase(-omega0 * t / 4) * u
 
 
-def propagator_mu_longitudinal(s: DerivedScalars, t: float) -> np.ndarray:
+def propagator_mu_longitudinal(s: DerivedScalars, t) -> np.ndarray:
     """Isotropic Hamiltonian, B along z."""
+    t = np.asarray(t, dtype=float)
     ct = np.cos(s.c * t)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = np.exp(-1j * (2 * s.a - s.b_minus) * t)
-    u[1, 1] = ct + 1j * _sin_ratio(s.b_plus, s.c, t)
-    u[2, 2] = ct - 1j * _sin_ratio(s.b_plus, s.c, t)
-    u[1, 2] = u[2, 1] = -1j * _sin_ratio(2 * s.a, s.c, t)
-    u[3, 3] = np.exp(-1j * (2 * s.a + s.b_minus) * t)
-    return np.exp(1j * s.a * t) * u
+    u = np.zeros(t.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = np.exp(-1j * (2 * s.a - s.b_minus) * t)
+    u[..., 1, 1] = ct + 1j * _sin_ratio(s.b_plus, s.c, t)
+    u[..., 2, 2] = ct - 1j * _sin_ratio(s.b_plus, s.c, t)
+    u[..., 1, 2] = u[..., 2, 1] = -1j * _sin_ratio(2 * s.a, s.c, t)
+    u[..., 3, 3] = np.exp(-1j * (2 * s.a + s.b_minus) * t)
+    return _phase(s.a * t) * u
 
 
-def propagator_mu_transverse_x(s: DerivedScalars, t: float) -> np.ndarray:
+def propagator_mu_transverse_x(s: DerivedScalars, t) -> np.ndarray:
     """Isotropic Hamiltonian, B along x. Symmetric, six distinct entries;
     the signs of the (1,2)/(1,3) pair are fixed by the Zeeman sign convention
     of ``build_hamiltonian`` (flipping both corresponds to B along -x)."""
+    t = np.asarray(t, dtype=float)
     em = np.exp(-1j * s.a * t)
     ep = np.exp(1j * s.a * t)
     cb, sb = np.cos(s.b_minus * t), np.sin(s.b_minus * t)
@@ -218,16 +227,17 @@ def propagator_mu_transverse_x(s: DerivedScalars, t: float) -> np.ndarray:
     u13 = 0.5j * (em * sb + bsc * ep)
     u14 = 0.5 * (em * cb - ep * (cc - 1j * asc))
     u23 = 0.5 * (em * cb - ep * (cc + 1j * asc))
-    u = np.array([
-        [u11, u12, u13, u14],
-        [u12, u22, u23, u13],
-        [u13, u23, u22, u12],
-        [u14, u13, u12, u11],
-    ], dtype=complex)
+    u = np.empty(t.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = u11
+    u[..., 1, 1] = u[..., 2, 2] = u22
+    u[..., 0, 1] = u[..., 1, 0] = u[..., 2, 3] = u[..., 3, 2] = u12
+    u[..., 0, 2] = u[..., 2, 0] = u[..., 1, 3] = u[..., 3, 1] = u13
+    u[..., 0, 3] = u[..., 3, 0] = u14
+    u[..., 1, 2] = u[..., 2, 1] = u23
     return u
 
 
-def propagator_mu_transverse_y(s: DerivedScalars, t: float) -> np.ndarray:
+def propagator_mu_transverse_y(s: DerivedScalars, t) -> np.ndarray:
     """Isotropic Hamiltonian, B along y: phase pattern D U_x D^dag with
     D = diag(1, i, i, -1), i.e. the x-field propagator rotated about z."""
     ux = propagator_mu_transverse_x(s, t)
@@ -235,61 +245,64 @@ def propagator_mu_transverse_y(s: DerivedScalars, t: float) -> np.ndarray:
     return (d[:, None] * ux) * d.conj()[None, :]
 
 
-def propagator_mustar_zz(s: DerivedScalars, t: float) -> np.ndarray:
+def propagator_mustar_zz(s: DerivedScalars, t) -> np.ndarray:
     """Anisotropic Hamiltonian, N and B both along z."""
+    t = np.asarray(t, dtype=float)
     ct = np.cos(s.c * t)
     ad = s.a + s.d
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = np.exp(-1j * (2 * ad - s.b_minus) * t)
-    u[1, 1] = ct + 1j * _sin_ratio(s.b_plus, s.c, t)
-    u[2, 2] = ct - 1j * _sin_ratio(s.b_plus, s.c, t)
-    u[1, 2] = u[2, 1] = -1j * _sin_ratio(2 * s.a, s.c, t)
-    u[3, 3] = np.exp(-1j * (2 * ad + s.b_minus) * t)
-    return np.exp(1j * ad * t) * u
+    u = np.zeros(t.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = np.exp(-1j * (2 * ad - s.b_minus) * t)
+    u[..., 1, 1] = ct + 1j * _sin_ratio(s.b_plus, s.c, t)
+    u[..., 2, 2] = ct - 1j * _sin_ratio(s.b_plus, s.c, t)
+    u[..., 1, 2] = u[..., 2, 1] = -1j * _sin_ratio(2 * s.a, s.c, t)
+    u[..., 3, 3] = np.exp(-1j * (2 * ad + s.b_minus) * t)
+    return _phase(ad * t) * u
 
 
-def propagator_mustar_xz(s: DerivedScalars, t: float) -> np.ndarray:
+def propagator_mustar_xz(s: DerivedScalars, t) -> np.ndarray:
     """Anisotropic Hamiltonian, N along x, B along z. The (4,4) entry is the
     complex conjugate pattern of (1,1); writing them equal breaks unitarity."""
+    t = np.asarray(t, dtype=float)
     em = np.exp(-1j * s.a * t)
     ep = np.exp(1j * s.a * t)
     cf, ch = np.cos(s.f * t), np.cos(s.h * t)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = em * (cf + 1j * _sin_ratio(s.b_minus, s.f, t))
-    u[3, 3] = em * (cf - 1j * _sin_ratio(s.b_minus, s.f, t))
-    u[0, 3] = u[3, 0] = -1j * em * _sin_ratio(s.d, s.f, t)
-    u[1, 1] = ep * (ch + 1j * _sin_ratio(s.b_plus, s.h, t))
-    u[2, 2] = ep * (ch - 1j * _sin_ratio(s.b_plus, s.h, t))
-    u[1, 2] = u[2, 1] = -1j * ep * _sin_ratio(2 * s.a + s.d, s.h, t)
+    u = np.zeros(t.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = em * (cf + 1j * _sin_ratio(s.b_minus, s.f, t))
+    u[..., 3, 3] = em * (cf - 1j * _sin_ratio(s.b_minus, s.f, t))
+    u[..., 0, 3] = u[..., 3, 0] = -1j * em * _sin_ratio(s.d, s.f, t)
+    u[..., 1, 1] = ep * (ch + 1j * _sin_ratio(s.b_plus, s.h, t))
+    u[..., 2, 2] = ep * (ch - 1j * _sin_ratio(s.b_plus, s.h, t))
+    u[..., 1, 2] = u[..., 2, 1] = -1j * ep * _sin_ratio(2 * s.a + s.d, s.h, t)
     return u
 
 
-def propagator_mustar_yz(s: DerivedScalars, t: float) -> np.ndarray:
+def propagator_mustar_yz(s: DerivedScalars, t) -> np.ndarray:
     """Anisotropic Hamiltonian, N along y, B along z: equals the xz matrix
     with the (1,4)/(4,1) entries sign-flipped."""
     u = propagator_mustar_xz(s, t)
-    u[0, 3] = -u[0, 3]
-    u[3, 0] = -u[3, 0]
+    u[..., 0, 3] = -u[..., 0, 3]
+    u[..., 3, 0] = -u[..., 3, 0]
     return u
 
 
-def propagator_hyperfine_spin1(a: float, t: float) -> np.ndarray:
+def propagator_hyperfine_spin1(a: float, t) -> np.ndarray:
     """Pure coupling with an effective electron spin 1; 6x6 in the
     muon-major product basis (up,1),(up,0),(up,-1),(down,1),(down,0),(down,-1)."""
+    t = np.asarray(t, dtype=float)
     v1 = np.exp(-1j * a * t / 2)
     arg = 3 * a * t / 4
     ph = np.exp(1j * a * t / 4)
     v2 = -1j * ph * (2 * np.sqrt(2) / 3) * np.sin(arg)
     vp = ph * (np.cos(arg) + 1j / 3 * np.sin(arg))
     vm = ph * (np.cos(arg) - 1j / 3 * np.sin(arg))
-    u = np.zeros((6, 6), dtype=complex)
-    u[0, 0] = u[5, 5] = v1
-    u[1, 1] = vm
-    u[1, 3] = u[3, 1] = v2
-    u[2, 2] = vp
-    u[2, 4] = u[4, 2] = v2
-    u[3, 3] = vp
-    u[4, 4] = vm
+    u = np.zeros(t.shape + (6, 6), dtype=complex)
+    u[..., 0, 0] = u[..., 5, 5] = v1
+    u[..., 1, 1] = vm
+    u[..., 1, 3] = u[..., 3, 1] = v2
+    u[..., 2, 2] = vp
+    u[..., 2, 4] = u[..., 4, 2] = v2
+    u[..., 3, 3] = vp
+    u[..., 4, 4] = vm
     return u
 
 
@@ -336,7 +349,9 @@ class PropagatorSpec:
 
     ``unitary`` transcribes the tabulated closed form of the orientation
     (``closed_form_unitary``) and falls back to the Hermitian eigensolve
-    (``numeric_unitary``) where none is tabulated.
+    (``numeric_unitary``) where none is tabulated. Each takes a time, giving
+    U(t) of shape (d, d), or a 1-d array of n times, giving the stack
+    (n, d, d) in one array pass.
     """
 
     hamiltonian: HamiltonianSpec
@@ -356,49 +371,55 @@ class PropagatorSpec:
             self._eig = (w, v)
         return self._eig
 
-    def unitary(self, t: float) -> np.ndarray:
+    def unitary(self, t) -> np.ndarray:
         try:
             return self.closed_form_unitary(t)
         except OrientationNotTabulated:
             return self.numeric_unitary(t)
 
-    def numeric_unitary(self, t: float) -> np.ndarray:
+    def numeric_unitary(self, t) -> np.ndarray:
         w, v = self._eigensystem()
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        phases = np.exp(-1j * np.multiply.outer(t, w))
+        return (v * phases[..., None, :]) @ v.conj().T
 
-    def closed_form_unitary(self, t: float) -> np.ndarray:
+    def closed_form_unitary(self, t) -> np.ndarray:
         variant = closed_form_variant(self.hamiltonian)
-        s = self.scalars
         if variant == "hf":
             return propagator_hyperfine(self.hamiltonian.a, t)
         if variant == "hf_spin1":
             return propagator_hyperfine_spin1(self.hamiltonian.a, t)
-        if variant == "mu_z":
-            return propagator_mu_longitudinal(s, t)
-        if variant == "mu_x":
-            return propagator_mu_transverse_x(s, t)
-        if variant == "mu_y":
-            return propagator_mu_transverse_y(s, t)
-        if variant == "mustar_zz":
-            return propagator_mustar_zz(s, t)
-        if variant == "mustar_xz":
-            return propagator_mustar_xz(s, t)
-        if variant == "mustar_yz":
-            return propagator_mustar_yz(s, t)
-        raise OrientationNotTabulated(variant)
+        return _FIELD_FORMS[variant](self.scalars, t)
 
     def eigenfrequency_gaps(self) -> np.ndarray:
         """Distinct positive gaps of H/hbar (rad/ns), ascending."""
         return _frequency_gaps(self._eigensystem()[0])[0][1:]
 
 
+_FIELD_FORMS = {
+    "mu_z": propagator_mu_longitudinal,
+    "mu_x": propagator_mu_transverse_x,
+    "mu_y": propagator_mu_transverse_y,
+    "mustar_zz": propagator_mustar_zz,
+    "mustar_xz": propagator_mustar_xz,
+    "mustar_yz": propagator_mustar_yz,
+}
+
+
 def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U rho0 U^dag; trace, Hermiticity and spectrum preserved."""
+    """U rho0 U^dag; trace, Hermiticity and spectrum preserved.
+
+    ``u`` is one unitary (d, d) or a stack (n, d, d), giving the stack of
+    evolved states; each matrix of the stack must be unitary.
+    """
     rho0 = require_density_matrix(rho0)
+    if rho0.ndim != 2:
+        raise ValueError("the initial state must be one density matrix")
     u = np.asarray(u, dtype=complex)
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-10 * u.shape[0]:
+    u_dag = u.conj().swapaxes(-1, -2)
+    defects = np.linalg.norm(u @ u_dag - np.eye(u.shape[-1]), axis=(-2, -1))
+    if np.any(defects > 1e-10 * u.shape[-1]):
         raise ValueError("evolution operator is not unitary")
-    return u @ rho0 @ u.conj().T
+    return u @ rho0 @ u_dag
 
 
 def initial_muonium_state(j_e: float = 0.5) -> np.ndarray:

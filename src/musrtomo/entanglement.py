@@ -15,6 +15,14 @@ state this equals -(1/2) (a1-a2)^T T (b1-b2) with T the spin correlation
 matrix, so |B| <= 2 s_max(T) <= 2 and separable states satisfy |B| <= 2.
 This reading is pinned by the free-muonium benchmark max_B(t) = |sin w0 t|;
 the alternative contraction Tr[S W] (plain CHSH) fails that benchmark.
+
+Time traces: ``correlation_matrix``, ``entanglement_measure`` and
+``negativity`` also take a stack (n, d, d) of states, and
+``entanglement_series`` gives every diagnostic of a stack of two-qubit
+states at once. Each diagnostic is one array pass over the stack (one
+einsum for T, one batched SVD, one batched eigvalsh of the partial
+transposes, batched traces of powers); the per-state functions run the same
+kernels on one state.
 """
 
 import json
@@ -22,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PAULI, SubsystemDims, eig_hermitian, partial_transpose,
-                     require_density_matrix)
+from .linalg import PAULI, SubsystemDims, partial_transpose, require_density_matrix
 from .tomography import Direction
 from .twospin import TwoSpinTomogram, individual_tomogram
 
@@ -71,16 +78,30 @@ def bell_number_of_state(rho: np.ndarray, setting: BellSetting) -> float:
     return bell_number(bell_cells(rho, setting))
 
 
-def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """Two-qubit spin correlation matrix T_ij = Tr[rho sigma_i x sigma_j]."""
+# sigma_i x sigma_j for i, j in (x, y, z), shape (3, 3, 4, 4)
+_PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", PAULI, PAULI).reshape(3, 3, 4, 4)
+
+
+def _per_state(values: np.ndarray, rho: np.ndarray):
+    """A float for one state, the array for a stack."""
+    return float(values) if rho.ndim == 2 else values
+
+
+def _two_qubit_states(rho: np.ndarray, what: str) -> np.ndarray:
     rho = require_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("correlation matrix requires a two-qubit state")
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULI):
-        for j, sj in enumerate(PAULI):
-            t[i, j] = np.trace(rho @ np.kron(si, sj)).real
-    return t
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"{what} requires a two-qubit state")
+    return rho
+
+
+def _correlations(rho: np.ndarray) -> np.ndarray:
+    return np.einsum("...ab,ijba->...ij", rho, _PAULI_PAIRS).real
+
+
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit spin correlation matrix T_ij = Tr[rho sigma_i x sigma_j];
+    (3, 3) for one state, (n, 3, 3) for a stack."""
+    return _correlations(_two_qubit_states(rho, "correlation matrix"))
 
 
 def max_bell(rho: np.ndarray):
@@ -117,6 +138,29 @@ class PositivityCoefficients:
     m4: float
 
 
+def _power_coefficients(lam: np.ndarray) -> tuple:
+    """(M2, M3, M4) of unit-trace Hermitian matrices (..., 4, 4), each an
+    array over the leading axes."""
+    l2 = lam @ lam
+    p2 = np.trace(l2, axis1=-2, axis2=-1).real
+    p3 = np.trace(l2 @ lam, axis1=-2, axis2=-1).real
+    p4 = np.trace(l2 @ l2, axis1=-2, axis2=-1).real
+    return ((1 - p2) / 2,
+            (1 - 3 * p2 + 2 * p3) / 6,
+            (1 - 6 * p2 + 3 * p2 ** 2 + 8 * p3 - 6 * p4) / 24)
+
+
+def _measure(m3, m4):
+    return abs(m3) + abs(m4) - m3 - m4
+
+
+def _ppt_negativity(ppt: np.ndarray) -> np.ndarray:
+    """Sum of |negative eigenvalues| of each partial transpose of a stack;
+    +0.0, not -0.0, for PPT states."""
+    w = np.linalg.eigvalsh(ppt)
+    return np.where(w < 0, -w, 0.0).sum(axis=-1)
+
+
 def positivity_coefficients(lam: np.ndarray) -> PositivityCoefficients:
     """M2, M3, M4 from traces of powers:
     M2 = (1 - p2)/2,
@@ -130,39 +174,44 @@ def positivity_coefficients(lam: np.ndarray) -> PositivityCoefficients:
         raise ValueError("matrix must have unit trace")
     if np.linalg.norm(lam - lam.conj().T) > 1e-10 * max(1.0, np.linalg.norm(lam)):
         raise ValueError("matrix must be Hermitian")
-    l2 = lam @ lam
-    p2 = float(np.trace(l2).real)
-    p3 = float(np.trace(l2 @ lam).real)
-    p4 = float(np.trace(l2 @ l2).real)
-    return PositivityCoefficients(
-        m2=(1 - p2) / 2,
-        m3=(1 - 3 * p2 + 2 * p3) / 6,
-        m4=(1 - 6 * p2 + 3 * p2 ** 2 + 8 * p3 - 6 * p4) / 24,
-    )
+    return PositivityCoefficients(*(float(m) for m in _power_coefficients(lam)))
 
 
-def entanglement_measure(rho: np.ndarray) -> float:
+def entanglement_measure(rho: np.ndarray):
     """E = |M3| + |M4| - M3 - M4 with the coefficients evaluated on the
     partial transpose; zero for separable two-qubit states, positive exactly
-    when the partial transpose fails positivity through M3 or M4."""
-    rho = require_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("the measure is defined for two-qubit states")
-    ppt = partial_transpose(rho, SubsystemDims(2, 2), which="a")
-    coeff = positivity_coefficients(ppt)
-    return abs(coeff.m3) + abs(coeff.m4) - coeff.m3 - coeff.m4
+    when the partial transpose fails positivity through M3 or M4. A float
+    for one state, an (n,) array for a stack (n, 4, 4)."""
+    rho = _two_qubit_states(rho, "the measure")
+    _, m3, m4 = _power_coefficients(partial_transpose(rho, SubsystemDims(2, 2)))
+    return _per_state(_measure(m3, m4), rho)
 
 
-def negativity(rho: np.ndarray, dims: SubsystemDims) -> float:
+def negativity(rho: np.ndarray, dims: SubsystemDims):
     """Sum of |negative eigenvalues| of the partial transpose. For 2x2 and
-    2x3 splits this vanishes iff the state is separable."""
+    2x3 splits this vanishes iff the state is separable. A float for one
+    state, an (n,) array for a stack (n, d, d)."""
     rho = require_density_matrix(rho)
     if (dims.dim_a, dims.dim_b) not in ((2, 2), (2, 3)):
         raise ValueError("negativity supported for 2x2 and 2x3 splits only")
     dims.check(rho)
-    ppt = partial_transpose(rho, dims, which="a")
-    w, _ = eig_hermitian(ppt)
-    return float(np.abs(w[w < 0]).sum())  # +0.0, not -0.0, for PPT states
+    return _per_state(_ppt_negativity(partial_transpose(rho, dims)), rho)
+
+
+def entanglement_series(rho: np.ndarray, include_max_bell: bool = True) -> dict:
+    """Every diagnostic of a stack of two-qubit states (n, 4, 4), each an
+    (n,) array, keyed as in ``EntanglementReport.to_json``: E, M2, M3, M4,
+    max_bell (NaN unless included) and negativity. The stack is validated
+    once and the partial transposes are formed once."""
+    rho = _two_qubit_states(rho, "entanglement series")
+    ppt = partial_transpose(rho, SubsystemDims(2, 2))
+    m2, m3, m4 = _power_coefficients(ppt)
+    if include_max_bell:
+        bell = 2 * np.linalg.svd(_correlations(rho), compute_uv=False)[..., 0]
+    else:
+        bell = np.full(rho.shape[:-2], np.nan)
+    return {"E": _measure(m3, m4), "M2": m2, "M3": m3, "M4": m4,
+            "max_bell": bell, "negativity": _ppt_negativity(ppt)}
 
 
 # --------------------------------------------------------------------------
@@ -289,13 +338,13 @@ class EntanglementReport:
     @classmethod
     def from_state(cls, rho: np.ndarray, t: float = 0.0,
                    include_max_bell: bool = True) -> "EntanglementReport":
-        rho = require_density_matrix(rho)
-        ppt = partial_transpose(rho, SubsystemDims(2, 2), which="a")
-        coeff = positivity_coefficients(ppt)
-        e_val = abs(coeff.m3) + abs(coeff.m4) - coeff.m3 - coeff.m4
-        mb = max_bell(rho)[0] if include_max_bell else float("nan")
-        return cls(t=t, e_measure=e_val, m2=coeff.m2, m3=coeff.m3, m4=coeff.m4,
-                   max_bell=mb, negativity=negativity(rho, SubsystemDims(2, 2)))
+        rho = np.asarray(rho)
+        if rho.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        series = entanglement_series(rho[None], include_max_bell)
+        one = {key: float(values[0]) for key, values in series.items()}
+        return cls(t=t, e_measure=one["E"], m2=one["M2"], m3=one["M3"], m4=one["M4"],
+                   max_bell=one["max_bell"], negativity=one["negativity"])
 
     def to_json(self) -> str:
         return json.dumps({"t": self.t, "E": self.e_measure, "M2": self.m2,

@@ -4,7 +4,9 @@ propagators exp(-iHt/hbar).
 
 All functions are pure and operate on plain ``numpy`` complex arrays. Matrices
 stay small here (dimension <= ~16), so the propagator goes through a full
-Hermitian eigensolve rather than a series or Pade scheme.
+Hermitian eigensolve rather than a series or Pade scheme. The partial trace,
+the partial transpose and the density-matrix check also take a stack
+(..., d, d) of matrices, one per instant of a time trace, and act per matrix.
 """
 
 from dataclasses import dataclass
@@ -37,19 +39,27 @@ class SubsystemDims:
         return self.dim_a * self.dim_b
 
     def check(self, matrix: np.ndarray) -> None:
-        if matrix.shape != (self.total, self.total):
+        if matrix.shape[-2:] != (self.total, self.total):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match "
                 f"{self.dim_a}x{self.dim_b} bipartite split"
             )
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_stack(m) -> np.ndarray:
+    """A matrix (d, d) or a stack of matrices (..., d, d), finite and complex."""
     a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise ValueError("expected a 2-d array")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _as_matrix(m) -> np.ndarray:
+    a = _as_stack(m)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -64,27 +74,27 @@ def partial_trace(m: np.ndarray, dims: SubsystemDims, keep: str) -> np.ndarray:
     ``keep`` selects the surviving subsystem, ``"a"`` (first factor) or
     ``"b"``. Trace-preserving: Tr(result) == Tr(m).
     """
-    m = _as_matrix(m)
+    m = _as_stack(m)
     dims.check(m)
-    r = m.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
+    r = m.reshape(m.shape[:-2] + (dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b))
     k = keep.lower()
     if k == "a":
-        return np.einsum("ibjb->ij", r)
+        return np.einsum("...ibjb->...ij", r)
     if k == "b":
-        return np.einsum("aiaj->ij", r)
+        return np.einsum("...aiaj->...ij", r)
     raise ValueError("keep must be 'a' or 'b'")
 
 
 def partial_transpose(m: np.ndarray, dims: SubsystemDims, which: str = "a") -> np.ndarray:
     """Transpose the index pair of one factor; an involution."""
-    m = _as_matrix(m)
+    m = _as_stack(m)
     dims.check(m)
-    r = m.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
+    r = m.reshape(m.shape[:-2] + (dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b))
     w = which.lower()
     if w == "a":
-        out = r.transpose(2, 1, 0, 3)
+        out = r.swapaxes(-4, -2)
     elif w == "b":
-        out = r.transpose(0, 3, 2, 1)
+        out = r.swapaxes(-3, -1)
     else:
         raise ValueError("which must be 'a' or 'b'")
     return out.reshape(m.shape)
@@ -120,15 +130,19 @@ def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
 
 
 def require_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity and unit trace of a density matrix."""
-    rho = _as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
+    """Validate Hermiticity and unit trace of a density matrix, or of each
+    matrix of a stack (..., d, d)."""
+    rho = _as_stack(rho)
+    if rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    scale = max(np.linalg.norm(rho), 1.0)
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10 * scale:
+    scale = np.maximum(np.linalg.norm(rho, axis=(-2, -1)), 1.0)
+    defects = np.linalg.norm(rho - rho.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if (defects > 1e-10 * scale).any():
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
+    traces = rho.diagonal(0, -2, -1).sum(-1)
+    errors = np.abs(traces - 1.0)
+    if (errors > trace_tol).any():
+        raise ValueError(f"density matrix trace {traces.flat[errors.argmax()]} != 1")
     return rho
 
 

@@ -237,17 +237,23 @@ def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
 
     Diagonal of R^dag rho R; nonnegative for positive rho and summing to 1.
     """
-    rho = require_density_matrix(rho)
-    dim = int(round(2 * j)) + 1
-    if rho.shape[0] != dim:
-        raise ValueError(f"density matrix dimension {rho.shape[0]} != 2j+1 = {dim}")
+    rho = _spin_state(rho, j)
     r = rotation_matrix(j, direction)
     return np.einsum("ai,ab,bi->i", r.conj(), rho, r).real
 
 
 def tomogram_on_grid(rho: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
     """Tomogram values on every grid node, shape (2j+1, n_nodes)."""
-    return operator_symbol_on_grid(require_density_matrix(rho), j, grid).real
+    return operator_symbol_on_grid(_spin_state(rho, j), j, grid).real
+
+
+def _spin_state(rho: np.ndarray, j: float) -> np.ndarray:
+    """One density matrix of dimension 2j+1."""
+    rho = require_density_matrix(rho)
+    dim = int(round(2 * j)) + 1
+    if rho.shape != (dim, dim):
+        raise ValueError(f"density matrix dimension {rho.shape[-1]} != 2j+1 = {dim}")
+    return rho
 
 
 @lru_cache(maxsize=None)

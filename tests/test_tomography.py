@@ -233,6 +233,15 @@ class TestTomogram:
         with pytest.raises(ValueError):
             tomogram(np.diag([1.0, 0.5]), 0.5, Z_AXIS)
 
+    @pytest.mark.parametrize("route", ["tomogram", "from_state"])
+    def test_dimension_mismatch_rejected(self, route):
+        rho = np.eye(4) / 4
+        with pytest.raises(ValueError, match=r"density matrix dimension 4 != 2j\+1 = 2"):
+            if route == "tomogram":
+                tomogram(rho, 0.5, Z_AXIS)
+            else:
+                SpinTomogram.from_state(rho, 0.5)
+
     @given(seed=st.integers(0, 10_000),
            theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi, exclude_max=True))
     @settings(deadline=None, max_examples=60)
