@@ -392,7 +392,11 @@ class PropagatorSpec:
 
     def eigenfrequency_gaps(self) -> np.ndarray:
         """Distinct positive gaps of H/hbar (rad/ns), ascending."""
-        return _frequency_gaps(self._eigensystem()[0])[0][1:]
+        w = self._eigensystem()[0]
+        tol = 1e-12 * np.abs(w).max()  # levels and gaps closer than tol are one
+        levels = _distinct(w, tol)[0]
+        lo, hi = np.triu_indices(len(levels), 1)
+        return _distinct(np.sort(levels[hi] - levels[lo]), tol)[0]
 
 
 _FIELD_FORMS = {
@@ -464,33 +468,27 @@ def analytic_free_mu_reduced(m_mu: float, n_mu: Direction, t: float,
     return 0.5 * (1 + m_mu * n_mu.vector[2] * (1 + np.cos(omega0 * t)))
 
 
-def _frequency_gaps(w: np.ndarray):
-    """Distinct gaps of the ascending eigenvalues w, and the gap of each pair.
+def _distinct(values: np.ndarray, tol: float):
+    """Distinct values of the ascending ``values``, neighbours within tol
+    being one: the first value of each cluster, and the cluster of each value."""
+    starts = np.concatenate([[True], np.diff(values) > tol])
+    return values[starts], np.cumsum(starts) - 1
 
-    Pairs are (lo[p], hi[p]) with lo < hi, so w[hi] - w[lo] >= 0. Gaps closer
-    than 1e-12 max|w| are one; ``gaps[0]`` is the zero gap of degenerate
-    levels and ``labels[p]`` indexes the gap of pair p.
-    """
-    lo, hi = np.triu_indices(len(w), 1)
-    pair_gaps = w[hi] - w[lo]
-    order = np.argsort(pair_gaps)
-    ranked = np.concatenate([[0.0], pair_gaps[order]])
-    starts = np.diff(ranked) > 1e-12 * np.abs(w).max()
-    labels = np.empty(len(order), dtype=int)
-    labels[order] = np.cumsum(starts)
-    return ranked[np.concatenate([[True], starts])], labels, lo, hi
+
+# times per evaluation slice of the polarization: its trig rows stay in cache
+_SLICE_TIMES = 8192
 
 
 def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
     """Vectorized t -> muon Bloch vectors P(t) of the evolved reduced state.
 
-    Writes P_a(t) = Tr[rho(t) (sigma_a x I)] in the eigenbasis of the
-    propagator as c_a + sum_k [A_ak cos(w_k t) + B_ak sin(w_k t)] over the
-    distinct nonzero level gaps w_k: each (k, l) term is paired with its
-    complex-conjugate (l, k) term, equal gaps are merged and the zero gaps of
-    degenerate levels join the constant. One evaluation is at most
-    d(d-1)/2 real cosines and sines per time and one small real matmul;
-    suitable for millions of Monte Carlo decay times.
+    Writes P_a(t) = Tr[rho(t) (sigma_a x I)] over the L distinct levels l_p
+    of the propagator as c_a + sum_{p<q} 2 Re[C_aqp e^{-i(l_q - l_p) t}]:
+    the diagonal level blocks form the constant. Per time only the L-1 level
+    phasors e^{i(l_q - l_0) t} take a cosine and a sine; the pair terms follow
+    from the product identities and one (3, 2 pairs) @ (2 pairs, n) real
+    matmul. Times run in fixed slices, so the trig rows stay cache-sized for
+    millions of Monte Carlo decay times. Returns shape (n, 3).
     """
     rho0 = require_density_matrix(rho0)
     w, v = prop._eigensystem()
@@ -498,20 +496,34 @@ def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
     rho_p = v.conj().T @ rho0 @ v
     # c[a, k, l] = rho_p[k, l] (sigma_a)_p[l, k]; c[a, l, k] is its conjugate
     c = np.array([rho_p * (v.conj().T @ kron(s, np.eye(d_e)) @ v).T for s in PAULI])
-    gaps, labels, lo, hi = _frequency_gaps(w)
-    # 2 c[a, hi, lo] summed over the pairs of each gap: (n_gaps, 3), complex
-    merged = (labels == np.arange(len(gaps))[:, None]) @ (2 * c[:, hi, lo].T)
-    const = np.einsum("akk->a", c).real + merged[0].real
-    omegas = gaps[1:]
-    amps = np.concatenate([merged[1:].real, merged[1:].imag])  # (2K, 3)
-    n_gaps = len(omegas)
+    levels, level_of = _distinct(w, 1e-12 * np.abs(w).max())
+    n_phasors = len(levels) - 1
+    member = (level_of == np.arange(len(levels))[:, None]).astype(float)
+    blocks = member @ c @ member.T  # (3, L, L): c summed over level blocks
+    const = np.einsum("app->a", blocks).real
+    lo, hi = np.triu_indices(len(levels), 1)  # pairs grouped by lower level
+    amps = 2 * np.concatenate([blocks[:, hi, lo].real, blocks[:, hi, lo].imag], axis=1)
+    phis = levels[1:] - levels[0]
+    n_pairs = len(lo)
 
     def polarization(times):
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        phases = np.multiply.outer(times, omegas)
-        trig = np.empty((len(times), 2 * n_gaps))
-        np.cos(phases, out=trig[:, :n_gaps])
-        np.sin(phases, out=trig[:, n_gaps:])
-        return trig @ amps + const
+        out = np.empty((3, len(times)))
+        for start in range(0, len(times), _SLICE_TIMES):
+            ts = times[start:start + _SLICE_TIMES]
+            trig = np.empty((2 * n_pairs, len(ts)))
+            cos_t, sin_t = trig[:n_pairs], trig[n_pairs:]
+            # row q - 1 is level q's phasor, which is also the pair (0, q) term
+            phases = np.multiply.outer(phis, ts)
+            cos_l = np.cos(phases, out=cos_t[:n_phasors])
+            sin_l = np.sin(phases, out=sin_t[:n_phasors])
+            at = n_phasors  # then the pairs (p, q > p) of each lower level p
+            for p in range(1, n_phasors):
+                cq, sq, cp, sp = cos_l[p:], sin_l[p:], cos_l[p - 1], sin_l[p - 1]
+                cos_t[at:at + len(cq)] = cq * cp + sq * sp
+                sin_t[at:at + len(cq)] = sq * cp - cq * sp
+                at += len(cq)
+            np.add(amps @ trig, const[:, None], out=out[:, start:start + len(ts)])
+        return out.T
 
     return polarization

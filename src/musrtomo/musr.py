@@ -39,8 +39,8 @@ class DecayModel:
     def __post_init__(self):
         if not (1.0 / 3.0 - 1e-12 <= self.asymmetry <= 1.0 + 1e-12):
             raise ValueError("asymmetry must lie in [1/3, 1]")
-        if self.lifetime_ns <= 0:
-            raise ValueError("lifetime must be positive")
+        if not 0 < self.lifetime_ns < np.inf:
+            raise ValueError("lifetime must be positive and finite")
         if self.species not in ("mu_plus", "mu_minus"):
             raise ValueError("species must be 'mu_plus' or 'mu_minus'")
 
@@ -164,9 +164,10 @@ def gamma_distribution(polarization, direction: Direction, asymmetry: float) -> 
     return float(1.0 + asymmetry * np.dot(p, direction.vector))
 
 
-def histogram_to_tomogram(gamma_value: float, asymmetry: float,
+def histogram_to_tomogram(gamma_value, asymmetry: float,
                           species: str = "mu_plus", tol: float = 1e-6):
-    """(w(+1/2), w(-1/2)) from an angular-distribution value.
+    """(w(+1/2), w(-1/2)) from an angular-distribution value, or elementwise
+    from an array of them.
 
     w(+1/2) = 1/2 + (Gamma - 1)/(2a); for a = 1/3 this is (3/2) Gamma - 1.
     Negative muons swap the two outputs. Values outside [-tol, 1+tol] raise.
@@ -177,7 +178,7 @@ def histogram_to_tomogram(gamma_value: float, asymmetry: float,
     w_minus = 1.0 - w_plus
     if species == "mu_minus":
         w_plus, w_minus = w_minus, w_plus
-    if not (-tol <= w_plus <= 1 + tol):
+    if not np.all((-tol <= w_plus) & (w_plus <= 1 + tol)):
         raise ValueError(f"gamma value {gamma_value} outside range for asymmetry {asymmetry}")
     return w_plus, w_minus
 
@@ -187,7 +188,7 @@ def _as_polarization(fn, times: np.ndarray) -> np.ndarray:
     callable -> (n, 2, 2) density matrices converted to Bloch vectors."""
     out = np.asarray(fn(times))
     if out.ndim == 2 and out.shape == (len(times), 3):
-        return out.astype(float)
+        return np.asarray(out, dtype=float)
     if out.ndim == 3 and out.shape[1:] == (2, 2):
         px = 2 * out[:, 0, 1].real
         py = -2 * out[:, 0, 1].imag
@@ -197,33 +198,34 @@ def _as_polarization(fn, times: np.ndarray) -> np.ndarray:
 
 
 def _sample_emission(rng, polar: np.ndarray, k_signed: float) -> np.ndarray:
-    """Emission directions with density 1 + k_signed (P_hat . n) |P|,
-    sampled by closed-form CDF inversion in cos(angle to P)."""
-    n = polar.shape[0]
-    norms = np.linalg.norm(polar, axis=1)
+    """Emission directions, shape (3, n), with density 1 + k_signed (P_hat . n) |P|,
+    sampled by closed-form CDF inversion in cos(angle to P); works on the
+    component rows of the (n, 3) polarizations."""
+    px, py, pz = polar.T
+    norms = np.sqrt(px * px + py * py + pz * pz)
     k = k_signed * norms
-    u = rng.random(n)
-    x = np.empty(n)
+    u = rng.random(len(k))
     small = np.abs(k) < 1e-12
-    x[small] = 2 * u[small] - 1
-    kb = k[~small]
-    x[~small] = (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u[~small])) / kb
+    kb = np.where(small, 1.0, k)
+    x = np.where(small, 2 * u - 1, (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u)) / kb)
     np.clip(x, -1.0, 1.0, out=x)
-    psi = rng.uniform(0, 2 * np.pi, n)
+    psi = rng.uniform(0, 2 * np.pi, len(k))
     # orthonormal frame around P_hat (z for unpolarized events)
-    p_hat = np.where(norms[:, None] > 1e-12, polar / np.maximum(norms, 1e-300)[:, None],
-                     np.array([0.0, 0.0, 1.0]))
-    px, py, pz = p_hat.T
+    polarized = norms > 1e-12
+    scale = np.maximum(norms, 1e-300)
+    px, py = np.where(polarized, px / scale, 0.0), np.where(polarized, py / scale, 0.0)
+    pz = np.where(polarized, pz / scale, 1.0)
     # e1 = P_hat x z, or P_hat x x where P_hat lies near z; e2 = P_hat x e1
     near_z = np.abs(pz) >= 0.9
-    e1 = np.stack([np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
-                   np.where(near_z, -py, 0.0)], axis=1)
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.stack([py * e1[:, 2] - pz * e1[:, 1], pz * e1[:, 0] - px * e1[:, 2],
-                   px * e1[:, 1] - py * e1[:, 0]], axis=1)
+    e1x, e1y, e1z = (np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
+                     np.where(near_z, -py, 0.0))
+    e1_norm = np.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
+    e1x, e1y, e1z = e1x / e1_norm, e1y / e1_norm, e1z / e1_norm
     sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
-    return (x[:, None] * p_hat
-            + sin_t[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2))
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    return np.array([x * px + sin_t * (cos_psi * e1x + sin_psi * (py * e1z - pz * e1y)),
+                     x * py + sin_t * (cos_psi * e1y + sin_psi * (pz * e1x - px * e1z)),
+                     x * pz + sin_t * (cos_psi * e1z + sin_psi * (px * e1y - py * e1x))])
 
 
 def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayModel,
@@ -278,9 +280,10 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
         polar = _as_polarization(polarization_of_t, t)
         dirs = _sample_emission(rng, polar, model.emission_sign * model.asymmetry)
         accept_draw = rng.random((t.size, n_det))
-        hits = (dirs @ axes.T >= cos_half[None, :]) & (accept_draw < effs[None, :])
+        # (n_det, n): each detector's mask is a contiguous row
+        hits = (axes @ dirs >= cos_half[:, None]) & (accept_draw.T < effs[:, None])
         for d in range(n_det):
-            counts[d] += np.histogram(t[hits[:, d]], bins=bin_edges)[0]
+            counts[d] += np.histogram(t[hits[d]], bins=bin_edges)[0]
 
     if background_fraction > 0:
         rng_bg = np.random.default_rng(streams[-1])
@@ -349,13 +352,9 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
             raise ValueError("no bins above the count floor")
         w = np.full_like(total, np.nan)
         sig = np.full_like(total, np.nan)
-        ratio = np.zeros_like(total)
-        ratio[ok] = (nf[ok] - nb[ok]) / total[ok]
-        gamma_hat = 1.0 + ratio
-        for i in np.nonzero(ok)[0]:
-            w[i], _ = histogram_to_tomogram(gamma_hat[i], a_eff, model.species,
-                                            tol=np.inf)
-        p = np.clip((1 + ratio[ok]) / 2, 1e-12, 1 - 1e-12)
+        gamma_hat = 1.0 + (nf[ok] - nb[ok]) / total[ok]
+        w[ok] = histogram_to_tomogram(gamma_hat, a_eff, model.species, tol=np.inf)[0]
+        p = np.clip(gamma_hat / 2, 1e-12, 1 - 1e-12)
         sig[ok] = np.sqrt(p * (1 - p) / np.maximum(total[ok], 1.0)) / a_eff
         out.append(AxisEstimate(axis=det.axis, times=centers, w_plus=w, sigma=sig,
                                 pair_counts=total, low_confidence=~ok))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_direction
 from musrtomo.dynamics import (
     DEFAULT_CONSTANTS,
+    _SLICE_TIMES,
     DerivedScalars,
     HamiltonianFamily,
     HamiltonianSpec,
@@ -25,6 +26,7 @@ from musrtomo.dynamics import (
 )
 from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace, random_density_matrix
 from musrtomo.materials import available_presets, load_material, material_from_dict
+from musrtomo.musr import MUON_LIFETIME_NS
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, rotation_matrix
 from musrtomo.twospin import individual_tomogram_unitary, reduced_tomogram
 
@@ -367,6 +369,45 @@ class TestPolarizationFunction:
                                    SubsystemDims(2, d_e), "a")
             ref = [np.trace(rho_mu @ p).real for p in PAULI]
             assert np.abs(got[k] - ref).max() < 1e-11
+
+    @pytest.mark.parametrize("material", [*available_presets(), "spin1"])
+    @pytest.mark.parametrize("b_field", [0.0, 57.3, 3200.0])
+    def test_matches_partial_trace_over_simulate_window(self, material, b_field):
+        # decay times across the whole default simulate window, 0 to 3 lifetimes
+        rng = np.random.default_rng(int(b_field) + len(material))
+        mat = SPIN1_MATERIAL if material == "spin1" else load_material(material)
+        spec = mat.hamiltonian_spec(
+            b_field=b_field, b_axis=random_direction(rng) if b_field else None,
+            aniso_axis=random_direction(rng))
+        prop = PropagatorSpec(spec)
+        d_e = int(round(2 * mat.j_e + 1))
+        ts = np.concatenate([[0.0, 3 * MUON_LIFETIME_NS],
+                             rng.uniform(0, 3 * MUON_LIFETIME_NS, 40)])
+        for rho0 in (initial_muonium_state(mat.j_e), random_density_matrix(2 * d_e, rng)):
+            got = muon_polarization_function(rho0, prop)(ts)
+            rho_mu = partial_trace(evolve_density(rho0, prop.unitary(ts)),
+                                   SubsystemDims(2, d_e), "a")
+            ref = np.einsum("nab,kba->nk", rho_mu, PAULI).real
+            assert np.abs(got - ref).max() < 1e-9
+
+    @pytest.mark.parametrize("material", ["quartz", "spin1"])
+    def test_slice_invariance(self, material, rng):
+        # one call over several evaluation slices equals the calls on its
+        # slices, to the last bit; on any other cut the BLAS kernel chosen for
+        # the piece's width may move only the last bit
+        mat = SPIN1_MATERIAL if material == "spin1" else load_material(material)
+        spec = mat.hamiltonian_spec(b_field=176.0, b_axis=random_direction(rng))
+        polarization = muon_polarization_function(initial_muonium_state(mat.j_e),
+                                                  PropagatorSpec(spec))
+        ts = rng.exponential(MUON_LIFETIME_NS, 2 * _SLICE_TIMES + 777)
+        whole = polarization(ts)
+        slices = [polarization(ts[a:a + _SLICE_TIMES])
+                  for a in range(0, len(ts), _SLICE_TIMES)]
+        assert np.array_equal(whole, np.concatenate(slices))
+        cuts = [0, 1, 3, 5000, _SLICE_TIMES + 3, 2 * _SLICE_TIMES + 1, len(ts)]
+        pieces = [polarization(ts[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.abs(whole - np.concatenate(pieces)).max() <= 1e-15
+        assert polarization(ts[:0]).shape == (0, 3)
 
 
 class TestMaterials:

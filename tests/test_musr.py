@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_direction
+from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
+from musrtomo.materials import material_from_dict
 from musrtomo.musr import (
     BLOCK_MUONS,
     AxisEstimate,
@@ -14,17 +17,50 @@ from musrtomo.musr import (
     estimate_tomogram,
     estimates_to_csv,
     gamma_distribution,
+    _sample_emission,
     histogram_to_tomogram,
     simulate_events,
 )
 from musrtomo.tomography import QuadratureGrid, X_AXIS, Z_AXIS
 
+# traced peak of one simulate_events block with the j_e = 1 polarization in
+# a field: about 40 MB when the polarization runs in fixed slices, about
+# 76 MB with block-sized trig matrices
+BLOCK_MEMORY_BOUND_MB = 50
 STATIC_UP = lambda ts: np.tile([0.0, 0.0, 1.0], (len(np.atleast_1d(ts)), 1))
 UNPOLARIZED = lambda ts: np.zeros((len(np.atleast_1d(ts)), 3))
 
 
 def hemisphere_pair():
     return DetectorGeometry.opposing_pairs([Z_AXIS], half_angle=np.radians(70))
+
+
+def sample_emission_rows(rng, polar, k_signed):
+    """Row-layout oracle of musr._sample_emission: the same draws, CDF
+    inversion and frame rule on (n, 3) arrays with boolean-mask scatter;
+    returns (n, 3) directions."""
+    n = polar.shape[0]
+    norms = np.linalg.norm(polar, axis=1)
+    k = k_signed * norms
+    u = rng.random(n)
+    x = np.empty(n)
+    small = np.abs(k) < 1e-12
+    x[small] = 2 * u[small] - 1
+    kb = k[~small]
+    x[~small] = (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u[~small])) / kb
+    np.clip(x, -1.0, 1.0, out=x)
+    psi = rng.uniform(0, 2 * np.pi, n)
+    p_hat = np.where(norms[:, None] > 1e-12, polar / np.maximum(norms, 1e-300)[:, None],
+                     np.array([0.0, 0.0, 1.0]))
+    px, py, pz = p_hat.T
+    near_z = np.abs(pz) >= 0.9
+    e1 = np.stack([np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
+                   np.where(near_z, -py, 0.0)], axis=1)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(p_hat, e1)
+    sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
+    return (x[:, None] * p_hat
+            + sin_t[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2))
 
 
 class TestGammaDistribution:
@@ -78,6 +114,15 @@ class TestHistogramToTomogram:
         with pytest.raises(ValueError):
             histogram_to_tomogram(2.0, 1 / 3)
 
+    @pytest.mark.parametrize("species", ["mu_plus", "mu_minus"])
+    def test_array_is_elementwise(self, species):
+        gammas = np.array([2 / 3, 0.9, 1.0, 1.25, 4 / 3])
+        w_plus, w_minus = histogram_to_tomogram(gammas, 1 / 3, species)
+        for g, wp, wm in zip(gammas, w_plus, w_minus):
+            assert (wp, wm) == histogram_to_tomogram(g, 1 / 3, species)
+        with pytest.raises(ValueError):
+            histogram_to_tomogram(np.append(gammas, 2.0), 1 / 3, species)
+
 
 class TestDecayModelAndGeometry:
     def test_asymmetry_range(self):
@@ -92,10 +137,47 @@ class TestDecayModelAndGeometry:
         with pytest.raises(ValueError):
             Detector(Z_AXIS, half_angle=1.0, efficiency=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lifetime_ns", np.nan), ("lifetime_ns", np.inf), ("lifetime_ns", 0.0),
+        ("asymmetry", np.nan), ("asymmetry", np.inf), ("asymmetry", -np.inf)])
+    def test_non_finite_inputs_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            DecayModel(**{field: value})
+
     def test_pairing(self):
         geom = DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS], np.radians(30))
         pairs = geom.paired_indices()
         assert pairs == [(0, 1), (2, 3)]
+
+
+class TestSampleEmission:
+    @pytest.mark.parametrize("k_signed", [1 / 3, -1.0])
+    def test_matches_row_layout_oracle(self, rng, k_signed):
+        # random polarizations of every length, with unpolarized rows, rows
+        # at and near +-z (the frame switches at |P_hat_z| = 0.9) and tiny |P|
+        polar = rng.normal(size=(4000, 3))
+        polar /= np.linalg.norm(polar, axis=1)[:, None]
+        polar *= rng.uniform(0, 1, (4000, 1))
+        polar[:50] = 0.0
+        polar[50:60] = [0.0, 0.0, 1.0]
+        polar[60:70] = [0.0, 0.0, -0.4]
+        polar[70:80] = [np.sqrt(1 - 0.9 ** 2), 0.0, 0.9]
+        polar[80:90] = [1e-3, -1e-3, -1.0] / np.linalg.norm([1e-3, -1e-3, -1.0])
+        polar[90:100] = 1e-13
+        state = rng.bit_generator.state
+        want = sample_emission_rows(rng, polar, k_signed)
+        rng.bit_generator.state = state
+        got = _sample_emission(rng, polar, k_signed)
+        assert got.shape == (3, len(polar))
+        assert np.abs(got.T - want).max() <= 1e-15
+        assert np.allclose(np.linalg.norm(got, axis=0), 1.0)
+
+    def test_column_layout_input(self, rng):
+        # the polarization closure hands over (n, 3) views of (3, n) rows
+        polar = rng.uniform(-0.5, 0.5, (3, 1000)).T
+        a = _sample_emission(np.random.default_rng(5), polar, 1 / 3)
+        b = _sample_emission(np.random.default_rng(5), np.ascontiguousarray(polar), 1 / 3)
+        assert np.array_equal(a, b)
 
 
 class TestSimulateEvents:
@@ -163,6 +245,16 @@ class TestSimulateEvents:
         late = hist.counts[:, -10:]
         assert late.sum() > 0
 
+    def test_efficiency_thins_the_same_events(self):
+        # the same seed draws the same events; an efficiency below 1 only
+        # drops some of them, about in proportion
+        model, edges = DecayModel(), np.linspace(0, 6000, 7)
+        counts = [simulate_events(STATIC_UP, DetectorGeometry.opposing_pairs(
+                      [Z_AXIS, X_AXIS], np.radians(70), eff), model, 100_000, 4, edges,
+                      background_fraction=0.0).counts for eff in (1.0, 0.5)]
+        assert np.all(counts[1] <= counts[0])
+        assert abs(counts[1].sum() / counts[0].sum() - 0.5) < 0.01
+
     def test_density_matrix_input(self):
         model = DecayModel()
         edges = np.array([0.0, 2000.0])
@@ -178,6 +270,24 @@ class TestSimulateEvents:
         h2 = simulate_events(STATIC_UP, hemisphere_pair(), model, 20_000, 1,
                              edges, background_fraction=0.0)
         assert np.array_equal(h1.counts, h2.counts)
+
+    def test_block_memory_stays_slice_sized(self):
+        # one full block with the j_e = 1 polarization in a field (15 level
+        # pairs), so that block-sized trig matrices cannot come back unseen
+        spin1 = material_from_dict({"name": "spin1", "family": "hyperfine",
+                                    "A_MHz": 2000.0, "A_is_angular": False,
+                                    "deltaA_MHz": 0.0, "j_e": 1.0})
+        prop = PropagatorSpec(spin1.hamiltonian_spec(b_field=57.3, b_axis=X_AXIS))
+        polarization = muon_polarization_function(initial_muonium_state(1.0), prop)
+        geom = DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS], np.radians(70))
+        edges = np.linspace(0.0, 3 * DecayModel().lifetime_ns, 513)
+        tracemalloc.start()
+        try:
+            simulate_events(polarization, geom, DecayModel(), BLOCK_MUONS, 3, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_MEMORY_BOUND_MB * 2 ** 20
 
 
 class TestEstimateTomogram:
@@ -229,6 +339,26 @@ class TestEstimateTomogram:
         model_minus = DecayModel(species="mu_minus")
         est_minus = estimate_tomogram(hist, hemisphere_pair(), model_minus)[0]
         assert np.abs(est_minus.w_plus - (1 - est_plus.w_plus)).max() < 1e-12
+
+    @pytest.mark.parametrize("species", ["mu_plus", "mu_minus"])
+    def test_kept_bins_follow_the_scalar_relation(self, species):
+        # w_plus of every kept bin is histogram_to_tomogram of the bin's
+        # gamma estimate, to the last bit
+        model = DecayModel(species=species)
+        geom = DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS], np.radians(60))
+        edges = np.linspace(0, 3 * model.lifetime_ns, 65)
+        hist = simulate_events(STATIC_UP, geom, model, 200_000, 19, edges,
+                               background_fraction=0.0)
+        for est, (fw, bw) in zip(estimate_tomogram(hist, geom, model),
+                                 geom.paired_indices()):
+            nf, nb = hist.counts[fw].astype(float), hist.counts[bw].astype(float)
+            a_eff = model.asymmetry * geom.detectors[fw].cos_average
+            kept = np.nonzero(~est.low_confidence)[0]
+            assert len(kept) > 32
+            for i in kept:
+                gamma = 1.0 + (nf[i] - nb[i]) / (nf[i] + nb[i])
+                want = histogram_to_tomogram(gamma, a_eff, species, tol=np.inf)[0]
+                assert est.w_plus[i] == want
 
     def test_late_bins_flagged_low_confidence(self):
         model = DecayModel()
