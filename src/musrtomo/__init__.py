@@ -36,7 +36,6 @@ from .linalg import (
     kron,
     partial_trace,
     partial_transpose,
-    propagator,
 )
 from .materials import Material, available_presets, load_material
 from .musr import (

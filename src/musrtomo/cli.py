@@ -35,11 +35,7 @@ from .musr import (
     estimates_to_csv,
     simulate_events,
 )
-from .reconstruction import (
-    MeasurementPlan,
-    identifiability,
-    reconstruct_initial,
-)
+from .reconstruction import MeasurementPlan, build_design_matrix, reconstruct_initial
 from .tomography import AXES, Direction
 
 DEFAULT_SWEEPS = {
@@ -214,14 +210,13 @@ def cmd_reconstruct(args) -> int:
             for d in plan_data.get("directions", ["x", "y", "z"])]
     plan = MeasurementPlan(prop, directions=tuple(dirs),
                            times=tuple(plan_data["times_ns"]))
-    rank, cond = identifiability(plan)
+    design = build_design_matrix(plan)
     values, sigmas = _read_measurements(args.measurements, plan)
-    if rank < 15 and not args.allow_deficient:
-        from .reconstruction import build_design_matrix
-        null = build_design_matrix(plan).null_space()
-        print(f"error: plan is rank deficient: rank {rank} < 15, "
+    if design.rank < 15 and not args.allow_deficient:
+        null = design.null_space()
+        print(f"error: plan is rank deficient: rank {design.rank} < 15, "
               f"null-space dimension {null.shape[0]}", file=sys.stderr)
-        print(json.dumps({"rank": rank, "condition_number": cond,
+        print(json.dumps({"rank": design.rank, "condition_number": design.condition_number,
                           "null_space": null.tolist()}, indent=2), file=sys.stderr)
         return 2
     result = reconstruct_initial(values, plan, sigmas=sigmas,

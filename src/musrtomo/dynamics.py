@@ -100,10 +100,6 @@ class HamiltonianSpec:
         return cls(HamiltonianFamily.HYPERFINE, a=omega0, j_e=j_e)
 
     @property
-    def omega0(self) -> float:
-        return self.a
-
-    @property
     def dim(self) -> int:
         return 2 * int(round(2 * self.j_e + 1))
 
@@ -409,6 +405,12 @@ _FIELD_FORMS = {
 }
 
 
+def _require_dimension(rho0: np.ndarray, dim: int, what: str) -> None:
+    if rho0.shape[-1] != dim:
+        raise ValueError(f"initial state dimension {rho0.shape[-1]} does not match "
+                         f"the {what} dimension {dim}")
+
+
 def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """U rho0 U^dag; trace, Hermiticity and spectrum preserved.
 
@@ -419,6 +421,7 @@ def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
     if rho0.ndim != 2:
         raise ValueError("the initial state must be one density matrix")
     u = np.asarray(u, dtype=complex)
+    _require_dimension(rho0, u.shape[-1], "evolution operator")
     u_dag = u.conj().swapaxes(-1, -2)
     defects = np.linalg.norm(u @ u_dag - np.eye(u.shape[-1]), axis=(-2, -1))
     if np.any(defects > 1e-10 * u.shape[-1]):
@@ -491,6 +494,7 @@ def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
     millions of Monte Carlo decay times. Returns shape (n, 3).
     """
     rho0 = require_density_matrix(rho0)
+    _require_dimension(rho0, prop.hamiltonian.dim, "propagator")
     w, v = prop._eigensystem()
     d_e = rho0.shape[0] // 2
     rho_p = v.conj().T @ rho0 @ v

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, SubsystemDims, partial_transpose, require_density_matrix
+from .linalg import TWO_QUBIT_BASIS, SubsystemDims, partial_transpose, require_density_matrix
 from .tomography import Direction
 from .twospin import TwoSpinTomogram, individual_tomogram
 
@@ -78,8 +78,9 @@ def bell_number_of_state(rho: np.ndarray, setting: BellSetting) -> float:
     return bell_number(bell_cells(rho, setting))
 
 
-# sigma_i x sigma_j for i, j in (x, y, z), shape (3, 3, 4, 4)
-_PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", PAULI, PAULI).reshape(3, 3, 4, 4)
+# sigma_i x sigma_j for i, j in (x, y, z), shape (3, 3, 4, 4): twice the
+# correlation block of the shared two-qubit basis
+_PAULI_PAIRS = 2 * TWO_QUBIT_BASIS[6:].reshape(3, 3, 4, 4)
 
 
 def _per_state(values: np.ndarray, rho: np.ndarray):

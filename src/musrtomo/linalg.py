@@ -1,12 +1,12 @@
-"""Dense complex-matrix primitives: Kronecker products, partial trace and
-transpose over a bipartite split, Hermitian eigendecomposition, and unitary
-propagators exp(-iHt/hbar).
+"""Dense complex-matrix primitives: the Pauli matrices and the two-qubit
+operator basis built from them, Kronecker products, partial trace and
+transpose over a bipartite split, Hermitian eigendecomposition and the
+density-matrix check.
 
 All functions are pure and operate on plain ``numpy`` complex arrays. Matrices
-stay small here (dimension <= ~16), so the propagator goes through a full
-Hermitian eigensolve rather than a series or Pade scheme. The partial trace,
-the partial transpose and the density-matrix check also take a stack
-(..., d, d) of matrices, one per instant of a time trace, and act per matrix.
+stay small here (dimension <= ~16). The partial trace, the partial transpose
+and the density-matrix check also take a stack (..., d, d) of matrices, one
+per instant of a time trace, and act per matrix.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,12 @@ PAULI = np.array([
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
+
+# the 15 orthonormal traceless two-qubit operators
+# {sigma_i x I, I x sigma_j, sigma_i x sigma_j} / 2, shape (15, 4, 4)
+TWO_QUBIT_BASIS = np.array([np.kron(p, np.eye(2)) for p in PAULI]
+                           + [np.kron(np.eye(2), p) for p in PAULI]
+                           + [np.kron(p, q) for p in PAULI for q in PAULI]) / 2
 
 
 @dataclass(frozen=True)
@@ -85,51 +91,35 @@ def partial_trace(m: np.ndarray, dims: SubsystemDims, keep: str) -> np.ndarray:
     raise ValueError("keep must be 'a' or 'b'")
 
 
-def partial_transpose(m: np.ndarray, dims: SubsystemDims, which: str = "a") -> np.ndarray:
-    """Transpose the index pair of one factor; an involution."""
+def partial_transpose(m: np.ndarray, dims: SubsystemDims) -> np.ndarray:
+    """Transpose the index pair of the first factor (the muon); an involution."""
     m = _as_stack(m)
     dims.check(m)
     r = m.reshape(m.shape[:-2] + (dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b))
-    w = which.lower()
-    if w == "a":
-        out = r.swapaxes(-4, -2)
-    elif w == "b":
-        out = r.swapaxes(-3, -1)
-    else:
-        raise ValueError("which must be 'a' or 'b'")
-    return out.reshape(m.shape)
+    return r.swapaxes(-4, -2).reshape(m.shape)
 
 
-def _require_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > rtol * scale:
+    if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance; "
                          "symmetrize (m + m^dag)/2 before calling")
     return m
 
 
-def eig_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL):
+def eig_hermitian(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     eigenvector matrix ``v`` (columns are eigenvectors).
     """
-    m = _require_hermitian(m, rtol)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(_require_hermitian(m))
 
 
-def propagator(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Unitary exp(-i h t / hbar) of a time-independent Hermitian generator."""
-    w, v = eig_hermitian(h)
-    phases = np.exp(-1j * w * (t / hbar))
-    return (v * phases) @ v.conj().T
-
-
-def require_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10) -> np.ndarray:
+def require_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity and unit trace of a density matrix, or of each
     matrix of a stack (..., d, d)."""
     rho = _as_stack(rho)
@@ -141,13 +131,7 @@ def require_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10) -> np.ndar
         raise ValueError("density matrix is not Hermitian")
     traces = rho.diagonal(0, -2, -1).sum(-1)
     errors = np.abs(traces - 1.0)
-    if (errors > trace_tol).any():
+    if (errors > 1e-10).any():
         raise ValueError(f"density matrix trace {traces.flat[errors.argmax()]} != 1")
     return rho
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix (Ginibre construction)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

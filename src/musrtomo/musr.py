@@ -113,20 +113,23 @@ class HistogramSeries:
     """Per-detector positron counts on a common time binning."""
 
     bin_edges: np.ndarray
-    counts: np.ndarray  # (n_detectors, n_bins), integer
+    counts: np.ndarray  # (n_detectors, n_bins), stored as int64
     n_muons: int
     background_fraction: float
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=float)
-        self.counts = np.asarray(self.counts)
+        counts = np.asarray(self.counts)
         if np.any(np.diff(self.bin_edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
-        if self.counts.ndim != 2 or self.counts.shape[1] != len(self.bin_edges) - 1:
+        if counts.ndim != 2 or counts.shape[1] != len(self.bin_edges) - 1:
             raise ValueError("counts shape does not match bin edges")
-        if np.any(self.counts < 0):
+        if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
+        if not np.isfinite(counts).all() or np.any(counts != np.round(counts)):
+            raise ValueError("counts must be finite whole numbers")
+        self.counts = counts.astype(np.int64, copy=False)
 
     @property
     def bin_centers(self) -> np.ndarray:

@@ -4,8 +4,10 @@ Given a known two-spin evolution U(t) and measured muon tomogram values
 w(+1/2, n_k, t_l), the initial density matrix is affine in the measured
 values: rho0 = I/4 + sum_i x_i G_i over the orthonormal traceless two-qubit
 operator basis, and each measurement is 1/2 + (M x)_kl with a design matrix
-M. Reconstruction is weighted least squares followed by a projection onto
-the positive cone.
+M. Row (t, k) of M is (1/2) n_k . S_t, where
+S_t[a, i] = Tr[G_i U_t^dag (sigma_a x I) U_t] expands the muon spin in the
+Heisenberg picture over the basis. Reconstruction is weighted least squares
+followed by a projection onto the positive cone.
 
 Identifiability is a property of the (propagator, directions, times) plan
 and is computed by SVD of the design matrix. Static muonium-family
@@ -22,30 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PropagatorSpec
-from .linalg import PAULI, eig_hermitian, kron, require_density_matrix
+from .linalg import TWO_QUBIT_BASIS, eig_hermitian, require_density_matrix
 from .tomography import X_AXIS, Y_AXIS, Z_AXIS
 
 
-def operator_basis_two_qubit() -> list[np.ndarray]:
-    """The 15 orthonormal traceless Hermitian operators
-    {sigma_i x I, I x sigma_j, sigma_i x sigma_j} / 2."""
-    eye = np.eye(2)
-    basis = [kron(p, eye) / 2 for p in PAULI]
-    basis += [kron(eye, p) / 2 for p in PAULI]
-    basis += [kron(pi, pj) / 2 for pi in PAULI for pj in PAULI]
-    return basis
-
-
 def state_to_coefficients(rho: np.ndarray) -> np.ndarray:
+    """x_i = Tr[G_i rho] over the 15 basis operators."""
     rho = require_density_matrix(rho)
-    return np.array([np.trace(g @ rho).real for g in operator_basis_two_qubit()])
+    return np.einsum("iab,ba->i", TWO_QUBIT_BASIS, rho).real
 
 
 def coefficients_to_state(x: np.ndarray) -> np.ndarray:
-    rho = np.eye(4, dtype=complex) / 4
-    for xi, g in zip(x, operator_basis_two_qubit()):
-        rho = rho + xi * g
-    return rho
+    """rho = I/4 + sum_i x_i G_i."""
+    return np.eye(4) / 4 + np.tensordot(x, TWO_QUBIT_BASIS, axes=1)
 
 
 def golden_jitter_times(span: float, n: int = 5) -> list[float]:
@@ -90,27 +81,21 @@ class MeasurementPlan:
         if len(set(self.times)) != len(self.times):
             raise ValueError("times must be pairwise distinct")
 
-    @property
-    def n_values(self) -> int:
-        return len(self.directions) * len(self.times)
-
-    def unitary(self, t: float) -> np.ndarray:
-        if isinstance(self.propagator, PropagatorSpec):
-            return self.propagator.unitary(t)
-        return self.propagator(t)
-
 
 @dataclass
 class DesignMatrix:
     """Linear map from the 15 traceless coefficients of rho0 to the
-    predicted measurement values (offset 1/2 subtracted)."""
+    predicted measurement values (offset 1/2 subtracted). One full SVD,
+    taken at construction, gives the rank, the condition number and the
+    null space."""
 
     matrix: np.ndarray
     singular_values: np.ndarray = field(init=False)
+    _vt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
-        self.singular_values = np.linalg.svd(self.matrix, compute_uv=False)
+        _, self.singular_values, self._vt = np.linalg.svd(self.matrix)
 
     @property
     def rank(self) -> int:
@@ -125,22 +110,25 @@ class DesignMatrix:
         return float(kept[0] / kept[-1])
 
     def null_space(self) -> np.ndarray:
-        _, sv, vt = np.linalg.svd(self.matrix)
-        return vt[self.rank:]
+        return self._vt[self.rank:]
 
 
 def build_design_matrix(plan: MeasurementPlan) -> DesignMatrix:
-    """Rows indexed by (time-major, direction-minor) measurement order."""
-    basis = operator_basis_two_qubit()
-    eye = np.eye(2)
-    rows = []
-    for t in plan.times:
-        u = plan.unitary(t)
-        for direction in plan.directions:
-            proj = (eye + np.tensordot(direction.vector, PAULI, axes=1)) / 2
-            evolved = u.conj().T @ kron(proj, eye) @ u
-            rows.append([np.trace(g @ evolved).real for g in basis])
-    return DesignMatrix(np.array(rows))
+    """Rows indexed by (time-major, direction-minor) measurement order:
+    row (t, k) = (1/2) n_k . S_t with S_t[a, i] = Tr[G_i U_t^dag (sigma_a x I) U_t].
+    The identity part of each projector drops out against the traceless G_i."""
+    if isinstance(plan.propagator, PropagatorSpec):
+        u = plan.propagator.unitary(np.array(plan.times))
+    else:
+        u = np.array([plan.propagator(t) for t in plan.times], dtype=complex)
+    if u.shape[1:] != (4, 4):
+        raise ValueError(f"reconstruction needs a two-qubit (4x4) propagator, "
+                         f"got unitaries of shape {u.shape[1:]}")
+    muon_spin = 2 * TWO_QUBIT_BASIS[:3]  # sigma_a x I
+    s = np.einsum("tba,xbc,tcd,ida->txi", u.conj(), muon_spin, u, TWO_QUBIT_BASIS,
+                  optimize=True).real
+    n = np.array([d.vector for d in plan.directions])
+    return DesignMatrix(0.5 * np.einsum("ka,tai->tki", n, s).reshape(-1, 15))
 
 
 def forward_model(rho0: np.ndarray, plan: MeasurementPlan) -> np.ndarray:

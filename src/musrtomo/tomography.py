@@ -25,7 +25,7 @@ be exact, which also makes the j=1/2 quantizer equal I/2 + 3m (n.sigma).
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
 
@@ -67,10 +67,6 @@ class Direction:
         theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
         phi = float(np.arctan2(v[1], v[0])) % (2 * np.pi)
         return cls(theta, phi)
-
-    def ppt_mirror(self) -> "Direction":
-        """Mirror n_y -> -n_y (phi -> -phi), the tomogram-level partial transpose."""
-        return Direction(self.theta, (-self.phi) % (2 * np.pi))
 
 
 X_AXIS = Direction(np.pi / 2, 0.0)
@@ -293,7 +289,6 @@ class SpinTomogram:
     j: float
     grid: QuadratureGrid
     values: np.ndarray
-    _slack: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -301,7 +296,7 @@ class SpinTomogram:
         if self.values.shape != (dim, self.grid.n_nodes):
             raise ValueError(f"values shape {self.values.shape} != "
                              f"({dim}, {self.grid.n_nodes})")
-        if np.any(self.values < -self._slack) or np.any(self.values > 1 + self._slack):
+        if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
             raise ValueError("tomogram values outside [0, 1]")
         sums = self.values.sum(axis=0)
         if np.max(np.abs(sums - 1.0)) > 1e-10:

@@ -75,9 +75,9 @@ def cg_matrix(j_mu: float, j_e: float) -> np.ndarray:
     return u
 
 
-def _require_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > tol * max(1.0, u.shape[0]):
+    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-10 * max(1.0, u.shape[0]):
         raise ValueError("matrix is not unitary within tolerance")
     return u
 

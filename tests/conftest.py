@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from musrtomo.linalg import random_density_matrix
+from musrtomo.linalg import eig_hermitian
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix (Ginibre construction)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary exp(-i h t) of a time-independent Hermitian generator, by a
+    full eigensolve."""
+    w, v = eig_hermitian(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 @pytest.fixture

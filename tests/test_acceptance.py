@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_direction, random_product_mixture
+from conftest import random_density_matrix, random_direction, random_product_mixture
 from musrtomo.dynamics import (
     DEFAULT_CONSTANTS,
     HamiltonianFamily,
@@ -43,7 +43,6 @@ from musrtomo.linalg import (
     SubsystemDims,
     kron,
     partial_transpose,
-    random_density_matrix,
 )
 from musrtomo.materials import load_material
 from musrtomo.musr import DecayModel, DetectorGeometry, estimate_tomogram, simulate_events
@@ -215,7 +214,7 @@ def test_criterion_07_two_path_m34():
         rho = random_density_matrix(4, rng)
         w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
         coeff = positivity_coefficients(
-            partial_transpose(rho, SubsystemDims(2, 2), "a"))
+            partial_transpose(rho, SubsystemDims(2, 2)))
         m3, m4 = tomographic_m34(w)
         assert abs(m3 - coeff.m3) <= 1e-6
         assert abs(m4 - coeff.m4) <= 1e-6

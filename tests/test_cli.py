@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from musrtomo.dynamics import (
 from musrtomo.musr import DecayModel
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction
 from musrtomo.twospin import reduced_tomogram
+
+
+SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
 
 
 def read_csv(path):
@@ -132,6 +136,15 @@ class TestExitCodes:
         rc = main(["evolve", "--B", "0", "--out", str(tmp_path)])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_init_dimension_mismatch_is_config_error(self, tmp_path, capsys):
+        init = tmp_path / "rho0.json"
+        init.write_text(json.dumps({"real": (np.eye(4) / 4).tolist()}))
+        rc = main(["simulate", "--material", SPIN1, "--init", str(init),
+                   "--n-muons", "100", "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert ("initial state dimension 4 does not match the propagator dimension 6"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("verb", ["evolve", "bell", "report"])
     def test_seed_belongs_to_simulate_only(self, verb):

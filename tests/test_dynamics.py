@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_direction
+from conftest import random_density_matrix, random_direction
 from musrtomo.dynamics import (
     DEFAULT_CONSTANTS,
     _SLICE_TIMES,
@@ -24,7 +24,7 @@ from musrtomo.dynamics import (
     propagator_mustar_xz,
     propagator_mustar_yz,
 )
-from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace, random_density_matrix
+from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace
 from musrtomo.materials import available_presets, load_material, material_from_dict
 from musrtomo.musr import MUON_LIFETIME_NS
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, rotation_matrix
@@ -244,6 +244,11 @@ class TestEvolveDensity:
         with pytest.raises(ValueError):
             evolve_density(random_density_matrix(4, rng), np.diag([1, 1, 1, 0.5]))
 
+    def test_dimension_mismatch_names_both(self, rng):
+        with pytest.raises(ValueError, match="initial state dimension 4 does not match "
+                                             "the evolution operator dimension 6"):
+            evolve_density(random_density_matrix(4, rng), np.eye(6))
+
     def test_reduced_tomogram_after_coupling(self, rng):
         omega0 = 4.453
         rho0 = initial_muonium_state()
@@ -329,6 +334,12 @@ SPIN1_MATERIAL = material_from_dict({"name": "spin1", "family": "hyperfine",
 
 
 class TestPolarizationFunction:
+    def test_dimension_mismatch_names_both(self):
+        prop = PropagatorSpec(SPIN1_MATERIAL.hamiltonian_spec(b_field=0.0))
+        with pytest.raises(ValueError, match="initial state dimension 4 does not match "
+                                             "the propagator dimension 6"):
+            muon_polarization_function(initial_muonium_state(0.5), prop)
+
     def test_matches_direct_evolution(self, rng):
         mat = load_material("si-mustar")
         spec = mat.hamiltonian_spec(b_field=20.0, b_axis=Z_AXIS, aniso_axis=X_AXIS)

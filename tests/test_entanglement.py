@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_direction, random_product_mixture
+from conftest import random_density_matrix, random_direction, random_product_mixture
 from musrtomo.dynamics import PropagatorSpec, HamiltonianSpec, evolve_density, \
     initial_muonium_state, propagator_hyperfine_spin1
 from musrtomo.entanglement import (
@@ -28,7 +28,6 @@ from musrtomo.linalg import (
     SubsystemDims,
     kron,
     partial_transpose,
-    random_density_matrix,
 )
 from musrtomo.tomography import Direction, Z_AXIS
 from musrtomo.twospin import TwoSpinTomogram, reconstruct_two_spin
@@ -170,7 +169,7 @@ class TestPptTomogram:
             rho = random_density_matrix(4, rng)
             w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
             lhs = reconstruct_two_spin(ppt_tomogram(w))
-            rhs = partial_transpose(rho, SubsystemDims(2, 2), which="a")
+            rhs = partial_transpose(rho, SubsystemDims(2, 2))
             assert np.abs(lhs - rhs).max() <= 1e-9
 
     def test_involution(self, rng):
@@ -196,7 +195,7 @@ class TestPositivityCoefficients:
     def test_singlet_partial_transpose(self, singlet):
         # spectrum (-1/2, 1/2, 1/2, 1/2); enumeration oracle gives
         # e2 = 0, e3 = -1/4, e4 = -1/16
-        ppt = partial_transpose(singlet, SubsystemDims(2, 2), "a")
+        ppt = partial_transpose(singlet, SubsystemDims(2, 2))
         ref = symmetric_polys(np.linalg.eigvalsh(ppt))
         c = positivity_coefficients(ppt)
         assert abs(ref[2] - 0.0) < 1e-13
@@ -218,7 +217,7 @@ class TestPositivityCoefficients:
     def test_m2_invariant_under_partial_transpose(self, rng):
         for _ in range(30):
             rho = random_density_matrix(4, rng)
-            ppt = partial_transpose(rho, SubsystemDims(2, 2), "a")
+            ppt = partial_transpose(rho, SubsystemDims(2, 2))
             assert abs(positivity_coefficients(rho).m2
                        - positivity_coefficients(ppt).m2) < 1e-13
 
@@ -318,7 +317,7 @@ class TestTomographicM34:
     def test_singlet_matches_trace_route(self, singlet):
         w = TwoSpinTomogram.from_state(singlet, 0.5, 0.5)
         m3, m4 = tomographic_m34(w)
-        ppt = partial_transpose(singlet, SubsystemDims(2, 2), "a")
+        ppt = partial_transpose(singlet, SubsystemDims(2, 2))
         c = positivity_coefficients(ppt)
         assert abs(m3 - c.m3) < 1e-10 and abs(m3 - (-0.25)) < 1e-10
         assert abs(m4 - c.m4) < 1e-10 and abs(m4 - (-1 / 16)) < 1e-10
@@ -336,7 +335,7 @@ class TestTomographicM34:
             rho = random_density_matrix(4, rng)
             w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
             m3, m4 = tomographic_m34(w)
-            c = positivity_coefficients(partial_transpose(rho, SubsystemDims(2, 2), "a"))
+            c = positivity_coefficients(partial_transpose(rho, SubsystemDims(2, 2)))
             assert abs(m3 - c.m3) <= 1e-6
             assert abs(m4 - c.m4) <= 1e-6
 

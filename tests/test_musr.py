@@ -401,6 +401,19 @@ class TestSerialization:
         assert meta["lifetime_ns"] == model.lifetime_ns
         assert meta["seed"] == 3
 
+    def test_counts_must_be_whole_numbers(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            HistogramSeries(np.array([0.0, 100.0]), np.array([[4.7]]),
+                            n_muons=10, background_fraction=0.0)
+
+    def test_whole_float_counts_round_trip(self):
+        hist = HistogramSeries(np.array([0.0, 100.0]), np.array([[3.0]]),
+                               n_muons=10, background_fraction=0.0)
+        assert hist.counts.dtype == np.int64
+        text = hist.to_csv(DetectorGeometry([Detector(Z_AXIS, np.radians(40))]))
+        rows = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
+        assert [row.split(",")[-1] for row in rows] == ["counts", "3"]
+
     def test_estimates_csv(self):
         est = AxisEstimate(axis=Z_AXIS, times=np.array([1.0]),
                            w_plus=np.array([0.9]), sigma=np.array([0.01]),

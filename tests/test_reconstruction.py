@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import propagator, random_density_matrix
+from musrtomo import entanglement
 from musrtomo.dynamics import (
     HamiltonianSpec,
     PropagatorSpec,
     initial_muonium_state,
 )
-from musrtomo.linalg import kron, propagator, random_density_matrix
-from musrtomo.materials import load_material
+from musrtomo.linalg import TWO_QUBIT_BASIS, kron
+from musrtomo.materials import available_presets, load_material
 from musrtomo.reconstruction import (
     MeasurementPlan,
     build_design_matrix,
@@ -16,11 +19,43 @@ from musrtomo.reconstruction import (
     forward_model,
     golden_jitter_times,
     identifiability,
-    operator_basis_two_qubit,
     reconstruct_initial,
     state_to_coefficients,
 )
-from musrtomo.tomography import Direction, X_AXIS, Y_AXIS, Z_AXIS
+from musrtomo.tomography import AXES, Direction, X_AXIS, Y_AXIS, Z_AXIS
+
+SIGMA = [np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]]),
+         np.array([[1, 0], [0, -1]], dtype=complex)]
+
+
+def basis_by_kron():
+    """The 15 operators {sigma_i x I, I x sigma_j, sigma_i x sigma_j} / 2,
+    one Kronecker product each, from hand-written Pauli matrices."""
+    eye = np.eye(2)
+    return ([np.kron(p, eye) / 2 for p in SIGMA] + [np.kron(eye, p) / 2 for p in SIGMA]
+            + [np.kron(p, q) / 2 for p in SIGMA for q in SIGMA])
+
+
+def design_by_traces(plan):
+    """Oracle for the design matrix: one unitary per time and, per row, one
+    trace per basis operator of the evolved projector U^dag [(I + n.sigma)/2 x I] U."""
+    eye = np.eye(2)
+    rows = []
+    for t in plan.times:
+        if isinstance(plan.propagator, PropagatorSpec):
+            u = plan.propagator.unitary(t)
+        else:
+            u = plan.propagator(t)
+        for direction in plan.directions:
+            proj = (eye + sum(c * p for c, p in zip(direction.vector, SIGMA))) / 2
+            evolved = u.conj().T @ np.kron(proj, eye) @ u
+            rows.append([np.trace(g @ evolved).real for g in basis_by_kron()])
+    return np.array(rows)
+
+
+def null_projector(vt_null):
+    return vt_null.T @ vt_null
 
 
 def mustar_xz_prop(b_field=100.0):
@@ -39,11 +74,23 @@ def generic_unitary_family(seed=3):
 
 class TestOperatorBasis:
     def test_orthonormal(self):
-        basis = operator_basis_two_qubit()
-        assert len(basis) == 15
+        basis = TWO_QUBIT_BASIS
+        assert basis.shape == (15, 4, 4)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 assert abs(np.trace(a.conj().T @ b).real - (i == j)) < 1e-14
+
+    def test_matches_kronecker_products(self):
+        assert np.array_equal(TWO_QUBIT_BASIS, np.array(basis_by_kron()))
+
+    def test_correlation_table_is_the_shared_block(self):
+        # entanglement's sigma_i x sigma_j table is the correlation block of
+        # the one shared basis, not a second construction
+        block = 2 * TWO_QUBIT_BASIS[6:].reshape(3, 3, 4, 4)
+        assert np.array_equal(entanglement._PAULI_PAIRS, block)
+        for i, p in enumerate(SIGMA):
+            for j, q in enumerate(SIGMA):
+                assert np.array_equal(block[i, j], np.kron(p, q))
 
     def test_coefficient_roundtrip(self, rng):
         rho = random_density_matrix(4, rng)
@@ -132,16 +179,68 @@ class TestIdentifiability:
         frame = Direction(0.7, 1.1)
         r = rotation_matrix(0.5, frame)
         r2 = kron(r, r)
-        base_unit = plan.unitary
         rotated_dirs = []
         rot3 = _vector_rotation(frame)
         for d in plan.directions:
             rotated_dirs.append(Direction.from_vector(rot3 @ d.vector))
         rotated_plan = MeasurementPlan(
-            lambda t: r2 @ base_unit(t) @ r2.conj().T,
+            lambda t: r2 @ prop.unitary(t) @ r2.conj().T,
             directions=tuple(rotated_dirs), times=plan.times)
         rank1, _ = identifiability(rotated_plan)
         assert rank0 == rank1
+
+
+@st.composite
+def plans(draw):
+    """Measurement plans over every two-qubit preset (fields along z, along x
+    and oblique; every anisotropy axis) and the generic callable family,
+    with 1-6 distinct times on a 10 ps grid and 1-4 directions."""
+    kind = draw(st.sampled_from([*available_presets(), "generic"]))
+    if kind == "generic":
+        prop = generic_unitary_family(draw(st.integers(0, 10_000)))
+    else:
+        b_field = draw(st.one_of(st.just(0.0), st.floats(1.0, 3200.0)))
+        b_axis = draw(st.sampled_from(["z", "x", "oblique"]))
+        aniso = draw(st.sampled_from("xyz")) if kind == "si-mustar" else None
+        spec = load_material(kind).hamiltonian_spec(
+            b_field=b_field,
+            b_axis=Direction.from_vector([0.6, 0.0, 0.8]) if b_axis == "oblique"
+            else AXES[b_axis],
+            aniso_axis=AXES[aniso] if aniso else None)
+        prop = PropagatorSpec(spec)
+    ticks = draw(st.lists(st.integers(0, 2000), min_size=1, max_size=6, unique=True))
+    angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
+    dirs = draw(st.lists(angles, min_size=1, max_size=4))
+    return MeasurementPlan(prop, directions=tuple(Direction(*a) for a in dirs),
+                           times=tuple(0.01 * k for k in ticks))
+
+
+class TestDesignMatrix:
+    @given(plan=plans())
+    @settings(deadline=None, max_examples=120)
+    def test_matches_trace_oracle_and_one_svd(self, plan):
+        design = build_design_matrix(plan)
+        oracle = design_by_traces(plan)
+        assert design.matrix.shape == (len(plan.times) * len(plan.directions), 15)
+        assert np.abs(design.matrix - oracle).max() <= 1e-13
+        # the null space of the one SVD against a separate SVD of the oracle;
+        # projectors, since a degenerate null-space basis may rotate. Close
+        # plan times make the smallest kept singular value s_r tiny, and then
+        # the null space itself is only defined to |A - A_oracle| / s_r
+        # (Wedin's sin-theta bound), which the 1e-10 allowance extends.
+        _, sv, vt = np.linalg.svd(oracle)
+        rank = int((sv > 1e-10 * sv[0]).sum())
+        assert design.rank == rank
+        wedin = 2 * np.linalg.norm(design.matrix - oracle, 2) / sv[rank - 1]
+        assert np.abs(null_projector(design.null_space())
+                      - null_projector(vt[rank:])).max() <= 1e-10 + wedin
+        assert design.condition_number == pytest.approx(sv[0] / sv[rank - 1],
+                                                        rel=1e-12 + wedin)
+
+    def test_rejects_a_larger_system(self):
+        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453, j_e=1.0))
+        with pytest.raises(ValueError, match="4x4"):
+            build_design_matrix(MeasurementPlan(prop, times=(0.1, 0.2)))
 
 
 def _vector_rotation(direction):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_direction
-from musrtomo.linalg import propagator, random_density_matrix
+from conftest import propagator, random_density_matrix, random_direction
 from musrtomo.tomography import (
     SUPPORTED_SPINS,
     Direction,

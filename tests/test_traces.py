@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_density_matrix
 from musrtomo import cli
 from musrtomo.cli import build_parser, main
 from musrtomo.dynamics import PropagatorSpec, evolve_density, initial_muonium_state
@@ -27,7 +28,6 @@ from musrtomo.linalg import (
     PAULI,
     SubsystemDims,
     partial_transpose,
-    random_density_matrix,
     require_density_matrix,
 )
 from musrtomo.materials import load_material

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_direction
+from conftest import random_density_matrix, random_direction
 from musrtomo.dynamics import initial_muonium_state, propagator_hyperfine
-from musrtomo.linalg import kron, random_density_matrix
+from musrtomo.linalg import kron
 from musrtomo.tomography import (
     QuadratureGrid,
     Z_AXIS,
