@@ -21,11 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _SLICE_TIMES
 from .tomography import Direction
 
 MUON_LIFETIME_NS = 2197.0
 # muons per Monte Carlo block; each block draws from its own spawned stream
 BLOCK_MUONS = 200_000
+# kept muons per slice of a block: the per-muon rows stay in cache, and each
+# slice is one slice of the polarization kernel
+_SLICE_MUONS = _SLICE_TIMES
 
 
 @dataclass(frozen=True)
@@ -200,19 +204,19 @@ def _as_polarization(fn, times: np.ndarray) -> np.ndarray:
     raise ValueError("polarization source must yield (n,3) vectors or (n,2,2) matrices")
 
 
-def _sample_emission(rng, polar: np.ndarray, k_signed: float) -> np.ndarray:
+def _sample_emission(polar: np.ndarray, u: np.ndarray, psi: np.ndarray,
+                     k_signed: float) -> np.ndarray:
     """Emission directions, shape (3, n), with density 1 + k_signed (P_hat . n) |P|,
-    sampled by closed-form CDF inversion in cos(angle to P); works on the
-    component rows of the (n, 3) polarizations."""
+    by closed-form CDF inversion of the uniform draws ``u`` in cos(angle to P)
+    and the azimuths ``psi`` around P; works on the component rows of the
+    (n, 3) polarizations."""
     px, py, pz = polar.T
     norms = np.sqrt(px * px + py * py + pz * pz)
     k = k_signed * norms
-    u = rng.random(len(k))
     small = np.abs(k) < 1e-12
     kb = np.where(small, 1.0, k)
     x = np.where(small, 2 * u - 1, (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u)) / kb)
     np.clip(x, -1.0, 1.0, out=x)
-    psi = rng.uniform(0, 2 * np.pi, len(k))
     # orthonormal frame around P_hat (z for unpolarized events)
     polarized = norms > 1e-12
     scale = np.maximum(norms, 1e-300)
@@ -244,7 +248,11 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
 
     Generation runs in fixed blocks of BLOCK_MUONS muons, each with its own
     stream spawned from the seed, so the counts are a function of
-    (seed, n_muons, inputs) only.
+    (seed, n_muons, inputs) only. A block draws its decay times, keeps those
+    inside the window, then draws the emission variates of every kept muon;
+    the per-muon work (polarization, emission, cone and efficiency test,
+    binning) then runs in fixed slices of _SLICE_MUONS kept muons, the
+    efficiency draws being the slices' rows of one (n, n_det) draw.
 
     Args:
         polarization_of_t: callable mapping an array of times (ns) to muon
@@ -253,7 +261,7 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
         model: asymmetry/lifetime/species.
         n_muons: ensemble size (>= 1).
         seed: master seed.
-        bin_edges: strictly increasing histogram edges (ns).
+        bin_edges: strictly increasing, finite histogram edges (ns).
         background_fraction: expected background clicks as a fraction of each
             detector's signal clicks.
     """
@@ -262,13 +270,21 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     if not 0 <= background_fraction < 1:
         raise ValueError("background fraction must lie in [0, 1)")
     bin_edges = np.asarray(bin_edges, dtype=float)
+    if bin_edges.ndim != 1 or len(bin_edges) < 2 or not np.isfinite(bin_edges).all():
+        raise ValueError("bin edges must be a finite 1-d array of at least 2 values")
+    if np.any(np.diff(bin_edges) <= 0):
+        raise ValueError("bin edges must be strictly increasing")
     t_max = bin_edges[-1]
-    n_det = len(geometry.detectors)
-    counts = np.zeros((n_det, len(bin_edges) - 1), dtype=np.int64)
+    n_det, n_bins = len(geometry.detectors), len(bin_edges) - 1
+    counts = np.zeros((n_det, n_bins), dtype=np.int64)
 
     axes = np.array([d.axis.vector for d in geometry.detectors])
     cos_half = np.array([np.cos(d.half_angle) for d in geometry.detectors])
     effs = np.array([d.efficiency for d in geometry.detectors])
+    # the efficiency draw comes last in a block's stream, so it can be skipped
+    thinned = bool(np.any(effs < 1))
+    cell_base = np.arange(n_det)[:, None] * n_bins  # cell of (d, bin): d * n_bins + bin
+    k_signed = model.emission_sign * model.asymmetry
 
     n_blocks = (n_muons + BLOCK_MUONS - 1) // BLOCK_MUONS
     streams = np.random.SeedSequence(seed).spawn(n_blocks + 1)
@@ -276,17 +292,21 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
         rng = np.random.default_rng(streams[c])
         n = min(BLOCK_MUONS, n_muons - c * BLOCK_MUONS)
         t = rng.exponential(model.lifetime_ns, n)
-        inside = t < t_max
-        t = t[inside]
-        if t.size == 0:
-            continue
-        polar = _as_polarization(polarization_of_t, t)
-        dirs = _sample_emission(rng, polar, model.emission_sign * model.asymmetry)
-        accept_draw = rng.random((t.size, n_det))
-        # (n_det, n): each detector's mask is a contiguous row
-        hits = (axes @ dirs >= cos_half[:, None]) & (accept_draw.T < effs[:, None])
-        for d in range(n_det):
-            counts[d] += np.histogram(t[hits[d]], bins=bin_edges)[0]
+        t = t[t < t_max]
+        u = rng.random(t.size)
+        psi = rng.uniform(0, 2 * np.pi, t.size)
+        for start in range(0, t.size, _SLICE_MUONS):
+            cut = slice(start, start + _SLICE_MUONS)
+            ts = t[cut]
+            polar = _as_polarization(polarization_of_t, ts)
+            dirs = _sample_emission(polar, u[cut], psi[cut], k_signed)
+            # (n_det, n) hit rows; times before the first edge fall in no bin
+            bins = np.searchsorted(bin_edges, ts, "right") - 1
+            hits = (axes @ dirs >= cos_half[:, None]) & (bins >= 0)
+            if thinned:
+                hits &= rng.random((len(ts), n_det)).T < effs[:, None]
+            cells = np.bincount((cell_base + bins)[hits], minlength=counts.size)
+            counts += cells.reshape(n_det, n_bins)
 
     if background_fraction > 0:
         rng_bg = np.random.default_rng(streams[-1])

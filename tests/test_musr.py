@@ -6,9 +6,11 @@ import pytest
 
 from conftest import random_direction
 from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
-from musrtomo.materials import material_from_dict
+from musrtomo.materials import load_material, material_from_dict
+from musrtomo import musr
 from musrtomo.musr import (
     BLOCK_MUONS,
+    _SLICE_MUONS,
     AxisEstimate,
     DecayModel,
     Detector,
@@ -17,22 +19,83 @@ from musrtomo.musr import (
     estimate_tomogram,
     estimates_to_csv,
     gamma_distribution,
+    _as_polarization,
     _sample_emission,
     histogram_to_tomogram,
     simulate_events,
 )
-from musrtomo.tomography import QuadratureGrid, X_AXIS, Z_AXIS
+from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 # traced peak of one simulate_events block with the j_e = 1 polarization in
-# a field: about 40 MB when the polarization runs in fixed slices, about
-# 76 MB with block-sized trig matrices
-BLOCK_MEMORY_BOUND_MB = 50
+# a field: about 8 MB when every per-muon step runs in fixed slices, about
+# 40 MB with block-sized emission and hit arrays, 76 MB with block-sized
+# trig matrices as well
+BLOCK_MEMORY_BOUND_MB = 16
 STATIC_UP = lambda ts: np.tile([0.0, 0.0, 1.0], (len(np.atleast_1d(ts)), 1))
 UNPOLARIZED = lambda ts: np.zeros((len(np.atleast_1d(ts)), 3))
 
 
+def precessing(ts):
+    ts = np.atleast_1d(ts)
+    return np.stack([0.4 * np.sin(ts / 300), np.zeros_like(ts),
+                     0.5 + 0.5 * np.cos(ts / 300)], axis=1)
+
+
+def rho_precessing(ts):
+    ts = np.atleast_1d(ts)
+    rho = np.zeros((len(ts), 2, 2), dtype=complex)
+    rho[:, 0, 0] = 0.5 + 0.4 * np.cos(ts / 300)
+    rho[:, 1, 1] = 1 - rho[:, 0, 0]
+    rho[:, 0, 1] = 0.2 * np.exp(1j * ts / 500)
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return rho
+
+
 def hemisphere_pair():
     return DetectorGeometry.opposing_pairs([Z_AXIS], half_angle=np.radians(70))
+
+
+def mixed_detectors():
+    # per-detector cones and efficiencies below 1
+    minus = lambda axis: Direction.from_vector(-axis.vector)
+    return DetectorGeometry([Detector(Z_AXIS, 1.2), Detector(minus(Z_AXIS), 1.2, 0.7),
+                             Detector(X_AXIS, 0.9, 0.9), Detector(minus(X_AXIS), 1.0, 0.55)])
+
+
+def simulate_whole_blocks(polarization_of_t, geometry, model, n_muons, seed, bin_edges,
+                          background_fraction=0.01):
+    """Oracle of musr.simulate_events: counts from whole-block passes, with
+    one polarization call, one emission sample and one (n, n_det) efficiency
+    draw per block and one sorting np.histogram per detector."""
+    bin_edges = np.asarray(bin_edges, dtype=float)
+    t_max = bin_edges[-1]
+    n_det = len(geometry.detectors)
+    counts = np.zeros((n_det, len(bin_edges) - 1), dtype=np.int64)
+    axes = np.array([d.axis.vector for d in geometry.detectors])
+    cos_half = np.array([np.cos(d.half_angle) for d in geometry.detectors])
+    effs = np.array([d.efficiency for d in geometry.detectors])
+    n_blocks = (n_muons + BLOCK_MUONS - 1) // BLOCK_MUONS
+    streams = np.random.SeedSequence(seed).spawn(n_blocks + 1)
+    for c in range(n_blocks):
+        rng = np.random.default_rng(streams[c])
+        t = rng.exponential(model.lifetime_ns, min(BLOCK_MUONS, n_muons - c * BLOCK_MUONS))
+        t = t[t < t_max]
+        if t.size == 0:
+            continue
+        polar = _as_polarization(polarization_of_t, t)
+        u, psi = rng.random(t.size), rng.uniform(0, 2 * np.pi, t.size)
+        dirs = _sample_emission(polar, u, psi, model.emission_sign * model.asymmetry)
+        accept_draw = rng.random((t.size, n_det))
+        hits = (axes @ dirs >= cos_half[:, None]) & (accept_draw.T < effs[:, None])
+        for d in range(n_det):
+            counts[d] += np.histogram(t[hits[d]], bins=bin_edges)[0]
+    if background_fraction > 0:
+        rng_bg = np.random.default_rng(streams[-1])
+        for d in range(n_det):
+            n_bg = rng_bg.poisson(background_fraction * counts[d].sum())
+            t_bg = rng_bg.uniform(bin_edges[0], t_max, n_bg)
+            counts[d] += np.histogram(t_bg, bins=bin_edges)[0]
+    return counts
 
 
 def sample_emission_rows(rng, polar, k_signed):
@@ -167,7 +230,8 @@ class TestSampleEmission:
         state = rng.bit_generator.state
         want = sample_emission_rows(rng, polar, k_signed)
         rng.bit_generator.state = state
-        got = _sample_emission(rng, polar, k_signed)
+        u, psi = rng.random(len(polar)), rng.uniform(0, 2 * np.pi, len(polar))
+        got = _sample_emission(polar, u, psi, k_signed)
         assert got.shape == (3, len(polar))
         assert np.abs(got.T - want).max() <= 1e-15
         assert np.allclose(np.linalg.norm(got, axis=0), 1.0)
@@ -175,8 +239,9 @@ class TestSampleEmission:
     def test_column_layout_input(self, rng):
         # the polarization closure hands over (n, 3) views of (3, n) rows
         polar = rng.uniform(-0.5, 0.5, (3, 1000)).T
-        a = _sample_emission(np.random.default_rng(5), polar, 1 / 3)
-        b = _sample_emission(np.random.default_rng(5), np.ascontiguousarray(polar), 1 / 3)
+        u, psi = rng.random(1000), rng.uniform(0, 2 * np.pi, 1000)
+        a = _sample_emission(polar, u, psi, 1 / 3)
+        b = _sample_emission(np.ascontiguousarray(polar), u, psi, 1 / 3)
         assert np.array_equal(a, b)
 
 
@@ -270,6 +335,68 @@ class TestSimulateEvents:
         h2 = simulate_events(STATIC_UP, hemisphere_pair(), model, 20_000, 1,
                              edges, background_fraction=0.0)
         assert np.array_equal(h1.counts, h2.counts)
+
+    @pytest.mark.parametrize("source, geometry, model, n_muons, edges", [
+        (STATIC_UP, hemisphere_pair, DecayModel(), 50_000, (0.0, 3, 65)),
+        (UNPOLARIZED, mixed_detectors, DecayModel(), 50_000, (0.0, 3, 65)),
+        (rho_precessing, mixed_detectors, DecayModel(), 50_000, (0.0, 3, 65)),
+        (precessing, mixed_detectors, DecayModel(species="mu_minus"), 50_000, (0.0, 3, 65)),
+        (precessing, mixed_detectors, DecayModel(asymmetry=0.5), 50_000, (137.5, 3, 33)),
+        ("quartz-oblique", mixed_detectors, DecayModel(), 30_000, (0.0, 3, 513)),
+        (precessing, mixed_detectors, DecayModel(), 1, (0.0, 20, 9)),
+        (precessing, mixed_detectors, DecayModel(), _SLICE_MUONS + 1, (0.0, 20, 65)),
+        (precessing, mixed_detectors, DecayModel(), BLOCK_MUONS + 1, (100.0, 20, 65)),
+        ("quartz-oblique", lambda: DetectorGeometry.opposing_pairs(
+            [Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)), DecayModel(), BLOCK_MUONS + 1,
+         (0.0, 3, 513)),
+    ], ids=["static-up", "unpolarized", "density-matrix", "mu-minus", "edges-above-0",
+            "muonium-mixed", "one-muon", "slice-plus-one", "block-plus-one",
+            "muonium-block-plus-one"])
+    def test_counts_equal_whole_block_oracle(self, source, geometry, model, n_muons,
+                                             edges):
+        # edges (first, window in lifetimes, count); the window of 20
+        # lifetimes keeps about every muon, so n_muons fixes the slices
+        if source == "quartz-oblique":
+            spec = load_material("quartz").hamiltonian_spec(
+                b_field=176.0, b_axis=Direction.from_vector([0.6, 0.0, 0.8]))
+            source = muon_polarization_function(initial_muonium_state(0.5),
+                                                PropagatorSpec(spec))
+        first, lifetimes, n_edges = edges
+        edges = np.linspace(first, lifetimes * model.lifetime_ns, n_edges)
+        args = (source, geometry(), model, n_muons, 23, edges, 0.02)
+        want = simulate_whole_blocks(*args)
+        assert np.array_equal(simulate_events(*args).counts, want)
+
+    @pytest.mark.parametrize("slice_muons", [1, 7, 4096])
+    @pytest.mark.parametrize("source", [precessing, rho_precessing],
+                             ids=["vectors", "density-matrices"])
+    def test_counts_do_not_depend_on_the_slice(self, monkeypatch, source, slice_muons):
+        # sources elementwise in t, so that only the simulation's own slicing
+        # (emission, cone test, efficiency rows, binning) is under test
+        model = DecayModel()
+        edges = np.linspace(50.0, 3 * model.lifetime_ns, 33)
+        args = (source, mixed_detectors(), model, 3_000 if slice_muons == 1 else 20_000,
+                31, edges)
+        want = simulate_events(*args).counts
+        monkeypatch.setattr(musr, "_SLICE_MUONS", slice_muons)
+        assert np.array_equal(simulate_events(*args).counts, want)
+
+    @pytest.mark.parametrize("edges", [
+        5000.0, [[0.0, 1000.0], [2000.0, 3000.0]], [], [1000.0],
+        [0.0, np.nan, 2000.0], [-np.inf, 0.0, 1000.0], [0.0, 1000.0, np.inf],
+        [0.0, 1000.0, 1000.0, 2000.0], [0.0, 2000.0, 1000.0]],
+        ids=["scalar", "2-d", "empty", "one-edge", "nan", "-inf", "inf", "repeated",
+             "decreasing"])
+    def test_bad_bin_edges_rejected_before_any_draw(self, edges):
+        calls = []
+
+        def source(ts):
+            calls.append(len(ts))
+            return STATIC_UP(ts)
+
+        with pytest.raises(ValueError, match="bin edges"):
+            simulate_events(source, hemisphere_pair(), DecayModel(), 1000, 1, edges)
+        assert calls == []
 
     def test_block_memory_stays_slice_sized(self):
         # one full block with the j_e = 1 polarization in a field (15 level
