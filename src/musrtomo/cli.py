@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -108,29 +107,8 @@ def _cells(values, n: int, repeat: int = 1) -> list:
     times; n * repeat empty cells when there are no values."""
     if values is None:
         return [""] * (n * repeat)
-    texts = list(map(repr, np.asarray(values).tolist()))
-    # zip of ``repeat`` copies yields each text ``repeat`` times in a row
-    return list(itertools.chain.from_iterable(zip(*[texts] * repeat)))
-
-
-# a record's item separator under json.dumps(..., indent=2)
-_RECORD_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
-
-
-def _records_json(records: list) -> str:
-    """json.dumps(records, indent=2), byte for byte, with non-finite floats
-    as NaN and +-Infinity. Any indent selects the pure-Python encoder, so a
-    list of non-empty records of scalars takes one pass of the C encoder
-    with the record indentation as its item separator; only the record
-    boundaries, where a closing brace, that separator and an opening brace
-    meet (never inside a string, which escapes newlines), then need the
-    indent's line breaks. Other lists go to json.dumps."""
-    if records and all(isinstance(rec, dict) and rec and not any(
-            isinstance(value, (dict, list, tuple)) for value in rec.values())
-            for rec in records):
-        body = _RECORD_ENCODER.encode(records)[2:-2]
-        return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
-    return json.dumps(records, indent=2)
+    return [text for text in map(repr, np.asarray(values).tolist())
+            for _ in range(repeat)]
 
 
 def cmd_evolve(args) -> int:
@@ -215,7 +193,7 @@ def cmd_simulate(args) -> int:
                            "w_estimate": float(est.w_plus[i]),
                            "w_truth": float(truth), "sigma": float(est.sigma[i]),
                            "deviation_sigmas": float(dev)})
-    (out_dir / "comparison.json").write_text(_records_json(report))
+    (out_dir / "comparison.json").write_text(json.dumps(report, indent=2))
     within = sum(1 for r in report if abs(r["deviation_sigmas"]) <= 3)
     print(f"simulated {args.n_muons} muons; {within}/{len(report)} bins within 3 sigma")
     return 0
@@ -310,7 +288,7 @@ def cmd_report(args) -> int:
     columns = {"t": times, **series}
     reports = [dict(zip(columns, values))
                for values in zip(*(c.tolist() for c in columns.values()))]
-    Path(args.out).write_text(_records_json(reports))
+    Path(args.out).write_text(json.dumps(reports, indent=2))
     print(f"wrote {len(reports)} entanglement reports to {args.out}")
     return 0
 

@@ -286,6 +286,9 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     cell_base = np.arange(n_det)[:, None] * n_bins  # cell of (d, bin): d * n_bins + bin
     k_signed = model.emission_sign * model.asymmetry
 
+    # hit cells wait until they outnumber the cells, so a dense bincount
+    # never costs more than the hits it adds, however many bins there are
+    flat, pending, n_pending = counts.reshape(-1), [], 0
     n_blocks = (n_muons + BLOCK_MUONS - 1) // BLOCK_MUONS
     streams = np.random.SeedSequence(seed).spawn(n_blocks + 1)
     for c in range(n_blocks):
@@ -305,8 +308,13 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
             hits = (axes @ dirs >= cos_half[:, None]) & (bins >= 0)
             if thinned:
                 hits &= rng.random((len(ts), n_det)).T < effs[:, None]
-            cells = np.bincount((cell_base + bins)[hits], minlength=counts.size)
-            counts += cells.reshape(n_det, n_bins)
+            pending.append((cell_base + bins)[hits])
+            n_pending += pending[-1].size
+            if n_pending >= flat.size:
+                flat += np.bincount(np.concatenate(pending), minlength=flat.size)
+                pending, n_pending = [], 0
+    if pending:
+        flat += np.bincount(np.concatenate(pending), minlength=flat.size)
 
     if background_fraction > 0:
         rng_bg = np.random.default_rng(streams[-1])

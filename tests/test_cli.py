@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from musrtomo.cli import main, _records_json
+from musrtomo.cli import main
 from musrtomo.materials import load_material
 from musrtomo.reconstruction import MeasurementPlan, forward_model
 from musrtomo.dynamics import (
@@ -292,20 +292,7 @@ class TestBellAndReport:
         assert len(reports) == 3
         assert {"t", "E", "M2", "M3", "M4", "max_bell", "negativity"} == set(reports[0])
 
-
-class TestRecordsJson:
-    @pytest.mark.parametrize("records", [
-        [], [{}], [{"t": 0.0}, {}],
-        [{"t": 0.5, "E": float("inf"), "M2": -float("inf"), "max_bell": float("nan")}] * 3,
-        [{"n": None, "flag": True, "count": 3, "text": 'a},\n    {"b'}],
-        [{"axis": [1.5, 0.25], "t_ns": 2.0, "w": float("nan")}, {"empty": []}],
-    ], ids=["empty", "empty-record", "some-empty-record", "non-finite", "scalars",
-            "nested"])
-    def test_equals_json_dumps(self, records):
-        assert _records_json(records) == json.dumps(records, indent=2)
-
-    def test_report_without_bell_is_json_dumps(self, tmp_path):
-        # --no-bell writes max_bell as NaN
+    def test_report_without_bell_writes_nan(self, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["report", "--material", "quartz", "--B", "790", "--t-max-ns", "2.0",
                      "--steps", "17", "--no-bell", "--out", str(out)]) == 0

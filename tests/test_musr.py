@@ -346,12 +346,14 @@ class TestSimulateEvents:
         (precessing, mixed_detectors, DecayModel(), 1, (0.0, 20, 9)),
         (precessing, mixed_detectors, DecayModel(), _SLICE_MUONS + 1, (0.0, 20, 65)),
         (precessing, mixed_detectors, DecayModel(), BLOCK_MUONS + 1, (100.0, 20, 65)),
+        # 600,000 cells, more than the hits of a block: the cells add up once
+        (precessing, mixed_detectors, DecayModel(), BLOCK_MUONS + 1, (0.0, 3, 150_001)),
         ("quartz-oblique", lambda: DetectorGeometry.opposing_pairs(
             [Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)), DecayModel(), BLOCK_MUONS + 1,
          (0.0, 3, 513)),
     ], ids=["static-up", "unpolarized", "density-matrix", "mu-minus", "edges-above-0",
             "muonium-mixed", "one-muon", "slice-plus-one", "block-plus-one",
-            "muonium-block-plus-one"])
+            "more-cells-than-hits", "muonium-block-plus-one"])
     def test_counts_equal_whole_block_oracle(self, source, geometry, model, n_muons,
                                              edges):
         # edges (first, window in lifetimes, count); the window of 20
