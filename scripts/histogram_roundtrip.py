@@ -7,7 +7,8 @@ import sys
 
 import numpy as np
 
-from musrtomo.musr import DecayModel, DetectorGeometry, estimate_tomogram, simulate_events
+from musrtomo.musr import (DecayModel, DetectorGeometry, decay_bin_integrals,
+                           estimate_tomogram, simulate_events)
 from musrtomo.tomography import Z_AXIS
 
 
@@ -25,15 +26,14 @@ def run(n_muons=1_000_000, seed=1):
     hist = simulate_events(polarization, geometry, model, n_muons, seed, edges,
                            background_fraction=0.01)
     est = estimate_tomogram(hist, geometry, model, count_floor=1000)[0]
+    mass, q = decay_bin_integrals(polarization, edges, model.lifetime_ns)
 
     print(f"{'t_ns':>8} {'counts':>9} {'w_est':>8} {'w_true':>8} {'pull':>6}")
     for i, t in enumerate(est.times):
         if est.low_confidence[i]:
             print(f"{t:8.0f} {est.pair_counts[i]:9.0f}  (low confidence)")
             continue
-        ts = np.linspace(edges[i], edges[i + 1], 65)
-        weight = np.exp(-ts / model.lifetime_ns)
-        truth = np.sum((0.5 + 0.5 * polarization(ts)[:, 2]) * weight) / weight.sum()
+        truth = 0.5 + 0.5 * q[i, 2] / mass[i]
         pull = (est.w_plus[i] - truth) / est.sigma[i]
         print(f"{t:8.0f} {est.pair_counts[i]:9.0f} {est.w_plus[i]:8.4f} "
               f"{truth:8.4f} {pull:+6.2f}")

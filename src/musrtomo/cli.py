@@ -31,6 +31,7 @@ from .materials import available_presets, load_material
 from .musr import (
     DecayModel,
     DetectorGeometry,
+    decay_bin_integrals,
     estimate_tomogram,
     estimates_to_csv,
     simulate_events,
@@ -173,14 +174,12 @@ def cmd_simulate(args) -> int:
     (out_dir / "histograms.meta.json").write_text(hist.metadata_json(model, args.seed))
     (out_dir / "tomogram_estimate.csv").write_text(estimates_to_csv(estimates))
 
-    # truth comparison: decay-weighted averages of the exact tomogram over
-    # 33 points per bin, one polarization call for every bin that any axis keeps
+    # truth comparison: the exact decay-weighted mean polarization of every
+    # bin that any axis keeps, Q_b / m_b in closed form
     low = np.array([est.low_confidence for est in estimates])
     kept = np.nonzero(~low.all(axis=0))[0]
-    ts = np.linspace(bin_edges[kept], bin_edges[kept + 1], 33, axis=1)
-    wdecay = np.exp(-ts / model.lifetime_ns)
-    pol = polarization(ts.ravel()).reshape(*ts.shape, 3)
-    bloch = np.einsum("bs,bsa->ba", wdecay, pol) / wdecay.sum(axis=1)[:, None]
+    mass, q = decay_bin_integrals(polarization, bin_edges, model.lifetime_ns)
+    bloch = q[kept] / mass[kept, None]
     report = []
     for est, est_low in zip(estimates, low):
         truths = 0.5 + 0.5 * bloch @ est.axis.vector
@@ -220,7 +219,7 @@ def cmd_reconstruct(args) -> int:
                           "null_space": null.tolist()}, indent=2), file=sys.stderr)
         return 2
     result = reconstruct_initial(values, plan, sigmas=sigmas,
-                                 allow_deficient=args.allow_deficient)
+                                 allow_deficient=args.allow_deficient, design=design)
     Path(args.out).write_text(result.to_json(plan))
     print(f"wrote reconstruction report to {args.out} "
           f"(rank {result.rank}, residual {result.residual_norm:.3e})")

@@ -5,31 +5,29 @@ Gamma(n) = 1 + a (P . n) with asymmetry a (1/3 when averaged over positron
 energies), which ties the measurable angular distribution linearly to the
 muon tomogram: w(+1/2, n) = 1/2 + (Gamma - 1)/(2a). This module provides the
 forward Monte Carlo (exponential lifetimes, anisotropic emission, cone
-detectors, flat background) and the inverse estimator that turns per-detector
+detectors, flat background; drawn in count space from the exact law of the
+cells) and the inverse estimator that turns per-detector
 histograms back into a time-resolved muon tomogram with statistical errors.
 
 Counting conventions: histograms are raw positron counts per detector per
 time bin; the estimator works on opposing detector pairs sharing an axis,
-fits and subtracts a flat background using the known lifetime, and propagates
+subtracts the flat background that the series states, and propagates
 binomial errors through the count ratio.
 """
 
 import csv
+import functools
 import io
 import json
+import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .dynamics import _SLICE_TIMES
 from .tomography import Direction
 
 MUON_LIFETIME_NS = 2197.0
-# muons per Monte Carlo block; each block draws from its own spawned stream
-BLOCK_MUONS = 200_000
-# kept muons per slice of a block: the per-muon rows stay in cache, and each
-# slice is one slice of the polarization kernel
-_SLICE_MUONS = _SLICE_TIMES
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,128 @@ class DetectorGeometry:
                     used.update((i, j))
                     break
         return pairs
+
+    def regions(self):
+        """Hit-set regions of the cones: (hits, areas, moments) with hits
+        (n_regions, n_detectors) the detectors whose cones hold the region,
+        its area A_S and its first moment M_S = int_S n dOmega (n_regions, 3).
+        Every region of positive area is listed once, the one outside every
+        cone included, so the areas sum to 4 pi and the moments to 0. Exact
+        up to rounding; built on first use and cached per cone set."""
+        return _region_table(tuple((tuple(d.axis.vector.tolist()), d.half_angle)
+                                   for d in self.detectors))
+
+
+def _cap_intersection(axes, halves):
+    """Area and first moment of the intersection of the caps
+    {n : axes[i] . n >= cos halves[i]}, each of half angle in (0, pi/2], so
+    that a nonempty intersection is convex with one boundary cycle of circle
+    arcs. An arc of angle dphi around its cap's axis has geodesic curvature
+    cot(alpha) and length sin(alpha) dphi, so Gauss-Bonnet gives
+    A = 2 pi - sum over arcs of cos(alpha) dphi - the turning angles at the
+    corners; Stokes gives M = 1/2 oint r x dr."""
+    cos_h, sin_h = np.cos(halves), np.sin(halves)
+    # (e1, e2, axis) right-handed; phi is the angle around the axis from e1
+    helper = np.where(np.abs(axes[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    e1 = np.cross(helper, axes)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(axes, e1)
+    cuts = [[] for _ in axes]
+    for i, j in combinations(range(len(axes)), 2):
+        g = float(axes[i] @ axes[j])
+        if np.arccos(np.clip(g, -1.0, 1.0)) >= halves[i] + halves[j]:
+            return 0.0, np.zeros(3)  # disjoint, or touching in one point
+        det = 1 - g * g
+        if det <= 0:
+            continue  # one axis: nested circles
+        x, y = (cos_h[i] - cos_h[j] * g) / det, (cos_h[j] - cos_h[i] * g) / det
+        rest = 1 - (x * x + y * y + 2 * x * y * g)
+        if rest < 0:
+            continue  # nested circles do not cross
+        off = np.sqrt(rest / det) * np.cross(axes[i], axes[j])
+        for point in (x * axes[i] + y * axes[j] + off, x * axes[i] + y * axes[j] - off):
+            for c in (i, j):
+                cuts[c].append(np.arctan2(point @ e2[c], point @ e1[c]))
+
+    def point(c, phi):
+        return cos_h[c] * axes[c] + sin_h[c] * (np.cos(phi) * e1[c] + np.sin(phi) * e2[c])
+
+    arcs = []  # (cap, phi_start, phi_end) of the boundary, counterclockwise
+    for c, phis in enumerate(cuts):
+        bounds = np.array([0.0, 2 * np.pi])
+        if phis:
+            phis = np.sort(phis)
+            phis = phis[np.append(True, np.diff(phis) > 1e-12)]
+            bounds = np.append(phis, phis[0] + 2 * np.pi)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            mid = point(c, (a + b) / 2)
+            if all(axes[o] @ mid > cos_h[o] for o in range(len(axes)) if o != c):
+                arcs.append((c, a, b))
+    if not arcs:
+        return 0.0, np.zeros(3)
+    starts = np.array([point(c, a) for c, a, _ in arcs])
+    ends = np.array([point(c, b) for c, _, b in arcs])
+    caps = [c for c, _, _ in arcs]
+    # tangents of increasing phi at both ends; each arc ends where the next starts
+    t_start = np.cross(axes[caps], starts) / sin_h[caps, None]
+    t_end = np.cross(axes[caps], ends) / sin_h[caps, None]
+    nxt = np.argmin(np.linalg.norm(ends[:, None] - starts[None], axis=2), axis=1)
+    turning = np.arctan2(np.einsum("ij,ij->i", ends, np.cross(t_end, t_start[nxt])),
+                         np.einsum("ij,ij->i", t_end, t_start[nxt])).sum()
+    area = 2 * np.pi - turning
+    moment = np.zeros(3)
+    for c, a, b in arcs:
+        area -= cos_h[c] * (b - a)
+        moment += 0.5 * (cos_h[c] * sin_h[c] * ((np.cos(b) - np.cos(a)) * e2[c]
+                                                - (np.sin(b) - np.sin(a)) * e1[c])
+                         + sin_h[c] ** 2 * (b - a) * axes[c])
+    return float(area), moment
+
+
+@functools.lru_cache(maxsize=64)
+def _region_table(cones):
+    """Regions of ``DetectorGeometry.regions`` for cones ((axis, half angle), ...).
+
+    A cone wider than a hemisphere is the complement of the opposite cap, so
+    every cone is a cap of half angle at most pi/2, hit or missed. The areas
+    and moments of all nonempty intersections of caps (grown one cap at a
+    time, as a subset with no area has none in its supersets) give those of
+    the regions with an exact set of caps by inclusion-exclusion."""
+    caps, cap_of, flipped = [], [], []
+    for axis, half in cones:
+        axis, flip = np.array(axis), half > np.pi / 2
+        if flip:
+            axis, half = -axis, np.pi - half
+        same = [c for c, (a, h) in enumerate(caps)
+                if abs(h - half) < 1e-12 and np.abs(a - axis).max() < 1e-12]
+        if not same:
+            caps.append((axis, half))
+        cap_of.append(same[0] if same else len(caps) - 1)
+        flipped.append(flip)
+    axes = np.array([a for a, _ in caps])
+    halves = np.array([h for _, h in caps])
+    measures = {(): np.array([4 * np.pi, 0.0, 0.0, 0.0])}
+    grow = [(c,) for c in range(len(caps)) if halves[c] > 0]  # a full cone leaves no cap
+    while grow:
+        subset = grow.pop()
+        area, moment = _cap_intersection(axes[list(subset)], halves[list(subset)])
+        if area > 0:
+            measures[subset] = np.array([area, *moment])
+            grow += [subset + (c,) for c in range(subset[-1] + 1, len(caps))]
+    exact = {}
+    for subset, measure in sorted(measures.items()):
+        for size in range(len(subset) + 1):
+            for inner in combinations(subset, size):
+                sign = (-1) ** (len(subset) - size)
+                exact[inner] = exact.get(inner, 0.0) + sign * measure
+    kept = [(inner, m) for inner, m in sorted(exact.items()) if m[0] > 1e-12]
+    hits = np.array([[(cap_of[d] in inner) != flipped[d] for d in range(len(cones))]
+                     for inner, _ in kept])
+    table = np.array([m for _, m in kept])
+    out = hits, table[:, 0], table[:, 1:]
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return out
 
 
 @dataclass
@@ -204,55 +324,83 @@ def _as_polarization(fn, times: np.ndarray) -> np.ndarray:
     raise ValueError("polarization source must yield (n,3) vectors or (n,2,2) matrices")
 
 
-def _sample_emission(polar: np.ndarray, u: np.ndarray, psi: np.ndarray,
-                     k_signed: float) -> np.ndarray:
-    """Emission directions, shape (3, n), with density 1 + k_signed (P_hat . n) |P|,
-    by closed-form CDF inversion of the uniform draws ``u`` in cos(angle to P)
-    and the azimuths ``psi`` around P; works on the component rows of the
-    (n, 3) polarizations."""
-    px, py, pz = polar.T
-    norms = np.sqrt(px * px + py * py + pz * pz)
-    k = k_signed * norms
-    small = np.abs(k) < 1e-12
-    kb = np.where(small, 1.0, k)
-    x = np.where(small, 2 * u - 1, (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u)) / kb)
-    np.clip(x, -1.0, 1.0, out=x)
-    # orthonormal frame around P_hat (z for unpolarized events)
-    polarized = norms > 1e-12
-    scale = np.maximum(norms, 1e-300)
-    px, py = np.where(polarized, px / scale, 0.0), np.where(polarized, py / scale, 0.0)
-    pz = np.where(polarized, pz / scale, 1.0)
-    # e1 = P_hat x z, or P_hat x x where P_hat lies near z; e2 = P_hat x e1
-    near_z = np.abs(pz) >= 0.9
-    e1x, e1y, e1z = (np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
-                     np.where(near_z, -py, 0.0))
-    e1_norm = np.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-    e1x, e1y, e1z = e1x / e1_norm, e1y / e1_norm, e1z / e1_norm
-    sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    return np.array([x * px + sin_t * (cos_psi * e1x + sin_psi * (py * e1z - pz * e1y)),
-                     x * py + sin_t * (cos_psi * e1y + sin_psi * (pz * e1x - px * e1z)),
-                     x * pz + sin_t * (cos_psi * e1z + sin_psi * (px * e1y - py * e1x))])
+def decay_bin_integrals(polarization_of_t, bin_edges, lifetime_ns: float):
+    """Per bin b of the ascending ``bin_edges``: the decay mass
+    m_b = int_b e^{-t/tau}/tau dt, shape (n_bins,), and the decay-weighted
+    polarization integral Q_b = int_b e^{-t/tau}/tau P(t) dt, shape (n_bins, 3);
+    Q_b / m_b is the bin's mean polarization.
+
+    A source that carries ``decay_integrals(edges, lifetime_ns)`` (the callable
+    of ``muon_polarization_function``) gives Q_b in closed form. Any other
+    source is integrated over the decay mass u = e^{-t/tau}, so that the weight
+    is flat, by composite 8-node Gauss-Legendre: the panels of a bin are
+    doubled until two successive estimates of Q_b agree within 1e-12 m_b in
+    every component, at most 1024 panels per bin (a warning names the bins
+    left short of that bound). The weights of a bin sum to m_b, so
+    |Q_b| <= m_b max|P| at the nodes.
+    """
+    edges = np.asarray(bin_edges, dtype=float)
+    rate = 1.0 / lifetime_ns
+    mass = np.exp(-rate * edges[:-1]) * -np.expm1(-rate * np.diff(edges))
+    closed_form = getattr(polarization_of_t, "decay_integrals", None)
+    if closed_form is not None:
+        return mass, np.asarray(closed_form(edges, lifetime_ns), dtype=float)
+    x, w = np.polynomial.legendre.leggauss(8)
+    u_hi = np.exp(-rate * edges[1:])
+
+    def integrals(bins, panels):
+        """Q of the given bins from ``panels`` equal slices of their decay
+        mass, at most 32,768 nodes per call of the source."""
+        out = np.empty((len(bins), 3))
+        per_call = max(1, 4096 // panels)
+        for at in range(0, len(bins), per_call):
+            part = bins[at:at + per_call]
+            h = mass[part] / panels
+            u = u_hi[part, None, None] + h[:, None, None] * (
+                np.arange(panels)[:, None] + (x + 1) / 2)
+            t = -np.log(np.maximum(u, np.finfo(float).tiny)) / rate
+            pol = _as_polarization(polarization_of_t, t.ravel()).reshape(*t.shape, 3)
+            out[at:at + per_call] = np.einsum("b,n,bpna->ba", h / 2, w, pol)
+        return out
+
+    bins, panels = np.arange(len(mass)), 1
+    q = integrals(bins, panels)
+    while bins.size and panels < 1024:
+        panels *= 2
+        finer = integrals(bins, panels)
+        moved = np.abs(finer - q[bins]).max(axis=1) > 1e-12 * mass[bins]
+        q[bins] = finer
+        bins = bins[moved]
+    if bins.size:
+        warnings.warn(f"{bins.size} bin(s) of the polarization source, the first "
+                      f"[{edges[bins[0]]}, {edges[bins[0] + 1]}] ns, are not resolved "
+                      "to 1e-12 by 1024 Gauss-Legendre panels", RuntimeWarning)
+    return mass, q
 
 
 def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayModel,
                     n_muons: int, seed: int, bin_edges,
                     background_fraction: float = 0.01) -> HistogramSeries:
-    """Monte Carlo decay histograms.
+    """Monte Carlo decay histograms, drawn in count space.
 
-    Each muon draws an exponential decay time, evaluates the instantaneous
-    muon polarization, samples the emission direction from the anisotropic
-    density, and is recorded by every detector whose cone contains it (after
-    an efficiency draw). Background clicks are added per detector as a
-    Poisson count proportional to its signal, uniform in time.
+    A muon decays in bin b with its positron in the hit-set region S of the
+    detector cones (``DetectorGeometry.regions``) with probability
+    p(S, b) = (m_b A_S + k M_S . Q_b) / 4 pi: the emission density
+    (1 + k P(t) . n) / 4 pi with the signed asymmetry k, integrated over the
+    bin's decay times and over the region, whose area is A_S and first moment
+    M_S = int_S n dOmega; m_b and Q_b are ``decay_bin_integrals``. The cell
+    counts N_Sb are one Multinomial(n_muons, p) draw, a last cell holding the
+    decays outside the window or outside every cone. Detector d keeps each
+    muon of its regions independently with probability eff_d, so its count
+    in bin b is one Binomial(sum_{S with d} N_Sb, eff_d) draw. This is the law
+    of independent per-muon decay times, emissions, cone tests and
+    efficiency tests. Background clicks are added per detector as a Poisson
+    count proportional to its signal, uniform on the window, so a bin takes
+    them by its share of the window's width. The cost and memory do not
+    depend on n_muons.
 
-    Generation runs in fixed blocks of BLOCK_MUONS muons, each with its own
-    stream spawned from the seed, so the counts are a function of
-    (seed, n_muons, inputs) only. A block draws its decay times, keeps those
-    inside the window, then draws the emission variates of every kept muon;
-    the per-muon work (polarization, emission, cone and efficiency test,
-    binning) then runs in fixed slices of _SLICE_MUONS kept muons, the
-    efficiency draws being the slices' rows of one (n, n_det) draw.
+    The cell draw and the background take one stream each, spawned from the
+    seed, so the counts are a function of (seed, n_muons, inputs) only.
 
     Args:
         polarization_of_t: callable mapping an array of times (ns) to muon
@@ -264,6 +412,9 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
         bin_edges: strictly increasing, finite histogram edges (ns).
         background_fraction: expected background clicks as a fraction of each
             detector's signal clicks.
+
+    Raises ValueError, before any draw, for invalid inputs and for a source
+    whose mean polarization over a bin, Q_b / m_b, has norm above 1 + 1e-12.
     """
     if n_muons < 1:
         raise ValueError("need at least one muon")
@@ -274,70 +425,33 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
         raise ValueError("bin edges must be a finite 1-d array of at least 2 values")
     if np.any(np.diff(bin_edges) <= 0):
         raise ValueError("bin edges must be strictly increasing")
-    t_max = bin_edges[-1]
-    n_det, n_bins = len(geometry.detectors), len(bin_edges) - 1
-    counts = np.zeros((n_det, n_bins), dtype=np.int64)
+    mass, q = decay_bin_integrals(polarization_of_t, bin_edges, model.lifetime_ns)
+    if not np.all(np.linalg.norm(q, axis=1) <= (1 + 1e-12) * mass):
+        raise ValueError("the polarization source has a bin mean of norm above 1 "
+                         "(or not finite)")
+    hits, areas, moments = geometry.regions()
+    seen = hits.any(axis=1)  # the region outside every cone joins the last cell
+    k = model.emission_sign * model.asymmetry
+    p = (np.outer(areas[seen], mass) + k * moments[seen] @ q.T) / (4 * np.pi)
+    np.maximum(p, 0.0, out=p)
 
-    axes = np.array([d.axis.vector for d in geometry.detectors])
-    cos_half = np.array([np.cos(d.half_angle) for d in geometry.detectors])
+    streams = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(streams[0])
+    cells = rng.multinomial(n_muons, np.append(p.ravel(), 0.0))[:-1].reshape(p.shape)
     effs = np.array([d.efficiency for d in geometry.detectors])
-    # the efficiency draw comes last in a block's stream, so it can be skipped
-    thinned = bool(np.any(effs < 1))
-    cell_base = np.arange(n_det)[:, None] * n_bins  # cell of (d, bin): d * n_bins + bin
-    k_signed = model.emission_sign * model.asymmetry
-
-    # hit cells wait until they outnumber the cells, so a dense bincount
-    # never costs more than the hits it adds, however many bins there are
-    flat, pending, n_pending = counts.reshape(-1), [], 0
-    n_blocks = (n_muons + BLOCK_MUONS - 1) // BLOCK_MUONS
-    streams = np.random.SeedSequence(seed).spawn(n_blocks + 1)
-    for c in range(n_blocks):
-        rng = np.random.default_rng(streams[c])
-        n = min(BLOCK_MUONS, n_muons - c * BLOCK_MUONS)
-        t = rng.exponential(model.lifetime_ns, n)
-        t = t[t < t_max]
-        u = rng.random(t.size)
-        psi = rng.uniform(0, 2 * np.pi, t.size)
-        for start in range(0, t.size, _SLICE_MUONS):
-            cut = slice(start, start + _SLICE_MUONS)
-            ts = t[cut]
-            polar = _as_polarization(polarization_of_t, ts)
-            dirs = _sample_emission(polar, u[cut], psi[cut], k_signed)
-            # (n_det, n) hit rows; times before the first edge fall in no bin
-            bins = np.searchsorted(bin_edges, ts, "right") - 1
-            hits = (axes @ dirs >= cos_half[:, None]) & (bins >= 0)
-            if thinned:
-                hits &= rng.random((len(ts), n_det)).T < effs[:, None]
-            pending.append((cell_base + bins)[hits])
-            n_pending += pending[-1].size
-            if n_pending >= flat.size:
-                flat += np.bincount(np.concatenate(pending), minlength=flat.size)
-                pending, n_pending = [], 0
-    if pending:
-        flat += np.bincount(np.concatenate(pending), minlength=flat.size)
+    counts = rng.binomial(hits[seen].T.astype(np.int64) @ cells, effs[:, None])
 
     if background_fraction > 0:
-        rng_bg = np.random.default_rng(streams[-1])
-        for d in range(n_det):
+        # clicks uniform on the window fall in each bin by its width
+        rng_bg = np.random.default_rng(streams[1])
+        widths = np.diff(bin_edges) / (bin_edges[-1] - bin_edges[0])
+        for d in range(len(effs)):
             n_bg = rng_bg.poisson(background_fraction * counts[d].sum())
-            t_bg = rng_bg.uniform(bin_edges[0], t_max, n_bg)
-            counts[d] += np.histogram(t_bg, bins=bin_edges)[0]
+            counts[d] += rng_bg.multinomial(n_bg, widths)
 
     return HistogramSeries(bin_edges=bin_edges, counts=counts, n_muons=n_muons,
                            background_fraction=background_fraction,
                            metadata={"seed": seed})
-
-
-def _fit_flat_background(counts: np.ndarray, bin_edges: np.ndarray,
-                         lifetime_ns: float) -> float:
-    """Least-squares flat rate (counts/ns) of the model
-    signal * exponential-bin-mass + rate * bin-width."""
-    lo, hi = bin_edges[:-1], bin_edges[1:]
-    decay = np.exp(-lo / lifetime_ns) - np.exp(-hi / lifetime_ns)
-    width = hi - lo
-    design = np.stack([decay, width], axis=1)
-    sol, *_ = np.linalg.lstsq(design, counts.astype(float), rcond=None)
-    return float(max(sol[1], 0.0))
 
 
 @dataclass
@@ -357,25 +471,25 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
     """Invert histograms into w(+1/2, axis, t) per opposing detector pair.
 
     The forward/backward count ratio within a pair estimates the angular
-    distribution at the pair axis with the cone-averaged asymmetry; a flat
-    background (fitted per detector using the known lifetime) is subtracted
-    first. Bins whose pair count falls below ``count_floor`` are flagged
-    low-confidence and reported as NaN.
+    distribution at the pair axis with the cone-averaged asymmetry. The flat
+    background that the series states is subtracted first: a fraction f of
+    each detector's signal clicks, uniform on the window, that is
+    f / (1 + f) of its counts spread by bin width. Bins whose pair count
+    falls below ``count_floor`` are flagged low-confidence and reported as
+    NaN.
     """
     pairs = geometry.paired_indices()
     if not pairs:
         raise ValueError("geometry contains no opposing detector pairs")
     out = []
     centers = hist.bin_centers
-    widths = np.diff(hist.bin_edges)
+    f = hist.background_fraction
+    shares = f / (1 + f) * np.diff(hist.bin_edges) / (hist.bin_edges[-1] - hist.bin_edges[0])
     for fw, bw in pairs:
         det = geometry.detectors[fw]
         a_eff = model.asymmetry * det.cos_average
-        nf = hist.counts[fw].astype(float)
-        nb = hist.counts[bw].astype(float)
-        if hist.background_fraction > 0:
-            nf = nf - _fit_flat_background(nf, hist.bin_edges, model.lifetime_ns) * widths
-            nb = nb - _fit_flat_background(nb, hist.bin_edges, model.lifetime_ns) * widths
+        nf = hist.counts[fw] - shares * hist.counts[fw].sum()
+        nb = hist.counts[bw] - shares * hist.counts[bw].sum()
         total = nf + nb
         raw_total = hist.counts[fw] + hist.counts[bw]
         ok = (raw_total >= count_floor) & (total > 0)

@@ -173,7 +173,8 @@ class ReconstructionResult:
 
 
 def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,
-                        allow_deficient: bool = False) -> ReconstructionResult:
+                        allow_deficient: bool = False,
+                        design: DesignMatrix | None = None) -> ReconstructionResult:
     """Weighted least squares for rho0 from measured reduced-tomogram values.
 
     Requires a rank-15 plan unless ``allow_deficient`` is set, in which case
@@ -182,10 +183,12 @@ def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,
     the positive cone by eigenvalue clipping and trace renormalization; the
     ``clipped`` flag reports when that projection moved an eigenvalue by more
     than three propagated standard errors (any clipping at all for noiseless
-    input).
+    input). ``design`` is the plan's ``build_design_matrix``, when the
+    caller has built it already.
     """
     values = np.asarray(values, dtype=float)
-    design = build_design_matrix(plan)
+    if design is None:
+        design = build_design_matrix(plan)
     if values.shape != (design.matrix.shape[0],):
         raise ValueError(f"expected {design.matrix.shape[0]} measurement values")
     if design.rank < 15 and not allow_deficient:

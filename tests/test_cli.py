@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import decay_weighted_gl
 from musrtomo.cli import main
 from musrtomo.materials import load_material
 from musrtomo.reconstruction import MeasurementPlan, forward_model
@@ -194,13 +195,14 @@ class TestSimulate:
         assert {(round(c["axis"][0], 12), round(c["axis"][1], 12), c["t_ns"])
                 for c in comparison} == kept
         assert len(comparison) < 3 * 24  # the late bins fall below the count floor
+        # the exact decay-weighted mean over each bin, by Gauss-Legendre with
+        # 16-node panels that each span at most 1 rad of the highest level gap
+        panels = int(np.ceil(prop.eigenfrequency_gaps()[-1] * 6000.0 / 24)) + 1
+        mass, q = decay_weighted_gl(polarization, edges, lifetime, panels)
         for c in comparison:
             i = int(c["t_ns"] // (6000.0 / 24))
-            ts = np.linspace(edges[i], edges[i + 1], 33)
-            wdecay = np.exp(-ts / lifetime)
-            n = Direction(*c["axis"]).vector
-            w_true = 0.5 + 0.5 * polarization(ts) @ n
-            assert abs(c["w_truth"] - np.sum(w_true * wdecay) / np.sum(wdecay)) <= 1e-12
+            w_true = 0.5 + 0.5 * q[i] @ Direction(*c["axis"]).vector / mass[i]
+            assert abs(c["w_truth"] - w_true) <= 1e-12
 
 
 class TestReconstruct:

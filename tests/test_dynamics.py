@@ -1,8 +1,11 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density_matrix, random_direction
+from conftest import decay_weighted_gl, random_density_matrix, random_direction
 from musrtomo.dynamics import (
     DEFAULT_CONSTANTS,
     _SLICE_TIMES,
@@ -27,7 +30,7 @@ from musrtomo.dynamics import (
 from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace
 from musrtomo.materials import available_presets, load_material, material_from_dict
 from musrtomo.musr import MUON_LIFETIME_NS
-from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, rotation_matrix
+from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction, rotation_matrix
 from musrtomo.twospin import individual_tomogram_unitary, reduced_tomogram
 
 
@@ -450,3 +453,45 @@ class TestMaterials:
     def test_missing_material(self):
         with pytest.raises(FileNotFoundError):
             load_material("unobtainium")
+
+
+SPIN1_FILE = Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json"
+
+
+class TestDecayIntegrals:
+    # bins of the default simulate width (3 lifetimes / 512) at the start,
+    # inside and at the end of its window, where the phases are largest
+    WIDTH = 3 * MUON_LIFETIME_NS / 512
+    STARTS = (0.0, 1000.0, 3 * MUON_LIFETIME_NS - WIDTH)
+
+    @pytest.mark.parametrize("material", [*available_presets(), "spin1-file"])
+    @pytest.mark.parametrize("b_field, b_axis", [
+        (0.0, None), (176.0, Z_AXIS), (3200.0, X_AXIS),
+        (176.0, Direction.from_vector([0.6, 0.0, 0.8]))],
+        ids=["zero", "176-z", "3200-x", "176-oblique"])
+    def test_closed_form_matches_gauss_legendre(self, material, b_field, b_axis):
+        mat = load_material(str(SPIN1_FILE) if material == "spin1-file" else material)
+        prop = PropagatorSpec(mat.hamiltonian_spec(b_field=b_field, b_axis=b_axis))
+        # 16-node panels that each span at most 1 rad of the highest level gap
+        panels = int(np.ceil(prop.eigenfrequency_gaps()[-1] * self.WIDTH)) + 1
+        edges = np.ravel([(s, s + self.WIDTH) for s in self.STARTS])
+        d = 2 * int(round(2 * mat.j_e + 1))
+        for rho0 in (initial_muonium_state(mat.j_e),
+                     random_density_matrix(d, np.random.default_rng(len(material)))):
+            polarization = muon_polarization_function(rho0, prop)
+            got = polarization.decay_integrals(edges, MUON_LIFETIME_NS)[::2]
+            mass, want = decay_weighted_gl(polarization, edges, MUON_LIFETIME_NS, panels)
+            mass, want = mass[::2], want[::2]
+            exact_mass = np.exp(-edges[:-1:2] / MUON_LIFETIME_NS) - np.exp(
+                -edges[1::2] / MUON_LIFETIME_NS)
+            assert np.abs(mass / exact_mass - 1).max() <= 1e-13
+            assert np.abs((got - want) / mass[:, None]).max() <= 1e-12
+
+    def test_wrapper_keeps_the_closed_form(self):
+        # functools.wraps copies function attributes onto a wrapper, as a
+        # tracing or caching wrapper of the callable would use it
+        prop = PropagatorSpec(load_material("quartz").hamiltonian_spec(
+            b_field=176.0, b_axis=X_AXIS))
+        polarization = muon_polarization_function(initial_muonium_state(), prop)
+        wrapped = functools.wraps(polarization)(lambda ts: polarization(ts))
+        assert wrapped.decay_integrals is polarization.decay_integrals

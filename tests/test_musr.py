@@ -1,36 +1,37 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_direction
+from conftest import decay_weighted_gl, random_direction
 from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
-from musrtomo.materials import load_material, material_from_dict
-from musrtomo import musr
+from musrtomo.materials import load_material
 from musrtomo.musr import (
-    BLOCK_MUONS,
-    _SLICE_MUONS,
     AxisEstimate,
     DecayModel,
     Detector,
     DetectorGeometry,
     HistogramSeries,
+    decay_bin_integrals,
     estimate_tomogram,
     estimates_to_csv,
     gamma_distribution,
     _as_polarization,
-    _sample_emission,
     histogram_to_tomogram,
     simulate_events,
 )
 from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
-# traced peak of one simulate_events block with the j_e = 1 polarization in
-# a field: about 8 MB when every per-muon step runs in fixed slices, about
-# 40 MB with block-sized emission and hit arrays, 76 MB with block-sized
-# trig matrices as well
-BLOCK_MEMORY_BOUND_MB = 16
+# muons per block of the event oracle; each block draws from its own stream
+BLOCK_MUONS = 200_000
+# The distribution tests compare counts with their exact law by Pearson's
+# chi-square. Their seeds, cases and this false-alarm rate were fixed before
+# they were first run: each test fails at p < ALPHA.
+ALPHA = 1e-6
+# z-score of a two-sided normal tail of about ALPHA, for single binomial counts
+Z_ALPHA = 5.0
 STATIC_UP = lambda ts: np.tile([0.0, 0.0, 1.0], (len(np.atleast_1d(ts)), 1))
 UNPOLARIZED = lambda ts: np.zeros((len(np.atleast_1d(ts)), 3))
 
@@ -62,11 +63,45 @@ def mixed_detectors():
                              Detector(X_AXIS, 0.9, 0.9), Detector(minus(X_AXIS), 1.0, 0.55)])
 
 
+def _sample_emission(polar: np.ndarray, u: np.ndarray, psi: np.ndarray,
+                     k_signed: float) -> np.ndarray:
+    """Emission directions, shape (3, n), with density 1 + k_signed (P_hat . n) |P|,
+    by closed-form CDF inversion of the uniform draws ``u`` in cos(angle to P)
+    and the azimuths ``psi`` around P; works on the component rows of the
+    (n, 3) polarizations."""
+    px, py, pz = polar.T
+    norms = np.sqrt(px * px + py * py + pz * pz)
+    k = k_signed * norms
+    small = np.abs(k) < 1e-12
+    kb = np.where(small, 1.0, k)
+    x = np.where(small, 2 * u - 1, (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u)) / kb)
+    np.clip(x, -1.0, 1.0, out=x)
+    # orthonormal frame around P_hat (z for unpolarized events)
+    polarized = norms > 1e-12
+    scale = np.maximum(norms, 1e-300)
+    px, py = np.where(polarized, px / scale, 0.0), np.where(polarized, py / scale, 0.0)
+    pz = np.where(polarized, pz / scale, 1.0)
+    # e1 = P_hat x z, or P_hat x x where P_hat lies near z; e2 = P_hat x e1
+    near_z = np.abs(pz) >= 0.9
+    e1x, e1y, e1z = (np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
+                     np.where(near_z, -py, 0.0))
+    e1_norm = np.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
+    e1x, e1y, e1z = e1x / e1_norm, e1y / e1_norm, e1z / e1_norm
+    sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    return np.array([x * px + sin_t * (cos_psi * e1x + sin_psi * (py * e1z - pz * e1y)),
+                     x * py + sin_t * (cos_psi * e1y + sin_psi * (pz * e1x - px * e1z)),
+                     x * pz + sin_t * (cos_psi * e1z + sin_psi * (px * e1y - py * e1x))])
+
+
 def simulate_whole_blocks(polarization_of_t, geometry, model, n_muons, seed, bin_edges,
                           background_fraction=0.01):
-    """Oracle of musr.simulate_events: counts from whole-block passes, with
-    one polarization call, one emission sample and one (n, n_det) efficiency
-    draw per block and one sorting np.histogram per detector."""
+    """Event oracle of musr.simulate_events: every muon draws its decay time,
+    takes the polarization at that time, samples its emission direction and
+    passes each detector's cone and efficiency test. Blocks of BLOCK_MUONS
+    muons, each with its own stream; one polarization call, one emission
+    sample and one (n, n_det) efficiency draw per block and one
+    np.histogram per detector."""
     bin_edges = np.asarray(bin_edges, dtype=float)
     t_max = bin_edges[-1]
     n_det = len(geometry.detectors)
@@ -124,6 +159,114 @@ def sample_emission_rows(rng, polar, k_signed):
     sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
     return (x[:, None] * p_hat
             + sin_t[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2))
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """P(X >= stat) for X ~ chi-square(dof): the regularized upper incomplete
+    gamma Q(dof/2, stat/2), by its series below dof/2 + 1 and its continued
+    fraction (modified Lentz) above."""
+    a, x = dof / 2, stat / 2
+    if x <= 0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        n = 0
+        while abs(term) > 1e-17 * total:
+            n += 1
+            term *= x / (a + n)
+            total += term
+        return max(0.0, 1 - front * total)
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 100_000):
+        an, b = -i * (i - a), b + 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return front * h
+
+
+def quartz_oblique():
+    spec = load_material("quartz").hamiltonian_spec(
+        b_field=176.0, b_axis=Direction.from_vector([0.6, 0.0, 0.8]))
+    return muon_polarization_function(initial_muonium_state(0.5), PropagatorSpec(spec))
+
+
+def detector_probabilities(source, geometry, model, edges):
+    """Exact probability that one muon is counted by detector d in bin b,
+    shape (n_det, n_bins): eff_d (m_b A_d + k M_d . Q_b) / 4 pi with the cone's
+    area A_d = 2 pi (1 - cos a) and first moment M_d = pi sin^2 a axis, the sum
+    over the regions the cone holds of the exact cell probabilities. Q_b is
+    the closed form of a spectral source (checked against Gauss-Legendre in
+    test_dynamics) and otherwise composite Gauss-Legendre in t, independent of
+    the sampler's own quadrature."""
+    edges = np.asarray(edges, dtype=float)
+    tau = model.lifetime_ns
+    mass = np.exp(-edges[:-1] / tau) - np.exp(-edges[1:] / tau)
+    if hasattr(source, "decay_integrals"):
+        q = source.decay_integrals(edges, tau)
+    else:
+        q = decay_weighted_gl(source, edges, tau, panels=8)[1]
+    k = model.emission_sign * model.asymmetry
+    return np.array([
+        det.efficiency * (2 * np.pi * (1 - np.cos(det.half_angle)) * mass
+                          + k * np.pi * np.sin(det.half_angle) ** 2 * q @ det.axis.vector)
+        / (4 * np.pi) for det in geometry.detectors])
+
+
+def assert_counts_follow(counts, probs, n_muons, what):
+    """Pearson chi-square of each detector's counts against its exact
+    multinomial law. Consecutive bins are pooled until each pool expects at
+    least 5 counts; one more cell holds the muons the detector missed, or
+    joins the last pool when it expects fewer than 5."""
+    for d, (observed, p) in enumerate(zip(counts, probs)):
+        expected = n_muons * p
+        bounds, acc = [], 0.0
+        for i, e in enumerate(expected):
+            acc += e
+            if acc >= 5:
+                bounds.append(i + 1)
+                acc = 0.0
+        if not bounds:
+            continue
+        starts = [0, *bounds[:-1]]
+        o = np.add.reduceat(observed, starts).astype(float)
+        e = np.add.reduceat(expected, starts)
+        o[-1] += observed[bounds[-1]:].sum()
+        e[-1] += expected[bounds[-1]:].sum()
+        o_rest, e_rest = n_muons - observed.sum(), n_muons - expected.sum()
+        if e_rest >= 5:
+            o, e = np.append(o, o_rest), np.append(e, e_rest)
+        else:
+            o[-1] += o_rest
+            e[-1] += e_rest
+        if len(e) < 2:
+            continue
+        stat = float(np.sum((o - e) ** 2 / e))
+        p_value = chi2_sf(stat, len(e) - 1)
+        assert p_value >= ALPHA, (f"{what}, detector {d}: chi2 {stat:.1f} on "
+                                  f"{len(e) - 1} dof, p = {p_value:.2g}")
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("stat", [0.1, 1.0, 3.0, 10.0, 40.0, 80.0])
+    def test_closed_forms(self, stat):
+        # dof 2: e^{-x/2}; dof 1: erfc(sqrt(x/2)); dof 4: e^{-x/2} (1 + x/2)
+        assert abs(chi2_sf(stat, 2) / math.exp(-stat / 2) - 1) < 1e-12
+        assert abs(chi2_sf(stat, 1) / math.erfc(math.sqrt(stat / 2)) - 1) < 1e-10
+        assert abs(chi2_sf(stat, 4) / (math.exp(-stat / 2) * (1 + stat / 2)) - 1) < 1e-12
+
+    def test_large_dof_median(self):
+        # the median of chi-square(k) is about k (1 - 2/(9k))^3
+        for k in (50, 500, 5000):
+            assert abs(chi2_sf(k * (1 - 2 / (9 * k)) ** 3, k) - 0.5) < 2e-3
 
 
 class TestGammaDistribution:
@@ -245,6 +388,114 @@ class TestSampleEmission:
         assert np.array_equal(a, b)
 
 
+def lens_by_quadrature(alpha1, alpha2, beta, n=400_000):
+    """Area and first moment of the intersection of the caps (z, alpha1) and
+    (b, alpha2), b at angle beta from z in the xz plane. At polar angle theta
+    the azimuths inside the second cap form one interval |phi| <= h(theta),
+    so both are 1-d integrals over theta (midpoint rule)."""
+    theta = (np.arange(n) + 0.5) * alpha1 / n
+    cos_h = (np.cos(alpha2) - np.cos(theta) * np.cos(beta)) / (np.sin(theta) * np.sin(beta))
+    h = np.arccos(np.clip(cos_h, -1.0, 1.0))
+    d_omega = alpha1 / n * np.sin(theta)
+    return np.sum(2 * h * d_omega), np.array([np.sum(2 * np.sin(h) * np.sin(theta) * d_omega),
+                                              0.0, np.sum(2 * h * np.cos(theta) * d_omega)])
+
+
+def region_of(geometry, hit_set):
+    hits, areas, moments = geometry.regions()
+    row = [i for i, h in enumerate(hits) if list(np.nonzero(h)[0]) == sorted(hit_set)]
+    assert len(row) == 1, f"hit set {hit_set} listed {len(row)} times"
+    return areas[row[0]], moments[row[0]]
+
+
+def sample_geometries():
+    minus = lambda axis: Direction.from_vector(-axis.vector)
+    wide = Direction.from_vector([1.0, 1.0, 1.0])
+    return {
+        "z": DetectorGeometry.opposing_pairs([Z_AXIS], np.radians(70)),
+        "z+x": DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS], np.radians(70)),
+        "z+x+y": DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)),
+        "mixed": mixed_detectors(),
+        # a cone wider than a hemisphere, the same cone twice, and a cone
+        # equal to the complement of another
+        "wide": DetectorGeometry([Detector(wide, 2.2), Detector(Z_AXIS, 0.8),
+                                  Detector(Z_AXIS, 0.8, 0.5), Detector(X_AXIS, 1.0),
+                                  Detector(minus(X_AXIS), np.pi - 1.0), Detector(Y_AXIS, 0.3)]),
+        "full-sphere": DetectorGeometry([Detector(Z_AXIS, np.pi), Detector(X_AXIS, 0.5)]),
+    }
+
+
+class TestRegionTable:
+    @pytest.mark.parametrize("half_angle", [0.3, np.radians(70), np.pi / 2, 2.2, np.pi])
+    def test_single_cap(self, rng, half_angle):
+        axis = random_direction(rng)
+        geometry = DetectorGeometry([Detector(axis, half_angle)])
+        area, moment = region_of(geometry, [0])
+        assert abs(area - 2 * np.pi * (1 - np.cos(half_angle))) <= 1e-13
+        assert np.abs(moment - np.pi * np.sin(half_angle) ** 2 * axis.vector).max() <= 1e-13
+        assert len(geometry.regions()[1]) == (1 if half_angle == np.pi else 2)
+
+    @pytest.mark.parametrize("alpha1, alpha2, beta", [
+        (1.0, 0.7, 1.2), (np.pi / 2, 0.9, 1.3), (0.5, 1.1, 1.4), (1.2, 1.2, 2.0)])
+    def test_two_cap_lens(self, alpha1, alpha2, beta):
+        geometry = DetectorGeometry([Detector(Z_AXIS, alpha1), Detector(Direction(beta, 0.0), alpha2)])
+        area, moment = region_of(geometry, [0, 1])
+        want_area, want_moment = lens_by_quadrature(alpha1, alpha2, beta)
+        assert abs(area - want_area) <= 1e-7
+        assert np.abs(moment - want_moment).max() <= 1e-7
+
+    @pytest.mark.parametrize("name", list(sample_geometries()))
+    def test_sums_and_caps(self, name):
+        geometry = sample_geometries()[name]
+        hits, areas, moments = geometry.regions()
+        assert abs(areas.sum() - 4 * np.pi) <= 1e-12
+        assert np.abs(moments.sum(axis=0)).max() <= 1e-12
+        assert np.all(areas > 0)
+        assert len({tuple(h) for h in hits}) == len(hits)
+        for d, det in enumerate(geometry.detectors):
+            alpha = det.half_angle
+            assert abs(areas[hits[:, d]].sum() - 2 * np.pi * (1 - np.cos(alpha))) <= 1e-12
+            assert np.abs(moments[hits[:, d]].sum(axis=0)
+                          - np.pi * np.sin(alpha) ** 2 * det.axis.vector).max() <= 1e-12
+
+    @pytest.mark.parametrize("name, count", [("z", 3), ("z+x", 9), ("z+x+y", 26)])
+    def test_region_count(self, name, count):
+        assert len(sample_geometries()[name].regions()[1]) == count
+
+    def test_regions_are_cached_and_read_only(self):
+        first = sample_geometries()["z+x+y"].regions()
+        again = sample_geometries()["z+x+y"].regions()
+        assert all(a is b for a, b in zip(first, again))
+        with pytest.raises(ValueError):
+            first[1][0] = 0.0
+
+    @pytest.mark.parametrize("name", ["z+x+y", "wide"])
+    def test_sampled_directions(self, name):
+        # 10^7 uniform directions: the count of each region and the sum of
+        # its directions lie within Z_ALPHA binomial standard deviations of
+        # n A / 4 pi and n M / 4 pi; every hit set met is in the table
+        geometry = sample_geometries()[name]
+        hits, areas, moments = geometry.regions()
+        axes = np.array([d.axis.vector for d in geometry.detectors])
+        cos_half = np.cos([d.half_angle for d in geometry.detectors])
+        bits = 1 << np.arange(len(axes))
+        region = np.full(2 ** len(axes), -1)
+        region[hits @ bits] = np.arange(len(hits))
+        n, count, total = 10 ** 7, np.zeros(len(hits)), np.zeros((3, len(hits)))
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            v = rng.normal(size=(n // 10, 3))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            r = region[(v @ axes.T >= cos_half) @ bits]
+            assert np.all(r >= 0)
+            count += np.bincount(r, minlength=len(hits))
+            total += [np.bincount(r, weights=c, minlength=len(hits)) for c in v.T]
+        p = areas / (4 * np.pi)
+        assert np.all(np.abs(count - n * p) <= Z_ALPHA * np.sqrt(n * p * (1 - p)))
+        assert np.all(np.abs(total.T - n * moments / (4 * np.pi))
+                      <= Z_ALPHA * np.sqrt(n * p)[:, None])
+
+
 class TestSimulateEvents:
     def test_deterministic(self):
         model = DecayModel()
@@ -256,9 +507,9 @@ class TestSimulateEvents:
         assert np.array_equal(h1.counts, h2.counts)
 
     def test_partial_chunks(self):
-        # n_muons not divisible by the block size still books every muon
+        # an odd muon count books every muon, once per full-sphere detector
         model = DecayModel()
-        n_muons = 2 * BLOCK_MUONS + 1
+        n_muons = 400_001
         edges = np.array([0.0, 50 * model.lifetime_ns])
         geom = DetectorGeometry.opposing_pairs([Z_AXIS], half_angle=np.pi)
         hist = simulate_events(STATIC_UP, geom, model, n_muons, 42, edges,
@@ -344,44 +595,68 @@ class TestSimulateEvents:
         (precessing, mixed_detectors, DecayModel(asymmetry=0.5), 50_000, (137.5, 3, 33)),
         ("quartz-oblique", mixed_detectors, DecayModel(), 30_000, (0.0, 3, 513)),
         (precessing, mixed_detectors, DecayModel(), 1, (0.0, 20, 9)),
-        (precessing, mixed_detectors, DecayModel(), _SLICE_MUONS + 1, (0.0, 20, 65)),
-        (precessing, mixed_detectors, DecayModel(), BLOCK_MUONS + 1, (100.0, 20, 65)),
-        # 600,000 cells, more than the hits of a block: the cells add up once
-        (precessing, mixed_detectors, DecayModel(), BLOCK_MUONS + 1, (0.0, 3, 150_001)),
+        (precessing, mixed_detectors, DecayModel(), 8193, (0.0, 20, 65)),
+        (precessing, mixed_detectors, DecayModel(), 200_001, (100.0, 20, 65)),
+        # 150,000 bins, most of them with expected counts below 1
+        (precessing, mixed_detectors, DecayModel(), 200_001, (0.0, 3, 150_001)),
         ("quartz-oblique", lambda: DetectorGeometry.opposing_pairs(
-            [Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)), DecayModel(), BLOCK_MUONS + 1,
+            [Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)), DecayModel(), 200_001,
          (0.0, 3, 513)),
     ], ids=["static-up", "unpolarized", "density-matrix", "mu-minus", "edges-above-0",
             "muonium-mixed", "one-muon", "slice-plus-one", "block-plus-one",
             "more-cells-than-hits", "muonium-block-plus-one"])
     def test_counts_equal_whole_block_oracle(self, source, geometry, model, n_muons,
                                              edges):
-        # edges (first, window in lifetimes, count); the window of 20
-        # lifetimes keeps about every muon, so n_muons fixes the slices
+        # equal in law: the count-space sampler and the event oracle each
+        # pass a chi-square test against the exact law of every detector's
+        # counts. edges (first, window in lifetimes, count)
         if source == "quartz-oblique":
-            spec = load_material("quartz").hamiltonian_spec(
-                b_field=176.0, b_axis=Direction.from_vector([0.6, 0.0, 0.8]))
-            source = muon_polarization_function(initial_muonium_state(0.5),
-                                                PropagatorSpec(spec))
+            source = quartz_oblique()
         first, lifetimes, n_edges = edges
         edges = np.linspace(first, lifetimes * model.lifetime_ns, n_edges)
-        args = (source, geometry(), model, n_muons, 23, edges, 0.02)
-        want = simulate_whole_blocks(*args)
-        assert np.array_equal(simulate_events(*args).counts, want)
+        geometry = geometry()
+        probs = detector_probabilities(source, geometry, model, edges)
+        args = (source, geometry, model, n_muons, 23, edges, 0.0)
+        assert_counts_follow(simulate_events(*args).counts, probs, n_muons, "sampler")
+        assert_counts_follow(simulate_whole_blocks(*args), probs, n_muons, "event oracle")
 
-    @pytest.mark.parametrize("slice_muons", [1, 7, 4096])
-    @pytest.mark.parametrize("source", [precessing, rho_precessing],
-                             ids=["vectors", "density-matrices"])
-    def test_counts_do_not_depend_on_the_slice(self, monkeypatch, source, slice_muons):
-        # sources elementwise in t, so that only the simulation's own slicing
-        # (emission, cone test, efficiency rows, binning) is under test
-        model = DecayModel()
-        edges = np.linspace(50.0, 3 * model.lifetime_ns, 33)
-        args = (source, mixed_detectors(), model, 3_000 if slice_muons == 1 else 20_000,
-                31, edges)
-        want = simulate_events(*args).counts
-        monkeypatch.setattr(musr, "_SLICE_MUONS", slice_muons)
-        assert np.array_equal(simulate_events(*args).counts, want)
+    @pytest.mark.parametrize("species", ["mu_plus", "mu_minus"])
+    def test_pair_counts_follow_the_exact_law(self, species):
+        # overlapping cones of unequal size and efficiency, a wide cone and
+        # a polarization that turns through every axis, at 400,000 muons
+        minus = lambda axis: Direction.from_vector(-axis.vector)
+        geometry = DetectorGeometry([
+            Detector(Z_AXIS, 1.2), Detector(minus(Z_AXIS), 0.7, 0.6),
+            Detector(X_AXIS, 1.1, 0.8), Detector(Direction.from_vector([1, 1, 1]), 2.2, 0.9),
+            Detector(minus(Y_AXIS), 0.5)])
+        model = DecayModel(species=species, asymmetry=0.8)
+        edges = np.linspace(0.0, 4 * model.lifetime_ns, 41)
+        probs = detector_probabilities(precessing, geometry, model, edges)
+        args = (precessing, geometry, model, 400_000, 29, edges, 0.0)
+        assert_counts_follow(simulate_events(*args).counts, probs, 400_000, "sampler")
+        assert_counts_follow(simulate_whole_blocks(*args), probs, 400_000, "event oracle")
+
+    def test_over_polarized_source_rejected_before_any_draw(self, monkeypatch):
+        # a bin mean of norm above 1 would make a cell probability negative;
+        # the event sampler used to turn it into NaN directions
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        edges = np.linspace(0.0, 3000.0, 4)
+        over = lambda ts: np.tile([0.0, 0.6, 0.9], (len(np.atleast_1d(ts)), 1))
+        with pytest.raises(ValueError, match="norm above 1"):
+            simulate_events(over, hemisphere_pair(), DecayModel(), 1000, 1, edges)
+
+    def test_generic_sources_match_the_closed_form(self):
+        # Gauss-Legendre over the decay mass of a plain callable against the
+        # closed form of the same polarization, on the simulate bin width
+        source = quartz_oblique()
+        edges = np.linspace(0.0, 32 * 3 * 2197.0 / 512, 33)
+        mass, want = decay_bin_integrals(source, edges, 2197.0)
+        plain_mass, got = decay_bin_integrals(lambda ts: source(ts), edges, 2197.0)
+        assert np.array_equal(plain_mass, mass)
+        assert np.abs((got - want) / mass[:, None]).max() <= 1e-11
 
     @pytest.mark.parametrize("edges", [
         5000.0, [[0.0, 1000.0], [2000.0, 3000.0]], [], [1000.0],
@@ -400,23 +675,23 @@ class TestSimulateEvents:
             simulate_events(source, hemisphere_pair(), DecayModel(), 1000, 1, edges)
         assert calls == []
 
-    def test_block_memory_stays_slice_sized(self):
-        # one full block with the j_e = 1 polarization in a field (15 level
-        # pairs), so that block-sized trig matrices cannot come back unseen
-        spin1 = material_from_dict({"name": "spin1", "family": "hyperfine",
-                                    "A_MHz": 2000.0, "A_is_angular": False,
-                                    "deltaA_MHz": 0.0, "j_e": 1.0})
-        prop = PropagatorSpec(spin1.hamiltonian_spec(b_field=57.3, b_axis=X_AXIS))
-        polarization = muon_polarization_function(initial_muonium_state(1.0), prop)
-        geom = DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS], np.radians(70))
+    def test_memory_does_not_grow_with_the_muon_count(self):
+        # quartz in an oblique field, three detector pairs, 512 bins; the
+        # region table is built and cached by the first call
+        source = quartz_oblique()
+        geom = DetectorGeometry.opposing_pairs([Z_AXIS, X_AXIS, Y_AXIS], np.radians(70))
         edges = np.linspace(0.0, 3 * DecayModel().lifetime_ns, 513)
-        tracemalloc.start()
-        try:
-            simulate_events(polarization, geom, DecayModel(), BLOCK_MUONS, 3, edges)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < BLOCK_MEMORY_BOUND_MB * 2 ** 20
+        simulate_events(source, geom, DecayModel(), 10, 3, edges)
+        peaks = []
+        for n_muons in (10 ** 4, 10 ** 9):
+            tracemalloc.start()
+            try:
+                hist = simulate_events(source, geom, DecayModel(), n_muons, 3, edges)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert hist.counts.sum() > 10 ** 8
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
 
 class TestEstimateTomogram:
