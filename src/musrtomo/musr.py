@@ -29,6 +29,10 @@ from .tomography import Direction
 
 MUON_LIFETIME_NS = 2197.0
 
+# bins per slice of the cell draw of simulate_events: its (regions, bins)
+# cell probabilities stay a few MB whatever the bin count
+_SLICE_BINS = 4096
+
 
 @dataclass(frozen=True)
 class DecayModel:
@@ -251,7 +255,8 @@ class HistogramSeries:
             raise ValueError("counts shape does not match bin edges")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if not np.isfinite(counts).all() or np.any(counts != np.round(counts)):
+        if counts.dtype.kind not in "iub" and not (np.isfinite(counts).all()
+                                                   and np.all(counts == np.round(counts))):
             raise ValueError("counts must be finite whole numbers")
         self.counts = counts.astype(np.int64, copy=False)
 
@@ -378,6 +383,17 @@ def decay_bin_integrals(polarization_of_t, bin_edges, lifetime_ns: float):
     return mass, q
 
 
+def _multinomial(rng, n: int, p: np.ndarray) -> np.ndarray:
+    """Multinomial(n, p) counts, the last category taking what the others
+    leave. numpy draws one conditional binomial per category; for fewer draws
+    than half the categories, one sorted uniform per draw on the cumulative
+    probabilities is cheaper and has the same law."""
+    if 2 * n >= len(p):
+        return rng.multinomial(n, p)
+    u = np.sort(rng.random(n))
+    return np.bincount(np.searchsorted(np.cumsum(p[:-1]), u, "right"), minlength=len(p))
+
+
 def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayModel,
                     n_muons: int, seed: int, bin_edges,
                     background_fraction: float = 0.01) -> HistogramSeries:
@@ -390,14 +406,18 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     bin's decay times and over the region, whose area is A_S and first moment
     M_S = int_S n dOmega; m_b and Q_b are ``decay_bin_integrals``. The cell
     counts N_Sb are one Multinomial(n_muons, p) draw, a last cell holding the
-    decays outside the window or outside every cone. Detector d keeps each
-    muon of its regions independently with probability eff_d, so its count
-    in bin b is one Binomial(sum_{S with d} N_Sb, eff_d) draw. This is the law
-    of independent per-muon decay times, emissions, cone tests and
-    efficiency tests. Background clicks are added per detector as a Poisson
-    count proportional to its signal, uniform on the window, so a bin takes
-    them by its share of the window's width. The cost and memory do not
-    depend on n_muons.
+    decays outside the window or outside every cone, taken in two levels
+    over slices of ``_SLICE_BINS`` bins: one multinomial over the slices'
+    shares, then one over the (region, bin) cells of each slice that holds
+    muons, with p built for that slice only. Detector d keeps each muon of
+    its regions independently with probability eff_d, so its count in bin b
+    is one Binomial(sum_{S with d} N_Sb, eff_d) draw. This is the law of
+    independent per-muon decay times, emissions, cone tests and efficiency
+    tests. Background clicks are added per detector as a Poisson count
+    proportional to its signal, uniform on the window, so a bin takes them
+    by its share of the window's width. Cost and memory do not depend on
+    n_muons: they grow with the bins (times the level pairs of a closed-form
+    source) and with the seen regions times the bins, one slice at a time.
 
     The cell draw and the background take one stream each, spawned from the
     seed, so the counts are a function of (seed, n_muons, inputs) only.
@@ -431,23 +451,37 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
                          "(or not finite)")
     hits, areas, moments = geometry.regions()
     seen = hits.any(axis=1)  # the region outside every cone joins the last cell
+    hits, areas, moments = hits[seen].T.astype(float), areas[seen], moments[seen]
     k = model.emission_sign * model.asymmetry
-    p = (np.outer(areas[seen], mass) + k * moments[seen] @ q.T) / (4 * np.pi)
-    np.maximum(p, 0.0, out=p)
+    starts = np.arange(0, len(mass), _SLICE_BINS)
+    # each slice's share of the cells; the last one also holds the rest
+    shares = np.maximum(np.add.reduceat(mass * areas.sum() + k * q @ moments.sum(axis=0),
+                                        starts), 0.0) / (4 * np.pi)
+    shares[-1] = max(0.0, 1.0 - shares[:-1].sum())
 
     streams = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(streams[0])
-    cells = rng.multinomial(n_muons, np.append(p.ravel(), 0.0))[:-1].reshape(p.shape)
-    effs = np.array([d.efficiency for d in geometry.detectors])
-    counts = rng.binomial(hits[seen].T.astype(np.int64) @ cells, effs[:, None])
-
-    if background_fraction > 0:
-        # clicks uniform on the window fall in each bin by its width
-        rng_bg = np.random.default_rng(streams[1])
-        widths = np.diff(bin_edges) / (bin_edges[-1] - bin_edges[0])
-        for d in range(len(effs)):
-            n_bg = rng_bg.poisson(background_fraction * counts[d].sum())
-            counts[d] += rng_bg.multinomial(n_bg, widths)
+    per_slice = _multinomial(rng, n_muons, shares)
+    counts = np.zeros((len(hits), len(mass)), dtype=np.int64)
+    for at, share, n in zip(starts, shares, per_slice):
+        if n == 0:
+            continue
+        part = slice(at, at + _SLICE_BINS)
+        p = (np.outer(areas, mass[part]) + k * moments @ q[part].T) / (4 * np.pi)
+        np.maximum(p, 0.0, out=p)
+        # the slice's cells in (region, bin) order, then its rest
+        cells = _multinomial(rng, n, np.append(p.ravel(), 0.0) / max(share, p.sum()))
+        counts[:, part] = hits @ cells[:-1].reshape(len(areas), -1)  # exact in float64
+    # per detector: the efficiency, then clicks uniform on the window, which
+    # fall in each bin by its width
+    rng_bg = np.random.default_rng(streams[1])
+    widths = np.diff(bin_edges) / (bin_edges[-1] - bin_edges[0])
+    for row, detector in zip(counts, geometry.detectors):
+        held = row > 0  # an empty bin draws nothing
+        row[held] = rng.binomial(row[held], detector.efficiency)
+        if background_fraction > 0:
+            n_bg = rng_bg.poisson(background_fraction * row.sum())
+            row += _multinomial(rng_bg, n_bg, widths)
 
     return HistogramSeries(bin_edges=bin_edges, counts=counts, n_muons=n_muons,
                            background_fraction=background_fraction,
@@ -472,9 +506,12 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
 
     The forward/backward count ratio within a pair estimates the angular
     distribution at the pair axis with the cone-averaged asymmetry. The flat
-    background that the series states is subtracted first: a fraction f of
+    background is subtracted first, taking the series'
+    ``background_fraction`` f as exact (there is no fit): a fraction f of
     each detector's signal clicks, uniform on the window, that is
-    f / (1 + f) of its counts spread by bin width. Bins whose pair count
+    f / (1 + f) of its counts spread by bin width. A wrong f biases the
+    estimates. sigma is the binomial error of the pair's split with the
+    Poisson noise of the subtracted background added. Bins whose pair count
     falls below ``count_floor`` are flagged low-confidence and reported as
     NaN.
     """
@@ -488,8 +525,8 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
     for fw, bw in pairs:
         det = geometry.detectors[fw]
         a_eff = model.asymmetry * det.cos_average
-        nf = hist.counts[fw] - shares * hist.counts[fw].sum()
-        nb = hist.counts[bw] - shares * hist.counts[bw].sum()
+        bf, bb = shares * hist.counts[fw].sum(), shares * hist.counts[bw].sum()
+        nf, nb = hist.counts[fw] - bf, hist.counts[bw] - bb
         total = nf + nb
         raw_total = hist.counts[fw] + hist.counts[bw]
         ok = (raw_total >= count_floor) & (total > 0)
@@ -500,7 +537,9 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
         gamma_hat = 1.0 + (nf[ok] - nb[ok]) / total[ok]
         w[ok] = histogram_to_tomogram(gamma_hat, a_eff, model.species, tol=np.inf)[0]
         p = np.clip(gamma_hat / 2, 1e-12, 1 - 1e-12)
-        sig[ok] = np.sqrt(p * (1 - p) / np.maximum(total[ok], 1.0)) / a_eff
+        # the pair's split, and the Poisson noise of the subtracted background
+        n = np.maximum(total[ok], 1.0)
+        sig[ok] = np.sqrt(p * (1 - p) / n + (bf[ok] + bb[ok]) / (4 * n * n)) / a_eff
         out.append(AxisEstimate(axis=det.axis, times=centers, w_plus=w, sigma=sig,
                                 pair_counts=total, low_confidence=~ok))
     return out

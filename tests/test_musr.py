@@ -599,12 +599,14 @@ class TestSimulateEvents:
         (precessing, mixed_detectors, DecayModel(), 200_001, (100.0, 20, 65)),
         # 150,000 bins, most of them with expected counts below 1
         (precessing, mixed_detectors, DecayModel(), 200_001, (0.0, 3, 150_001)),
+        # 8,193 bins: two full slices of cells and one of a single bin
+        (STATIC_UP, hemisphere_pair, DecayModel(), 200_001, (0.0, 3, 8_194)),
         ("quartz-oblique", lambda: DetectorGeometry.opposing_pairs(
             [Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)), DecayModel(), 200_001,
          (0.0, 3, 513)),
     ], ids=["static-up", "unpolarized", "density-matrix", "mu-minus", "edges-above-0",
             "muonium-mixed", "one-muon", "slice-plus-one", "block-plus-one",
-            "more-cells-than-hits", "muonium-block-plus-one"])
+            "more-cells-than-hits", "three-slices", "muonium-block-plus-one"])
     def test_counts_equal_whole_block_oracle(self, source, geometry, model, n_muons,
                                              edges):
         # equal in law: the count-space sampler and the event oracle each
@@ -635,6 +637,18 @@ class TestSimulateEvents:
         args = (precessing, geometry, model, 400_000, 29, edges, 0.0)
         assert_counts_follow(simulate_events(*args).counts, probs, 400_000, "sampler")
         assert_counts_follow(simulate_whole_blocks(*args), probs, 400_000, "event oracle")
+
+    def test_few_muons_per_cell_follow_the_exact_law(self):
+        # fewer muons than half the cells: one uniform per muon places them.
+        # Eleven wide bins around 4,000 narrow ones hold nearly every decay,
+        # so the wide bins are tested one by one and the narrow ones pooled
+        model, geometry = DecayModel(), mixed_detectors()
+        edges = np.concatenate([np.linspace(0.0, 1500.0, 11),
+                                np.linspace(1500.0, 1510.0, 4001)[1:], [6000.0]])
+        probs = detector_probabilities(precessing, geometry, model, edges)
+        args = (precessing, geometry, model, 10_000, 37, edges, 0.0)
+        assert 2 * 10_000 < len(geometry.regions()[0]) * (len(edges) - 1)
+        assert_counts_follow(simulate_events(*args).counts, probs, 10_000, "sampler")
 
     def test_over_polarized_source_rejected_before_any_draw(self, monkeypatch):
         # a bin mean of norm above 1 would make a cell probability negative;
@@ -693,6 +707,47 @@ class TestSimulateEvents:
         assert hist.counts.sum() > 10 ** 8
         assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
+    def test_memory_grows_with_the_bins_not_the_cells(self):
+        # 10^5 bins: the z+x+y cones cut 25 seen regions and z cuts 2, but the
+        # cell probabilities are built one slice of bins at a time, so the
+        # peaks differ by about the four more detectors' rows of counts
+        source, n_bins = quartz_oblique(), 100_000
+        edges = np.linspace(0.0, 3 * DecayModel().lifetime_ns, n_bins + 1)
+        peaks = []
+        for axes in ([Z_AXIS], [Z_AXIS, X_AXIS, Y_AXIS]):
+            geom = DetectorGeometry.opposing_pairs(axes, np.radians(70))
+            geom.regions()
+            tracemalloc.start()
+            try:
+                simulate_events(source, geom, DecayModel(), 10 ** 6, 3, edges)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rows = 4 * 8 * n_bins  # four int64 rows of counts
+        assert peaks[1] - peaks[0] < 2 * rows
+
+    @pytest.mark.parametrize("n_muons, late_bins", [(1_000_000, 60), (100_000, 6000)],
+                             ids=["many-clicks", "few-clicks"])
+    def test_background_follows_its_law(self, n_muons, late_bins):
+        # two full-sphere detectors count every decay, one at efficiency 0.5.
+        # Over a window of 50 lifetimes fewer than 1e-2 signal counts are
+        # expected after 20 lifetimes, so the late bins hold background
+        # alone: per detector Poisson(f * its signal clicks), N eff_d on
+        # average, spread by bin width. The late bins have uneven widths;
+        # "few-clicks" has fewer clicks than half its bins
+        model, f = DecayModel(), 0.02
+        tau = model.lifetime_ns
+        geom = DetectorGeometry([Detector(Z_AXIS, np.pi),
+                                 Detector(Direction.from_vector([0, 0, -1]), np.pi, 0.5)])
+        steps = np.cumsum(1 + np.arange(late_bins) % 7)
+        late = 20 * tau + 30 * tau * steps / steps[-1]
+        edges = np.concatenate([np.linspace(0.0, 20 * tau, 21), late])
+        hist = simulate_events(UNPOLARIZED, geom, model, n_muons, 31, edges,
+                               background_fraction=f)
+        widths = np.diff(edges)[20:] / edges[-1]
+        probs = np.array([f * det.efficiency * widths for det in geom.detectors])
+        assert_counts_follow(hist.counts[:, 20:], probs, n_muons, "background")
+
 
 class TestEstimateTomogram:
     def test_static_state_end_to_end(self):
@@ -703,6 +758,26 @@ class TestEstimateTomogram:
         est = estimate_tomogram(hist, hemisphere_pair(), model)[0]
         assert est.sigma[0] < 5e-3
         assert abs(est.w_plus[0] - 1.0) <= 3 * est.sigma[0]
+
+    def test_pulls_with_background_are_standard(self):
+        # a background of 30% of the signal, subtracted as the series states
+        # it: over 200 seeds of 8 bins the pulls against the exact bin means
+        # have mean 0 and standard deviation 1, within about 6 and 5.5
+        # standard errors. Without the background's own noise in sigma they
+        # read 1.24, and about 1.5 in the last two bins
+        model, geom = DecayModel(), hemisphere_pair()
+        edges = np.linspace(0.0, 3 * model.lifetime_ns, 9)
+        mass, q = decay_weighted_gl(precessing, edges, model.lifetime_ns, panels=8)
+        pulls = []
+        for seed in range(200):
+            hist = simulate_events(precessing, geom, model, 1_000_000, seed, edges,
+                                   background_fraction=0.3)
+            est = estimate_tomogram(hist, geom, model)[0]
+            truth = 0.5 + 0.5 * q @ est.axis.vector / mass
+            pulls.append((est.w_plus - truth) / est.sigma)
+        pulls = np.ravel(pulls)
+        assert abs(pulls.mean()) <= 0.15
+        assert 0.9 <= pulls.std() <= 1.1
 
     def test_unpolarized_source(self):
         model = DecayModel()
