@@ -12,9 +12,9 @@ dependency. Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,14 @@ from .materials import available_presets, load_material
 from .musr import (
     DecayModel,
     DetectorGeometry,
+    ESTIMATE_SCHEMA,
     decay_bin_integrals,
+    estimate_cells,
     estimate_tomogram,
-    estimates_to_csv,
     simulate_events,
 )
 from .reconstruction import MeasurementPlan, build_design_matrix, reconstruct_initial
-from .tomography import AXES, Direction
+from .tomography import AXES, Direction, csv_text, float_cells
 
 DEFAULT_SWEEPS = {
     "quartz": [0.0, 790.0, 1580.0, 3160.0],
@@ -103,13 +104,19 @@ def _muon_bloch(rho: np.ndarray, j_e: float) -> np.ndarray:
     return np.einsum("...ab,kba->...k", rho_mu, PAULI).real
 
 
-def _cells(values, n: int, repeat: int = 1) -> list:
-    """CSV cells of one column: repr of each value, each repeated ``repeat``
-    times; n * repeat empty cells when there are no values."""
-    if values is None:
-        return [""] * (n * repeat)
-    return [text for text in map(repr, np.asarray(values).tolist())
-            for _ in range(repeat)]
+# one record of comparison.json in the layout of json.dumps(records, indent=2)
+_COMPARISON_RECORD = ('  {{\n    "axis": [\n      {},\n      {}\n    ],\n    "t_ns": {},\n'
+                      '    "w_estimate": {},\n    "w_truth": {},\n    "sigma": {},\n'
+                      '    "deviation_sigmas": {}\n  }}')
+
+
+def _comparison_json(*columns) -> str:
+    """json.dumps(records, indent=2) of the records whose fields, in template
+    order, are the ``float_cells`` columns; no key and no finite repr holds
+    'nan' or 'inf', so the text takes JSON's NaN and Infinity in one pass."""
+    records = ",\n".join(map(_COMPARISON_RECORD.format, *columns))
+    text = f"[\n{records}\n]" if records else "[]"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def cmd_evolve(args) -> int:
@@ -133,20 +140,14 @@ def cmd_evolve(args) -> int:
             neg = negativity(rho, SubsystemDims(2, 3))
         # rows run over times, then over the axes x, y, z
         w = np.clip(0.5 + 0.5 * _muon_bloch(rho, j_e) @ axes.T, 0.0, 1.0)
-        n, n_axes = w.shape
-        columns = [_cells(times, n, n_axes), list(AXES) * n, _cells(w.ravel(), n * n_axes),
-                   _cells(e_val, n, n_axes), _cells(neg, n, n_axes)]
-        header = ["t_ns", "axis", "w_reduced", "E", "negativity"]
-        if args.bell:
-            header.append("max_bell")
-            columns.append(_cells(mb, n, n_axes))
-        buf = io.StringIO()
-        buf.write("# schema: musrtomo/evolve-trace/v1\n")
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        n_axes = w.shape[1]
+        extra = {"E": e_val, "negativity": neg, **({"max_bell": mb} if args.bell else {})}
+        columns = {"t_ns": float_cells(times, n_axes), "axis": list(AXES) * len(times),
+                   "w_reduced": float_cells(w),
+                   **{name: [""] * w.size if values is None else float_cells(values, n_axes)
+                      for name, values in extra.items()}}
         fname = out_dir / f"evolve_{Path(args.material).stem}_B{b_field:g}.csv"
-        fname.write_text(buf.getvalue())
+        fname.write_text(csv_text("musrtomo/evolve-trace/v1", columns))
         manifest["files"].append(fname.name)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"wrote {len(manifest['files'])} trace(s) to {out_dir}")
@@ -167,34 +168,34 @@ def cmd_simulate(args) -> int:
     bin_edges = np.linspace(0.0, t_max, args.steps + 1)
     hist = simulate_events(polarization, geometry, model, args.n_muons, args.seed,
                            bin_edges, background_fraction=args.background)
-    estimates = estimate_tomogram(hist, geometry, model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "histograms.csv").write_text(hist.to_csv(geometry))
     (out_dir / "histograms.meta.json").write_text(hist.metadata_json(model, args.seed))
-    (out_dir / "tomogram_estimate.csv").write_text(estimates_to_csv(estimates))
+    try:
+        estimates = estimate_tomogram(hist, geometry, model)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; wrote {out_dir / 'histograms.csv'}") from exc
+    cells = estimate_cells(estimates)
+    (out_dir / "tomogram_estimate.csv").write_text(csv_text(ESTIMATE_SCHEMA, cells))
 
     # truth comparison: the exact decay-weighted mean polarization of every
-    # bin that any axis keeps, Q_b / m_b in closed form
-    low = np.array([est.low_confidence for est in estimates])
-    kept = np.nonzero(~low.all(axis=0))[0]
+    # bin that any axis keeps, Q_b / m_b in closed form; one record per
+    # estimate CSV row that its axis keeps, in row order
+    on = ~np.array([est.low_confidence for est in estimates])
+    kept = np.flatnonzero(on.any(axis=0))
     mass, q = decay_bin_integrals(polarization, bin_edges, model.lifetime_ns)
     bloch = q[kept] / mass[kept, None]
-    report = []
-    for est, est_low in zip(estimates, low):
-        truths = 0.5 + 0.5 * bloch @ est.axis.vector
-        for i, truth in zip(kept, truths):
-            if est_low[i]:
-                continue
-            dev = (est.w_plus[i] - truth) / est.sigma[i]
-            report.append({"axis": [est.axis.theta, est.axis.phi],
-                           "t_ns": float(est.times[i]),
-                           "w_estimate": float(est.w_plus[i]),
-                           "w_truth": float(truth), "sigma": float(est.sigma[i]),
-                           "deviation_sigmas": float(dev)})
-    (out_dir / "comparison.json").write_text(json.dumps(report, indent=2))
-    within = sum(1 for r in report if abs(r["deviation_sigmas"]) <= 3)
-    print(f"simulated {args.n_muons} muons; {within}/{len(report)} bins within 3 sigma")
+    truth = np.array([0.5 + 0.5 * bloch @ est.axis.vector for est in estimates])[on[:, kept]]
+    dev = (np.array([est.w_plus for est in estimates])[on] - truth) \
+        / np.array([est.sigma for est in estimates])[on]
+    keep = on.ravel().tolist()
+    theta, phi, t_ns, w_est, sigma = (list(compress(cells[name], keep)) for name in (
+        "axis_theta", "axis_phi", "t_ns", "w_plus", "sigma"))
+    (out_dir / "comparison.json").write_text(_comparison_json(
+        theta, phi, t_ns, w_est, float_cells(truth), sigma, float_cells(dev)))
+    within = np.count_nonzero(np.abs(dev) <= 3)
+    print(f"simulated {args.n_muons} muons; {within}/{len(dev)} bins within 3 sigma")
     return 0
 
 
@@ -227,32 +228,22 @@ def cmd_reconstruct(args) -> int:
 
 
 def _read_measurements(path: str, plan: MeasurementPlan):
-    rows = []
     with open(path, newline="") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                rows.append(line)
-    reader = csv.DictReader(io.StringIO("".join(rows)))
-    table = {}
-    has_sigma = True
-    for rec in reader:
-        key = (round(float(rec["t_ns"]), 9),
-               round(float(rec["theta"]), 9), round(float(rec["phi"]), 9))
-        sigma = rec.get("sigma")
-        if sigma in (None, ""):
-            has_sigma = False
-        table[key] = (float(rec["w_plus"]), float(sigma) if sigma else None)
-    values, sigmas = [], []
+        records = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    # sigmas only when every record has one
+    table = {tuple(round(float(rec[c]), 9) for c in ("t_ns", "theta", "phi")):
+             (float(rec["w_plus"]), float(rec["sigma"]) if rec.get("sigma") else np.nan)
+             for rec in records}
+    rows = []
     for t in plan.times:
         for d in plan.directions:
             key = (round(t, 9), round(d.theta, 9), round(d.phi, 9))
             if key not in table:
                 raise ConfigError(f"measurement file misses (t={t}, "
                                   f"theta={d.theta}, phi={d.phi})")
-            w, s = table[key]
-            values.append(w)
-            sigmas.append(s)
-    return np.array(values), (np.array(sigmas, dtype=float) if has_sigma else None)
+            rows.append(table[key])
+    values, sigmas = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
+    return values, (sigmas if all(rec.get("sigma") for rec in records) else None)
 
 
 def _two_qubit_series(args, what: str, include_max_bell: bool = True):
@@ -268,14 +259,9 @@ def _two_qubit_series(args, what: str, include_max_bell: bool = True):
 
 def cmd_bell(args) -> int:
     times, series = _two_qubit_series(args, "bell maximization")
-    buf = io.StringIO()
-    buf.write("# schema: musrtomo/bell-trace/v1\n")
-    writer = csv.writer(buf)
-    writer.writerow(["t_ns", "max_bell", "E", "negativity"])
-    n = len(times)
-    writer.writerows(zip(_cells(times, n), _cells(series["max_bell"], n),
-                         _cells(series["E"], n), _cells(series["negativity"], n)))
-    Path(args.out).write_text(buf.getvalue())
+    Path(args.out).write_text(csv_text("musrtomo/bell-trace/v1", {
+        "t_ns": float_cells(times),
+        **{name: float_cells(series[name]) for name in ("max_bell", "E", "negativity")}}))
     print(f"wrote bell trace to {args.out}")
     return 0
 

@@ -9,7 +9,8 @@ module provides
 - the forward map state -> tomogram and the quantizer operators that invert
   it by quadrature over the sphere,
 - the three-direction inverse for qubits (dual-basis formula),
-- the CSV reader shared by the single- and two-spin tomogram containers.
+- the CSV reader and writer shared by the tomogram containers and the
+  command-line outputs.
 
 Conventions
 -----------
@@ -24,7 +25,6 @@ be exact, which also makes the j=1/2 quantizer equal I/2 + 3m (n.sigma).
 """
 
 import csv
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -309,17 +309,14 @@ class SpinTomogram:
         return cls(j, grid, tomogram_on_grid(rho, j, grid))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# schema: musrtomo/spin-tomogram/v1\n")
-        writer = csv.writer(buf)
-        writer.writerow(["m", "theta", "phi", "weight", "probability"])
-        ms = spin_projections(self.j)
-        weights = self.grid.weights
-        for mi, m in enumerate(ms):
-            for ni, node in enumerate(self.grid.nodes()):
-                writer.writerow([repr(float(m)), repr(node.theta), repr(node.phi),
-                                 repr(float(weights[ni])), repr(float(self.values[mi, ni]))])
-        return buf.getvalue()
+        # rows run over (m, theta, phi), the last fastest
+        grid, dim = self.grid, self.values.shape[0]
+        return csv_text("musrtomo/spin-tomogram/v1", {
+            "m": float_cells(spin_projections(self.j), grid.n_nodes),
+            "theta": float_cells(grid.thetas, len(grid.phis)) * dim,
+            "phi": float_cells(grid.phis) * (len(grid.thetas) * dim),
+            "weight": float_cells(grid.weights) * dim,
+            "probability": float_cells(self.values)})
 
     @classmethod
     def from_csv(cls, text: str, j: float,
@@ -350,6 +347,22 @@ def read_sample_csv(text: str, columns: tuple, keys) -> np.ndarray:
             raise ValueError(f"file misses sample {key}")
         values.append(table[key])
     return np.array(values)
+
+
+def float_cells(values, repeat: int = 1) -> list:
+    """CSV cells of a float column: the repr of each value (flattened),
+    formatted once and written ``repeat`` times in a row."""
+    cells = list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    return cells if repeat == 1 else [cell for cell in cells for _ in range(repeat)]
+
+
+def csv_text(schema: str, columns: dict) -> str:
+    """A '# schema:' line, then the header (the names of ``columns``) and one
+    row per index of its equal-length columns of cell strings, as ``csv.writer``
+    lays them out (cells joined by ',', rows ended by CRLF); no cell may need
+    quoting. Columns of unequal length raise ValueError."""
+    rows = map(",".join, zip(*columns.values(), strict=True))
+    return f"# schema: {schema}\n" + "\r\n".join([",".join(columns), *rows]) + "\r\n"
 
 
 def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:

@@ -11,8 +11,6 @@ Basis ordering is fixed globally: product labels are muon-major with both
 projections descending; coupled labels are (L descending, M descending).
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +20,8 @@ from .tomography import (
     Direction,
     QuadratureGrid,
     clebsch_gordan,
+    csv_text,
+    float_cells,
     measurement_projector,
     quantizer,
     read_sample_csv,
@@ -243,23 +243,17 @@ class TwoSpinTomogram:
         return self.values.sum(axis=3).sum(axis=2)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# schema: musrtomo/two-spin-tomogram/v1\n")
-        writer = csv.writer(buf)
-        writer.writerow(["m_mu", "theta_mu", "phi_mu", "m_e", "theta_e", "phi_e",
-                         "probability"])
-        nodes_mu = self.grid_mu.nodes()
-        nodes_e = self.grid_e.nodes()
-        for mi, m_mu in enumerate(spin_projections(self.j_mu)):
-            for ni, node_mu in enumerate(nodes_mu):
-                for mj, m_e in enumerate(spin_projections(self.j_e)):
-                    for nj, node_e in enumerate(nodes_e):
-                        writer.writerow([
-                            repr(float(m_mu)), repr(node_mu.theta), repr(node_mu.phi),
-                            repr(float(m_e)), repr(node_e.theta), repr(node_e.phi),
-                            repr(float(self.values[mi, ni, mj, nj])),
-                        ])
-        return buf.getvalue()
+        # rows run over (m_mu, theta_mu, phi_mu, m_e, theta_e, phi_e), the last fastest
+        d_mu, n_mu, d_e, n_e = self.values.shape
+        g_mu, g_e, per_mu = self.grid_mu, self.grid_e, d_e * n_e  # rows per muon node
+        return csv_text("musrtomo/two-spin-tomogram/v1", {
+            "m_mu": float_cells(spin_projections(self.j_mu), n_mu * per_mu),
+            "theta_mu": float_cells(g_mu.thetas, len(g_mu.phis) * per_mu) * d_mu,
+            "phi_mu": float_cells(g_mu.phis, per_mu) * (len(g_mu.thetas) * d_mu),
+            "m_e": float_cells(spin_projections(self.j_e), n_e) * (d_mu * n_mu),
+            "theta_e": float_cells(g_e.thetas, len(g_e.phis)) * (d_mu * n_mu * d_e),
+            "phi_e": float_cells(g_e.phis) * (len(g_e.thetas) * d_mu * n_mu * d_e),
+            "probability": float_cells(self.values)})
 
     @classmethod
     def from_csv(cls, text: str, j_mu: float, j_e: float,

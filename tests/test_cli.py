@@ -177,6 +177,23 @@ class TestSimulate:
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison, "comparison report should not be empty"
 
+    def test_failed_estimate_keeps_the_histograms(self, tmp_path, capsys):
+        # few muons over many bins: no bin reaches the estimate's count floor
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--material", "si-mustar", "--B", "50", "--aniso-axis", "x",
+                   "--detectors", "z+x+y", "--n-muons", "3000", "--steps", "2000",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no bins above the count floor" in err and str(out / "histograms.csv") in err
+        rows = read_csv(out / "histograms.csv")
+        assert len(rows) == 6 * 2000
+        assert {int(r["detector_id"]) for r in rows} == set(range(6))
+        assert sum(int(r["counts"]) for r in rows) > 0
+        assert json.loads((out / "histograms.meta.json").read_text())["n_muons"] == 3000
+        assert not (out / "tomogram_estimate.csv").exists()
+        assert not (out / "comparison.json").exists()
+
     def test_truth_is_decay_weighted_bin_average(self, tmp_path):
         out = tmp_path / "sim"
         rc = main(["simulate", "--material", "quartz", "--B", "790", "--B-axis", "x",

@@ -672,6 +672,16 @@ class TestSimulateEvents:
         assert np.array_equal(plain_mass, mass)
         assert np.abs((got - want) / mass[:, None]).max() <= 1e-11
 
+    def test_generic_step_on_a_bin_edge_is_exact(self):
+        # the Gauss-Legendre route assumes P(t) smooth within each bin; a jump
+        # on a bin edge leaves every bin constant, so each mean is exact
+        edges = np.linspace(0.0, 3000.0, 7)
+        step = lambda ts: np.where(ts[:, None] < 1000.0, 1.0, -1.0) * [0.0, 0.0, 1.0]
+        mass, q = decay_bin_integrals(step, edges, 2197.0)
+        exact = np.where(edges[:-1] < 1000.0, 1.0, -1.0)
+        assert np.abs(q[:, 2] / mass - exact).max() <= 1e-12
+        assert not q[:, :2].any()
+
     @pytest.mark.parametrize("edges", [
         5000.0, [[0.0, 1000.0], [2000.0, 3000.0]], [], [1000.0],
         [0.0, np.nan, 2000.0], [-np.inf, 0.0, 1000.0], [0.0, 1000.0, np.inf],
