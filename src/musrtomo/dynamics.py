@@ -26,7 +26,7 @@ import numpy as np
 
 from .linalg import PAULI, kron, require_density_matrix
 from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
-from .twospin import TwoSpinTomogram
+from .twospin import TwoSpinTomogram, individual_tomogram_on_grid
 
 
 @dataclass(frozen=True)
@@ -443,12 +443,19 @@ def evolve_tomogram(rho0: np.ndarray, unitary_of_t, times,
                     grid_mu: QuadratureGrid | None = None,
                     grid_e: QuadratureGrid | None = None) -> list[TwoSpinTomogram]:
     """Individual two-spin tomogram along a time grid: the state is evolved
-    by conjugation, rho(t) = U(t) rho0 U(t)^dag, and sampled on the grids."""
+    by conjugation, rho(t) = U(t) rho0 U(t)^dag, and sampled on the grids.
+
+    ``unitary_of_t`` is called once, with the 1-d array of ``times``, and
+    must return the stack (n_times, d, d), as ``PropagatorSpec.unitary`` does.
+    """
+    times = np.asarray(times, dtype=float)
+    if len(times) == 0:
+        return []
     grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
     grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
-    return [TwoSpinTomogram.from_state(evolve_density(rho0, unitary_of_t(t)),
-                                       j_mu, j_e, grid_mu, grid_e)
-            for t in times]
+    rho_t = evolve_density(rho0, unitary_of_t(times))
+    values = individual_tomogram_on_grid(rho_t, j_mu, j_e, grid_mu, grid_e)
+    return [TwoSpinTomogram(j_mu, j_e, grid_mu, grid_e, v) for v in values]
 
 
 def analytic_free_mu(m_mu: float, n_mu: Direction, m_e: float, n_e: Direction,

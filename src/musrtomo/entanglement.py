@@ -27,11 +27,12 @@ kernels on one state.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import TWO_QUBIT_BASIS, SubsystemDims, partial_transpose, require_density_matrix
-from .tomography import Direction
+from .tomography import Direction, QuadratureGrid
 from .twospin import TwoSpinTomogram, individual_tomogram
 
 CHSH_SIGNS = np.array([
@@ -223,10 +224,13 @@ def _kernel_factor(m_out, n_out, m1, n1, m2, n2):
     1/4 + 9 m1 m2 (n1.n2) + 3 m m1 (n.n1) + 3 m m2 (n.n2)
         + 18i m m1 m2 (n.[n1 x n2]).
     """
-    return (0.25 + 9 * m1 * m2 * np.dot(n1, n2)
-            + 3 * m_out * m1 * np.dot(n_out, n1)
-            + 3 * m_out * m2 * np.dot(n_out, n2)
-            + 18j * m_out * m1 * m2 * np.dot(n_out, np.cross(n1, n2)))
+    def dot(a, b):  # over the last axis, so that arrays of vectors broadcast
+        return (a * b).sum(-1)
+
+    return (0.25 + 9 * m1 * m2 * dot(n1, n2)
+            + 3 * m_out * m1 * dot(n_out, n1)
+            + 3 * m_out * m2 * dot(n_out, n2)
+            + 18j * m_out * m1 * m2 * dot(n_out, np.cross(n1, n2)))
 
 
 def star_kernel(x_primed, x_doubleprimed, x_out) -> complex:
@@ -248,39 +252,32 @@ def star_kernel(x_primed, x_doubleprimed, x_out) -> complex:
                    * _kernel_factor(m_e, n_e, mp_e, np_e, mpp_e, npp_e))
 
 
-def _kernel_tensor(j: float, grid, out_dirs) -> np.ndarray:
-    """Per-spin kernel K[(m1,i1),(m2,i2),(m_out,o)] including quadrature
-    weights on the two integrated slots. j must be 1/2."""
-    if j != 0.5:
-        raise ValueError("star-product route implemented for spin 1/2 factors")
+@lru_cache(maxsize=8)
+def _kernel_tensor(grid: QuadratureGrid, out: tuple | None = None) -> np.ndarray:
+    """Spin-1/2 kernel K[(m1,i1),(m2,i2),(m_out,o)], read-only and cached,
+    including quadrature weights on the two integrated slots; the output
+    slots are the grid's nodes, or the one direction vector ``out``."""
     ms = np.array([0.5, -0.5])
     vecs = np.array([d.vector for d in grid.nodes()])
-    outs = np.array([d.vector if isinstance(d, Direction) else np.asarray(d, float)
-                     for d in out_dirs])
+    outs = vecs if out is None else np.array([out])
     w = grid.weights
-    dot12 = vecs @ vecs.T
-    dot1o = vecs @ outs.T
-    dot2o = vecs @ outs.T
-    cross = np.cross(vecs[:, None, :], vecs[None, :, :])  # (i1, i2, 3)
-    triple = np.einsum("abk,ok->abo", cross, outs)
-    m1 = ms[:, None, None, None, None, None]
-    m2 = ms[None, None, :, None, None, None]
-    mo = ms[None, None, None, None, :, None]
-    k = (0.25
-         + 9 * m1 * m2 * dot12[None, :, None, :, None, None]
-         + 3 * mo * m1 * dot1o[None, :, None, None, None, :]
-         + 3 * mo * m2 * dot2o[None, None, None, :, None, :]
-         + 18j * mo * m1 * m2 * triple[None, :, None, :, None, :])
-    k = k * w[None, :, None, None, None, None] * w[None, None, None, :, None, None]
+
+    def at(a, axis):  # the first axis of ``a`` on ``axis`` of the six kernel axes
+        return a.reshape((1,) * axis + a.shape[:1] + (1,) * (5 - axis) + a.shape[1:])
+
+    k = _kernel_factor(at(ms, 4), at(outs, 5), at(ms, 0), at(vecs, 1), at(ms, 2), at(vecs, 3))
+    k = k * at(w, 1) * at(w, 3)
+    k.flags.writeable = False
     return k  # shape (2, n, 2, n, 2, n_out)
 
 
 def _star_on_grid(f: np.ndarray, g: np.ndarray, k_mu: np.ndarray,
                   k_e: np.ndarray) -> np.ndarray:
     """Star product of two sampled two-spin symbols, evaluated at the output
-    slots baked into the kernel tensors."""
+    slots baked into the kernel tensors. The contraction path is fixed (f with
+    k_mu, then g, then k_e), so that no call searches for one."""
     return np.einsum("aubv,cwdx,aucwey,bvdxfz->eyfz", f, g, k_mu, k_e,
-                     optimize=True)
+                     optimize=["einsum_path", (0, 2), (0, 2), (0, 1)])
 
 
 def tomographic_m34(w: TwoSpinTomogram, eval_dirs=None):
@@ -300,25 +297,15 @@ def tomographic_m34(w: TwoSpinTomogram, eval_dirs=None):
     wp = ppt_tomogram(w).values.astype(complex)
     if eval_dirs is None:
         eval_dirs = (Direction(0.0, 0.0), Direction(0.0, 0.0))
-    out_mu, out_e = eval_dirs
+    out_mu, out_e = (tuple(d.vector if isinstance(d, Direction) else np.asarray(d, float))
+                     for d in eval_dirs)
 
-    k_mu_grid = _kernel_tensor(0.5, w.grid_mu, w.grid_mu.nodes())
-    k_e_grid = _kernel_tensor(0.5, w.grid_e, w.grid_e.nodes())
-    k_mu_out = _kernel_tensor(0.5, w.grid_mu, [out_mu])
-    k_e_out = _kernel_tensor(0.5, w.grid_e, [out_e])
-
-    w2_grid = _star_on_grid(wp, wp, k_mu_grid, k_e_grid)
-    w2_out = _star_on_grid(wp, wp, k_mu_out, k_e_out)
-    w3_out = _star_on_grid(w2_grid, wp, k_mu_out, k_e_out)
-    w4_out = _star_on_grid(w2_grid, w2_grid, k_mu_out, k_e_out)
-
-    def msum(arr):
-        return complex(arr.sum())
-
+    w2_grid = _star_on_grid(wp, wp, _kernel_tensor(w.grid_mu), _kernel_tensor(w.grid_e))
+    k_mu_out, k_e_out = _kernel_tensor(w.grid_mu, out_mu), _kernel_tensor(w.grid_e, out_e)
+    # sum_m of w*w, w*w*w and w*w*w*w at the output directions
+    s2, s3, s4 = (complex(_star_on_grid(f, g, k_mu_out, k_e_out).sum())
+                  for f, g in ((wp, wp), (w2_grid, wp), (w2_grid, w2_grid)))
     s1 = 1.0  # sum_m w = trace of the state
-    s2 = msum(w2_out)
-    s3 = msum(w3_out)
-    s4 = msum(w4_out)
     m3 = (s1 - 3 * s2 + 2 * s3) / 6
     m4 = (3 * s2 ** 2 + s1 - 6 * s2 + 8 * s3 - 6 * s4) / 24
     return float(m3.real), float(m4.real)

@@ -550,11 +550,15 @@ def estimate_cells(estimates: list[AxisEstimate]) -> dict:
     """The columns of ``estimates_to_csv`` as cell strings by header name."""
     columns = {name: [] for name in ("axis_theta", "axis_phi", "t_ns", "w_plus", "sigma",
                                      "pair_counts", "low_confidence")}
+    times, time_cells = None, None  # estimate_tomogram gives every axis one times array
     for est in estimates:
+        if est.times is not times:
+            times, time_cells = est.times, float_cells(est.times)
         for column, cells in zip(columns.values(), (
                 float_cells(est.axis.theta, len(est.times)),
                 float_cells(est.axis.phi, len(est.times)),
-                *map(float_cells, (est.times, est.w_plus, est.sigma, est.pair_counts)),
+                time_cells,
+                *map(float_cells, (est.w_plus, est.sigma, est.pair_counts)),
                 list(map(str, np.asarray(est.low_confidence, dtype=int).tolist())))):
             column += cells
     return columns

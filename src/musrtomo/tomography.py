@@ -5,9 +5,10 @@ probability of finding spin projection m along the unit direction n. This
 module provides
 
 - :class:`Direction` and the product :class:`QuadratureGrid` on the sphere,
-- SU(2) rotation matrices, 3j symbols and Clebsch-Gordan coefficients,
+- SU(2) rotation matrices, per direction or as a cached read-only stack per
+  spin and grid, 3j symbols and Clebsch-Gordan coefficients,
 - the forward map state -> tomogram and the quantizer operators that invert
-  it by quadrature over the sphere,
+  it by quadrature over the sphere, on a grid each one contraction,
 - the three-direction inverse for qubits (dual-basis formula),
 - the CSV reader and writer shared by the tomogram containers and the
   command-line outputs.
@@ -75,12 +76,13 @@ Z_AXIS = Direction(0.0, 0.0)
 AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta) times a
     uniform trapezoid in phi, with weights normalized to integrate dn/4pi.
 
-    Exact for spherical polynomials up to the declared ``degree``.
+    Exact for spherical polynomials up to the declared ``degree``. Grids with
+    equal degrees and arrays are equal and share cached tables.
     """
 
     thetas: np.ndarray
@@ -94,17 +96,27 @@ class QuadratureGrid:
         return cls.of_degree(int(round(4 * j)))
 
     @classmethod
+    @lru_cache(maxsize=32)
     def of_degree(cls, degree: int) -> "QuadratureGrid":
+        """The grid of ``degree``, built once; its arrays are read-only."""
         n_theta = max(2, degree + 1)
         n_phi = max(3, degree + 2)
         x, wx = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)  # theta ascending
-        return cls(
-            thetas=np.arccos(x[order]),
-            theta_weights=wx[order] / 2.0,
-            phis=2 * np.pi * np.arange(n_phi) / n_phi,
-            degree=degree,
-        )
+        arrays = np.arccos(x[order]), wx[order] / 2.0, 2 * np.pi * np.arange(n_phi) / n_phi
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays, degree=degree)
+
+    def _key(self) -> tuple:
+        return (self.degree, self.thetas.tobytes(), self.theta_weights.tobytes(),
+                self.phis.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuadratureGrid) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n_nodes(self) -> int:
@@ -139,12 +151,8 @@ def spin_projections(j: float) -> np.ndarray:
 def angular_momentum_ops(j: float):
     """(Jx, Jy, Jz) in the |j m> basis, m descending."""
     ms = spin_projections(j)
-    dim = len(ms)
     jz = np.diag(ms).astype(complex)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        m = ms[k]
-        jplus[k - 1, k] = np.sqrt(j * (j + 1) - m * (m + 1))
+    jplus = np.diag(np.sqrt(j * (j + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
     jminus = jplus.conj().T
     return (jplus + jminus) / 2, (jplus - jminus) / 2j, jz
 
@@ -199,33 +207,32 @@ def rotation_matrix(j: float, direction: Direction) -> np.ndarray:
     Matrix elements e^{-i(m'-m)phi} d^j_{m'm}(theta); the first column is the
     coherent spin state pointing along ``direction``.
     """
-    if j not in SUPPORTED_SPINS:
-        raise ValueError(f"unsupported spin j={j}; supported: {SUPPORTED_SPINS}")
-    mu, v = _jy_eigensystem(int(round(2 * j)))
+    mu, v = _jy_eigensystem(j)
     small_d = ((v * np.exp(-1j * direction.theta * mu)) @ v.conj().T).real
     phase = np.exp(-1j * direction.phi * spin_projections(j))
     return phase[:, None] * small_d * phase.conj()
 
 
+@lru_cache(maxsize=32)
+def rotations(j: float, grid: QuadratureGrid) -> np.ndarray:
+    """``rotation_matrix(j, node)`` for every node of ``grid.nodes()``, shape
+    (n_nodes, 2j+1, 2j+1): read-only, built once per spin and grid in one
+    broadcast, e^{-i phi Jz} V e^{-i theta mu} V^dag e^{+i phi Jz}."""
+    mu, v = _jy_eigensystem(j)
+    small_d = ((v * np.exp(-1j * np.multiply.outer(grid.thetas, mu))[:, None]) @ v.conj().T).real
+    phase = np.exp(-1j * np.multiply.outer(grid.phis, spin_projections(j)))
+    r = phase[None, :, :, None] * small_d[:, None] * phase.conj()[None, :, None, :]
+    r = r.reshape(grid.n_nodes, len(mu), len(mu))
+    r.flags.writeable = False
+    return r
+
+
 @lru_cache(maxsize=len(SUPPORTED_SPINS))
-def _jy_eigensystem(two_j: int) -> tuple:
-    """Eigenvalues and eigenvectors of Jy for spin two_j / 2."""
-    return np.linalg.eigh(angular_momentum_ops(two_j / 2.0)[1])
-
-
-def measurement_projector(j: float, m: float, direction: Direction) -> np.ndarray:
-    """Rank-one effect R|j m><j m|R^dag: projection m along ``direction``."""
-    r = rotation_matrix(j, direction)
-    idx = _m_index(j, m)
-    col = r[:, idx]
-    return np.outer(col, col.conj())
-
-
-def _m_index(j: float, m: float) -> int:
-    idx = int(round(j - m))
-    if idx < 0 or idx > int(round(2 * j)):
-        raise ValueError(f"projection m={m} invalid for j={j}")
-    return idx
+def _jy_eigensystem(j: float) -> tuple:
+    """Eigenvalues and eigenvectors of Jy for a supported spin j."""
+    if j not in SUPPORTED_SPINS:
+        raise ValueError(f"unsupported spin j={j}; supported: {SUPPORTED_SPINS}")
+    return np.linalg.eigh(angular_momentum_ops(j)[1])
 
 
 def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
@@ -233,52 +240,47 @@ def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
 
     Diagonal of R^dag rho R; nonnegative for positive rho and summing to 1.
     """
-    rho = _spin_state(rho, j)
+    rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
     r = rotation_matrix(j, direction)
     return np.einsum("ai,ab,bi->i", r.conj(), rho, r).real
 
 
-def tomogram_on_grid(rho: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
-    """Tomogram values on every grid node, shape (2j+1, n_nodes)."""
-    return operator_symbol_on_grid(_spin_state(rho, j), j, grid).real
-
-
-def _spin_state(rho: np.ndarray, j: float) -> np.ndarray:
-    """One density matrix of dimension 2j+1."""
+def require_state(rho: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """One density matrix (not a stack) of dimension ``dim``, called ``name``."""
     rho = require_density_matrix(rho)
-    dim = int(round(2 * j)) + 1
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix dimension {rho.shape[-1]} != 2j+1 = {dim}")
+    if rho.ndim != 2:
+        raise ValueError(f"expected one density matrix, got a stack of shape {rho.shape}")
+    if rho.shape[0] != dim:
+        raise ValueError(f"density matrix dimension {rho.shape[0]} != {name} = {dim}")
     return rho
 
 
-@lru_cache(maxsize=None)
-def _tensor_l0_diags(two_j: int) -> tuple:
-    """Diagonals of the normalized irreducible tensor operators T^{L0},
-    L = 0..2j; each is orthonormal under the trace inner product."""
-    j = two_j / 2.0
+@lru_cache(maxsize=len(SUPPORTED_SPINS))
+def _quantizer_kernels(j: float) -> np.ndarray:
+    """Read-only rows k_m = sum_L (2L+1) <j m|T^{L0}|j m> diag(T^{L0}), the
+    quantizer's diagonal kernels, over the normalized T^{L0}, L = 0..2j."""
     ms = spin_projections(j)
-    out = []
-    for ell in range(two_j + 1):
+    kernels = np.zeros((len(ms), len(ms)))
+    for ell in range(len(ms)):
         diag = np.array([clebsch_gordan(j, m, ell, 0.0, j, m) for m in ms])
-        out.append(diag / np.linalg.norm(diag))
-    return tuple(out)
+        diag /= np.linalg.norm(diag)
+        kernels += (2 * ell + 1) * np.outer(diag, diag)
+    kernels.flags.writeable = False
+    return kernels
 
 
 def quantizer(j: float, m: float, direction: Direction) -> np.ndarray:
     """Quantizer operator dual to the tomogram: rho equals the quadrature sum
     of w(m, n) * quantizer(j, m, n) over m and the sphere.
 
-    Built as R K_m R^dag with the diagonal kernel
-    K_m = sum_L (2L+1) <j m|T^{L0}|j m> T^{L0}; for j = 1/2 this reduces to
-    I/2 + 3m (n.sigma).
+    Built as R diag(k_m) R^dag with the diagonal kernel of ``_quantizer_kernels``;
+    for j = 1/2 this reduces to I/2 + 3m (n.sigma).
     """
-    idx = _m_index(j, m)
-    diags = _tensor_l0_diags(int(round(2 * j)))
-    kernel = np.zeros(len(diags[0]))
-    for ell, diag in enumerate(diags):
-        kernel += (2 * ell + 1) * diag[idx] * diag
+    idx = int(round(j - m))
+    if not 0 <= idx <= int(round(2 * j)):
+        raise ValueError(f"projection m={m} invalid for j={j}")
     r = rotation_matrix(j, direction)
+    kernel = _quantizer_kernels(j)[idx]
     return (r * kernel) @ r.conj().T
 
 
@@ -305,8 +307,9 @@ class SpinTomogram:
     @classmethod
     def from_state(cls, rho: np.ndarray, j: float,
                    grid: QuadratureGrid | None = None) -> "SpinTomogram":
+        rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
         grid = grid if grid is not None else QuadratureGrid.for_spin(j)
-        return cls(j, grid, tomogram_on_grid(rho, j, grid))
+        return cls(j, grid, operator_symbol_on_grid(rho, j, grid).real)
 
     def to_csv(self) -> str:
         # rows run over (m, theta, phi), the last fastest
@@ -371,23 +374,24 @@ def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:
     if tom.grid.degree < int(round(4 * tom.j)):
         raise ValueError(f"grid degree {tom.grid.degree} insufficient for j={tom.j}; "
                          f"need >= {int(round(4 * tom.j))}")
-    dim = int(round(2 * tom.j)) + 1
-    weights = tom.grid.weights
-    rho = np.zeros((dim, dim), dtype=complex)
-    for mi, m in enumerate(spin_projections(tom.j)):
-        for ni, node in enumerate(tom.grid.nodes()):
-            rho += weights[ni] * tom.values[mi, ni] * quantizer(tom.j, m, node)
-    return rho
+    return operator_from_symbol(tom.values, tom.j, tom.grid)
 
 
 def operator_symbol_on_grid(op: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
-    """Tomographic symbol Tr[op R|j m><j m|R^dag] of an arbitrary operator."""
-    op = np.asarray(op, dtype=complex)
-    cols = []
-    for node in grid.nodes():
-        r = rotation_matrix(j, node)
-        cols.append(np.einsum("ai,ab,bi->i", r.conj(), op, r))
-    return np.array(cols).T
+    """Tomographic symbol Tr[op R|j m><j m|R^dag] of an arbitrary operator, or
+    of each of a stack (..., d, d) of them, shape (..., 2j+1, n_nodes)."""
+    r = rotations(j, grid)
+    op_r = np.asarray(op, dtype=complex)[..., None, :, :] @ r
+    return np.einsum("nai,...nai->...in", r.conj(), op_r)
+
+
+def operator_from_symbol(symbol: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
+    """Inverse of ``operator_symbol_on_grid`` on grids of degree >= 4j: the
+    quadrature sum of w_n symbol[..., m, n] times the quantizers R_n diag(k_m)
+    R_n^dag, taken as sum_n R_n diag(sum_m w_n symbol[..., m, n] k_m) R_n^dag."""
+    r = rotations(j, grid)
+    diags = (symbol * grid.weights).swapaxes(-1, -2) @ _quantizer_kernels(j)
+    return np.einsum("...nak,nbk->...ab", r * diags[..., None, :], r.conj())
 
 
 def dual_basis(n1: Direction, n2: Direction, n3: Direction):

@@ -22,11 +22,14 @@ from .tomography import (
     clebsch_gordan,
     csv_text,
     float_cells,
-    measurement_projector,
+    operator_from_symbol,
+    operator_symbol_on_grid,
     quantizer,
     read_sample_csv,
+    require_state,
     rotation_matrix,
     spin_projections,
+    tomogram,
 )
 
 
@@ -104,10 +107,7 @@ def reduced_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
     """Muon marginal of the individual tomogram: the single-spin tomogram of
     Tr_e[rho]. Independent of any electron direction (non-signalling)."""
     rho = require_density_matrix(rho)
-    basis = TwoSpinBasis(j_mu, j_e)
-    rho_mu = partial_trace(rho, basis.dims, keep="a")
-    r = rotation_matrix(j_mu, dir_mu)
-    return np.einsum("ai,ab,bi->i", r.conj(), rho_mu, r).real
+    return tomogram(partial_trace(rho, TwoSpinBasis(j_mu, j_e).dims, keep="a"), j_mu, dir_mu)
 
 
 def total_tomogram(rho: np.ndarray, j_mu: float, j_e: float, u: np.ndarray) -> np.ndarray:
@@ -223,20 +223,11 @@ class TwoSpinTomogram:
     def from_state(cls, rho: np.ndarray, j_mu: float, j_e: float,
                    grid_mu: QuadratureGrid | None = None,
                    grid_e: QuadratureGrid | None = None) -> "TwoSpinTomogram":
-        rho = require_density_matrix(rho)
+        rho = require_state(rho, TwoSpinBasis(j_mu, j_e).dim, "(2j_mu+1)(2j_e+1)")
         grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
         grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
-        proj_mu = np.array([[measurement_projector(j_mu, m, node)
-                             for node in grid_mu.nodes()]
-                            for m in spin_projections(j_mu)])
-        proj_e = np.array([[measurement_projector(j_e, m, node)
-                            for node in grid_e.nodes()]
-                           for m in spin_projections(j_e)])
-        d_mu = int(round(2 * j_mu + 1))
-        d_e = int(round(2 * j_e + 1))
-        rho_t = rho.reshape(d_mu, d_e, d_mu, d_e)
-        vals = np.einsum("acbd,miba,njdc->minj", rho_t, proj_mu, proj_e).real
-        return cls(j_mu, j_e, grid_mu, grid_e, vals)
+        return cls(j_mu, j_e, grid_mu, grid_e,
+                   individual_tomogram_on_grid(rho, j_mu, j_e, grid_mu, grid_e))
 
     def marginal_mu(self) -> np.ndarray:
         """Muon marginal per muon node (electron variables summed out)."""
@@ -271,21 +262,28 @@ class TwoSpinTomogram:
         return cls(j_mu, j_e, grid_mu, grid_e, values.reshape(shape))
 
 
+def individual_tomogram_on_grid(rho: np.ndarray, j_mu: float, j_e: float,
+                                grid_mu: QuadratureGrid, grid_e: QuadratureGrid) -> np.ndarray:
+    """Individual tomogram of a state or a stack (..., D, D) of states, not
+    validated here, on all node pairs: shape (..., 2j_mu+1, n_mu, 2j_e+1, n_e).
+    The muon symbol of each electron matrix element, then the electron's."""
+    d_mu, d_e = int(round(2 * j_mu + 1)), int(round(2 * j_e + 1))
+    rho_t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (d_mu, d_e, d_mu, d_e))
+    per_mu = operator_symbol_on_grid(np.moveaxis(rho_t, (-4, -2), (-2, -1)), j_mu, grid_mu)
+    return operator_symbol_on_grid(np.moveaxis(per_mu, (-4, -3), (-2, -1)), j_e, grid_e).real
+
+
 def reconstruct_two_spin(w: TwoSpinTomogram) -> np.ndarray:
     """Density matrix from the individual tomogram by double sphere quadrature
-    against the product quantizers."""
+    against the product quantizers, electron first."""
     for grid, j in ((w.grid_mu, w.j_mu), (w.grid_e, w.j_e)):
         if grid.degree < int(round(4 * j)):
             raise ValueError("grid degree insufficient for reconstruction")
-    quant_mu = np.array([[quantizer(w.j_mu, m, node) for node in w.grid_mu.nodes()]
-                         for m in spin_projections(w.j_mu)])
-    quant_e = np.array([[quantizer(w.j_e, m, node) for node in w.grid_e.nodes()]
-                        for m in spin_projections(w.j_e)])
-    wq = w.values * w.grid_mu.weights[None, :, None, None] \
-        * w.grid_e.weights[None, None, None, :]
-    rho_t = np.einsum("minj,miab,njcd->acbd", wq, quant_mu, quant_e)
+    per_mu = operator_from_symbol(w.values, w.j_e, w.grid_e)          # (m, i, c, d)
+    rho_t = operator_from_symbol(np.moveaxis(per_mu, (0, 1), (-2, -1)),
+                                 w.j_mu, w.grid_mu)                     # (c, d, a, b)
     dim = w.values.shape[0] * w.values.shape[2]
-    return rho_t.reshape(dim, dim)
+    return rho_t.transpose(2, 0, 3, 1).reshape(dim, dim)
 
 
 def total_from_individual(w: TwoSpinTomogram, u: np.ndarray) -> np.ndarray:

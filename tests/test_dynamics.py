@@ -311,6 +311,10 @@ class TestEvolveTomogram:
             assert np.all(w.values >= -1e-12)
             assert np.abs(w.values.sum(axis=(0, 2)) - 1).max() < 1e-12
 
+    def test_no_times(self, singlet):
+        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
+        assert evolve_tomogram(singlet, prop.unitary, []) == []
+
 
 class TestAnalyticFreeMu:
     def test_reduced_values(self):

@@ -1,0 +1,220 @@
+"""The batched grid kernels (one cached rotation stack per spin and grid)
+against the per-node routes they replace, kept here as oracles: a rotation
+matrix, projector or quantizer per (m, node) and one state per instant."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_density_matrix
+from musrtomo import tomography, twospin
+from musrtomo.dynamics import HamiltonianSpec, PropagatorSpec, evolve_density, evolve_tomogram
+from musrtomo.entanglement import _kernel_tensor
+from musrtomo.tomography import (
+    SUPPORTED_SPINS,
+    QuadratureGrid,
+    SpinTomogram,
+    Z_AXIS,
+    clebsch_gordan,
+    operator_symbol_on_grid,
+    quantizer,
+    reconstruct_from_sphere,
+    rotation_matrix,
+    rotations,
+    spin_projections,
+)
+from musrtomo.twospin import TwoSpinTomogram, reconstruct_two_spin
+
+TWO_SPIN_SHAPES = ((0.5, 0.5), (0.5, 1.0))
+
+
+# --------------------------------------------------------------------------
+# per-node oracles
+
+def measurement_projector(j, m, direction):
+    """Rank-one effect R|j m><j m|R^dag: projection m along ``direction``."""
+    col = rotation_matrix(j, direction)[:, int(round(j - m))]
+    return np.outer(col, col.conj())
+
+
+def quantizer_per_node(j, m, direction):
+    """R K_m R^dag with K_m = sum_L (2L+1) <j m|T^{L0}|j m> T^{L0}, the
+    diagonals of the normalized T^{L0} taken from Clebsch-Gordan sums."""
+    ms = spin_projections(j)
+    kernel = np.zeros(len(ms))
+    for ell in range(len(ms)):
+        diag = np.array([clebsch_gordan(j, mm, ell, 0.0, j, mm) for mm in ms])
+        diag /= np.linalg.norm(diag)
+        kernel += (2 * ell + 1) * diag[int(round(j - m))] * diag
+    r = rotation_matrix(j, direction)
+    return (r * kernel) @ r.conj().T
+
+
+def symbol_per_node(op, j, grid):
+    """Tr[op R|j m><j m|R^dag], one rotation matrix per node."""
+    cols = []
+    for node in grid.nodes():
+        r = rotation_matrix(j, node)
+        cols.append(np.einsum("ai,ab,bi->i", r.conj(), op, r))
+    return np.array(cols).T
+
+
+def reconstruct_per_node(tom):
+    """Quadrature sum of w_n w(m, n) quantizer(j, m, n), one term per (m, node)."""
+    dim = int(round(2 * tom.j)) + 1
+    rho = np.zeros((dim, dim), dtype=complex)
+    for mi, m in enumerate(spin_projections(tom.j)):
+        for ni, node in enumerate(tom.grid.nodes()):
+            rho += tom.grid.weights[ni] * tom.values[mi, ni] * quantizer_per_node(tom.j, m, node)
+    return rho
+
+
+def two_spin_values_per_node(rho, j_mu, j_e, grid_mu, grid_e):
+    """Individual tomogram from one projector per (m, node) and spin."""
+    proj_mu = np.array([[measurement_projector(j_mu, m, node) for node in grid_mu.nodes()]
+                        for m in spin_projections(j_mu)])
+    proj_e = np.array([[measurement_projector(j_e, m, node) for node in grid_e.nodes()]
+                       for m in spin_projections(j_e)])
+    d_mu, d_e = len(proj_mu), len(proj_e)
+    rho_t = rho.reshape(d_mu, d_e, d_mu, d_e)
+    return np.einsum("acbd,miba,njdc->minj", rho_t, proj_mu, proj_e).real
+
+
+def reconstruct_two_spin_per_node(w):
+    """Double quadrature against one product quantizer per (m, node) pair."""
+    quant_mu = np.array([[quantizer_per_node(w.j_mu, m, node) for node in w.grid_mu.nodes()]
+                         for m in spin_projections(w.j_mu)])
+    quant_e = np.array([[quantizer_per_node(w.j_e, m, node) for node in w.grid_e.nodes()]
+                        for m in spin_projections(w.j_e)])
+    wq = w.values * w.grid_mu.weights[None, :, None, None] \
+        * w.grid_e.weights[None, None, None, :]
+    rho_t = np.einsum("minj,miab,njcd->acbd", wq, quant_mu, quant_e)
+    dim = w.values.shape[0] * w.values.shape[2]
+    return rho_t.reshape(dim, dim)
+
+
+def evolve_per_instant(rho0, unitary_of_t, times, j_mu, j_e):
+    """One evolved state, unitary call and tomogram per instant."""
+    grid_mu, grid_e = QuadratureGrid.for_spin(j_mu), QuadratureGrid.for_spin(j_e)
+    return [two_spin_values_per_node(evolve_density(rho0, unitary_of_t(t)),
+                                     j_mu, j_e, grid_mu, grid_e) for t in times]
+
+
+def random_operator(dim, rng, *batch):
+    return rng.normal(size=(*batch, dim, dim)) + 1j * rng.normal(size=(*batch, dim, dim))
+
+
+# --------------------------------------------------------------------------
+# batched kernels against the oracles
+
+class TestAgainstPerNodeOracles:
+    @given(j=st.sampled_from(SUPPORTED_SPINS), seed=st.integers(0, 10_000))
+    @settings(deadline=None, max_examples=25)
+    def test_single_spin(self, j, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(round(2 * j)) + 1
+        grid = QuadratureGrid.for_spin(j)
+        stack = rotations(j, grid)
+        for r, node in zip(stack, grid.nodes(), strict=True):
+            assert np.abs(r - rotation_matrix(j, node)).max() <= 1e-13
+        for m in spin_projections(j):
+            assert np.abs(quantizer(j, m, grid.nodes()[-1])
+                          - quantizer_per_node(j, m, grid.nodes()[-1])).max() <= 1e-13
+        rho = random_density_matrix(dim, rng)
+        tom = SpinTomogram.from_state(rho, j)
+        assert np.abs(tom.values - symbol_per_node(rho, j, grid).real).max() <= 1e-13
+        assert np.abs(reconstruct_from_sphere(tom) - reconstruct_per_node(tom)).max() <= 1e-13
+        ops = random_operator(dim, rng, 3)
+        got = operator_symbol_on_grid(ops, j, grid)
+        for op, sym in zip(ops, got, strict=True):
+            assert np.abs(sym - symbol_per_node(op, j, grid)).max() <= 1e-13
+
+    @given(shape=st.sampled_from(TWO_SPIN_SHAPES), seed=st.integers(0, 10_000))
+    @settings(deadline=None, max_examples=15)
+    def test_two_spin(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        j_mu, j_e = shape
+        rho = random_density_matrix(int(round((2 * j_mu + 1) * (2 * j_e + 1))), rng)
+        w = TwoSpinTomogram.from_state(rho, j_mu, j_e)
+        want = two_spin_values_per_node(rho, j_mu, j_e, w.grid_mu, w.grid_e)
+        assert np.abs(w.values - want).max() <= 1e-13
+        assert np.abs(reconstruct_two_spin(w) - reconstruct_two_spin_per_node(w)).max() <= 1e-13
+
+    @given(shape=st.sampled_from(TWO_SPIN_SHAPES), seed=st.integers(0, 10_000))
+    @settings(deadline=None, max_examples=10)
+    def test_evolve_tomogram(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        j_mu, j_e = shape
+        prop = PropagatorSpec(HamiltonianSpec.hyperfine(rng.uniform(1.0, 5.0), j_e))
+        rho0 = random_density_matrix(prop.hamiltonian.dim, rng)
+        times = rng.uniform(0.0, 3.0, 3)
+        got = evolve_tomogram(rho0, prop.unitary, times, j_mu, j_e)
+        want = evolve_per_instant(rho0, prop.unitary, times, j_mu, j_e)
+        for tom, ref in zip(got, want, strict=True):
+            assert np.abs(tom.values - ref).max() <= 1e-13
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("j", [0.5, 2.0])
+    def test_hand_built_grid_gets_its_own_stack(self, j, rng):
+        grid = QuadratureGrid.for_spin(j)
+        shifted = QuadratureGrid(grid.thetas, grid.theta_weights, grid.phis + 0.3, grid.degree)
+        rho = random_density_matrix(int(round(2 * j)) + 1, rng)
+        SpinTomogram.from_state(rho, j, grid)  # fills the default grid's stack first
+        tom = SpinTomogram.from_state(rho, j, shifted)
+        assert np.abs(tom.values - symbol_per_node(rho, j, shifted).real).max() <= 1e-13
+        assert np.abs(reconstruct_from_sphere(tom) - rho).max() <= 1e-9
+        assert np.abs(rotations(j, shifted) - rotations(j, grid)).max() > 0.1
+
+    def test_equal_grids_share_a_stack(self):
+        grid = QuadratureGrid.for_spin(1.0)
+        twin = QuadratureGrid(grid.thetas.copy(), grid.theta_weights.copy(),
+                              grid.phis.copy(), grid.degree)
+        assert twin == grid and hash(twin) == hash(grid)
+        assert rotations(1.0, twin) is rotations(1.0, grid)
+        assert QuadratureGrid.of_degree(4) is grid
+
+    def test_cached_arrays_are_read_only(self):
+        grid = QuadratureGrid.for_spin(1.5)
+        for table in (grid.thetas, grid.theta_weights, grid.phis, rotations(1.5, grid),
+                      _kernel_tensor(QuadratureGrid.for_spin(0.5))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_unsupported_spin(self):
+        with pytest.raises(ValueError, match="unsupported spin"):
+            rotations(2.5, QuadratureGrid.for_spin(2.5))
+
+
+def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
+    """After one warm-up, a j = 2 sphere round trip and a 1/2 x 1 two-spin
+    round trip call no rotation_matrix, quantizer or leggauss."""
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (tomography, twospin):
+        counted(module, "rotation_matrix")
+        counted(module, "quantizer")
+    counted(np.polynomial.legendre, "leggauss")
+    rho5, rho6 = random_density_matrix(5, rng), random_density_matrix(6, rng)
+
+    def round_trips():
+        reconstruct_from_sphere(SpinTomogram.from_state(rho5, 2.0))
+        reconstruct_two_spin(TwoSpinTomogram.from_state(rho6, 0.5, 1.0))
+
+    round_trips()
+    calls.clear()
+    round_trips()
+    assert calls == {}
+    tomography.quantizer(0.5, 0.5, Z_AXIS)  # the counters do count
+    assert calls == {"quantizer": 1, "rotation_matrix": 1}

@@ -316,6 +316,16 @@ class TestTotalFromIndividual:
 
 
 class TestTwoSpinTomogramContainer:
+    def test_from_state_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match=r"density matrix dimension 3 != "
+                                             r"\(2j_mu\+1\)\(2j_e\+1\) = 4"):
+            TwoSpinTomogram.from_state(np.eye(3) / 3, 0.5, 0.5)
+
+    def test_from_state_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"expected one density matrix, got a stack "
+                                             r"of shape \(2, 4, 4\)"):
+            TwoSpinTomogram.from_state(np.stack([np.eye(4) / 4] * 2), 0.5, 0.5)
+
     def test_marginal_matches_reduced(self, rng):
         rho = random_density_matrix(4, rng)
         w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)

@@ -158,6 +158,15 @@ class TestSimulateWriters:
              for est in ests for i, t in enumerate(est.times)))
         assert estimates_to_csv(ests) == want
 
+    def test_estimates_with_their_own_times(self):
+        # each axis keeps its own times when they are separate arrays
+        ests = [AxisEstimate(axis=Z_AXIS, times=np.array(ts), w_plus=np.full(2, 0.5),
+                             sigma=np.full(2, 0.1), pair_counts=np.array([9, 9]),
+                             low_confidence=np.zeros(2, dtype=bool))
+                for ts in ([1.0, 2.0], [3.0, 4.5])]
+        rows = csv_oracle(estimates_to_csv(ests))
+        assert [row[2] for row in rows[1:]] == ["1.0", "2.0", "3.0", "4.5"]
+
     def test_low_confidence_cells(self):
         est = [AxisEstimate(axis=axis, times=np.array([1.0, 3.0]),
                             w_plus=np.array([0.9, np.nan]), sigma=np.array([0.01, np.nan]),
