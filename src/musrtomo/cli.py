@@ -37,7 +37,8 @@ from .musr import (
     estimate_tomogram,
     simulate_events,
 )
-from .reconstruction import MeasurementPlan, build_design_matrix, reconstruct_initial
+from .reconstruction import (MeasurementPlan, build_design_matrix, reconstruct_initial,
+                             time_generic_rank)
 from .tomography import AXES, Direction, csv_text, float_cells
 
 DEFAULT_SWEEPS = {
@@ -92,6 +93,8 @@ def _time_grid(prop: PropagatorSpec, args) -> np.ndarray:
         t_max = args.t_max_ns
     else:
         gaps = prop.eigenfrequency_gaps()
+        if len(gaps) == 0:
+            raise ConfigError("a single-level spectrum sets no time scale; pass --t-max-ns")
         t_max = 4 * 2 * np.pi / gaps[0]
     return np.linspace(0.0, t_max, args.steps)
 
@@ -212,6 +215,10 @@ def cmd_reconstruct(args) -> int:
                            times=tuple(plan_data["times_ns"]))
     design = build_design_matrix(plan)
     values, sigmas = _read_measurements(args.measurements, plan)
+    generic = time_generic_rank(plan)
+    if design.rank < generic:
+        print(f"note: rank {design.rank} < time-generic rank {generic}: the chosen "
+              "times, not the Hamiltonian, lose directions", file=sys.stderr)
     if design.rank < 15 and not args.allow_deficient:
         null = design.null_space()
         print(f"error: plan is rank deficient: rank {design.rank} < 15, "
@@ -221,7 +228,7 @@ def cmd_reconstruct(args) -> int:
         return 2
     result = reconstruct_initial(values, plan, sigmas=sigmas,
                                  allow_deficient=args.allow_deficient, design=design)
-    Path(args.out).write_text(result.to_json(plan))
+    Path(args.out).write_text(result.to_json(plan, time_generic_rank=generic))
     print(f"wrote reconstruction report to {args.out} "
           f"(rank {result.rank}, residual {result.residual_norm:.3e})")
     return 0

@@ -20,11 +20,12 @@ test suite.
 """
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, kron, require_density_matrix
+from .linalg import PAULI, require_density_matrix
 from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
 from .twospin import TwoSpinTomogram, individual_tomogram_on_grid
 
@@ -88,6 +89,8 @@ class HamiltonianSpec:
         for name in ("a", "delta_a", "b_field"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not (2 * self.j_e >= 1 and float(2 * self.j_e).is_integer()):  # NaN fails too
+            raise ValueError(f"j_e must be a positive multiple of 1/2, got {self.j_e!r}")
         if self.family is HamiltonianFamily.ANISOTROPIC and self.aniso_axis is None:
             raise ValueError("anisotropic family requires an anisotropy axis")
         if self.b_field != 0.0 and self.b_axis is None:
@@ -108,22 +111,15 @@ def build_hamiltonian(spec: HamiltonianSpec,
                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """H/hbar in rad/ns, in the muon-major product basis (projections
     descending). Zeeman signs: muon enters with -gamma_mu, electron +gamma_e."""
-    j_mu_ops = angular_momentum_ops(0.5)
-    j_e_ops = angular_momentum_ops(spec.j_e)
-    d_e = j_e_ops[0].shape[0]
-    eye_mu, eye_e = np.eye(2), np.eye(d_e)
-    h = spec.a * sum(kron(jm, je) for jm, je in zip(j_mu_ops, j_e_ops))
+    j_mu, j_e = np.array(angular_momentum_ops(0.5)), np.array(angular_momentum_ops(spec.j_e))
+    mu, el = np.kron(j_mu, np.eye(len(j_e[0]))), np.kron(np.eye(2), j_e)  # J_mu x I, I x J_e
+    h = spec.a * sum(mu @ el)
     if spec.b_field != 0.0:
-        b_vec = spec.b_axis.vector * spec.b_field
-        h = h - constants.gamma_mu * sum(b_vec[i] * kron(j_mu_ops[i], eye_e)
-                                         for i in range(3))
-        h = h + constants.gamma_e * sum(b_vec[i] * kron(eye_mu, j_e_ops[i])
-                                        for i in range(3))
+        b_vec = (spec.b_axis.vector * spec.b_field)[:, None, None]
+        h = h - constants.gamma_mu * sum(b_vec * mu) + constants.gamma_e * sum(b_vec * el)
     if spec.family is HamiltonianFamily.ANISOTROPIC and spec.delta_a != 0.0:
-        n_vec = spec.aniso_axis.vector
-        op_mu = sum(n_vec[i] * j_mu_ops[i] for i in range(3))
-        op_e = sum(n_vec[i] * j_e_ops[i] for i in range(3))
-        h = h + spec.delta_a * kron(op_mu, op_e)
+        n_vec = spec.aniso_axis.vector[:, None, None]
+        h = h + spec.delta_a * np.kron(sum(n_vec * j_mu), sum(n_vec * j_e))
     return h
 
 
@@ -329,12 +325,8 @@ def closed_form_variant(spec: HamiltonianSpec) -> str:
                 return "hf"
             if b_name in ("x", "y", "z"):
                 return f"mu_{b_name}"
-        if (n_name, b_name) == ("z", "z") or (n_name == "z" and spec.b_field == 0.0):
-            return "mustar_zz"
-        if (n_name, b_name) == ("x", "z") or (n_name == "x" and spec.b_field == 0.0):
-            return "mustar_xz"
-        if (n_name, b_name) == ("y", "z") or (n_name == "y" and spec.b_field == 0.0):
-            return "mustar_yz"
+        if n_name in ("x", "y", "z") and (b_name == "z" or spec.b_field == 0.0):
+            return f"mustar_{n_name}z"
         raise OrientationNotTabulated("anisotropic closed forms need N in {x,y,z}, B along z")
     raise OrientationNotTabulated(f"unknown family {spec.family}")
 
@@ -352,7 +344,6 @@ class PropagatorSpec:
 
     hamiltonian: HamiltonianSpec
     constants: PhysicalConstants = DEFAULT_CONSTANTS
-    _eig: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def scalars(self) -> DerivedScalars:
@@ -361,11 +352,9 @@ class PropagatorSpec:
     def matrix(self) -> np.ndarray:
         return build_hamiltonian(self.hamiltonian, self.constants)
 
-    def _eigensystem(self):
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.matrix())
-            self._eig = (w, v)
-        return self._eig
+    @functools.cached_property
+    def _eigensystem(self) -> tuple:
+        return np.linalg.eigh(self.matrix())
 
     def unitary(self, t) -> np.ndarray:
         try:
@@ -374,7 +363,7 @@ class PropagatorSpec:
             return self.numeric_unitary(t)
 
     def numeric_unitary(self, t) -> np.ndarray:
-        w, v = self._eigensystem()
+        w, v = self._eigensystem
         phases = np.exp(-1j * np.multiply.outer(t, w))
         return (v * phases[..., None, :]) @ v.conj().T
 
@@ -386,13 +375,14 @@ class PropagatorSpec:
             return propagator_hyperfine_spin1(self.hamiltonian.a, t)
         return _FIELD_FORMS[variant](self.scalars, t)
 
+    @functools.cached_property
+    def spectral_table(self) -> "MuonSpinTable":
+        """The muon spin in the Heisenberg picture, built once per propagator."""
+        return MuonSpinTable.from_eigensystem(*self._eigensystem)
+
     def eigenfrequency_gaps(self) -> np.ndarray:
-        """Distinct positive gaps of H/hbar (rad/ns), ascending."""
-        w = self._eigensystem()[0]
-        tol = 1e-12 * np.abs(w).max()  # levels and gaps closer than tol are one
-        levels = _distinct(w, tol)[0]
-        lo, hi = np.triu_indices(len(levels), 1)
-        return _distinct(np.sort(levels[hi] - levels[lo]), tol)[0]
+        """Distinct positive gaps of H/hbar (rad/ns), ascending; none for one level."""
+        return self.spectral_table.gaps
 
 
 _FIELD_FORMS = {
@@ -433,9 +423,7 @@ def initial_muonium_state(j_e: float = 0.5) -> np.ndarray:
     """Fully polarized muon (spin up along z) times a maximally mixed
     electron shell: the standard state right after muonium formation."""
     d_e = int(round(2 * j_e + 1))
-    up = np.zeros((2, 2))
-    up[0, 0] = 1.0
-    return kron(up, np.eye(d_e) / d_e)
+    return np.kron(np.diag([1.0, 0.0]), np.eye(d_e) / d_e)
 
 
 def evolve_tomogram(rho0: np.ndarray, unitary_of_t, times,
@@ -478,97 +466,91 @@ def analytic_free_mu_reduced(m_mu: float, n_mu: Direction, t: float,
     return 0.5 * (1 + m_mu * n_mu.vector[2] * (1 + np.cos(omega0 * t)))
 
 
-def _distinct(values: np.ndarray, tol: float):
-    """Distinct values of the ascending ``values``, neighbours within tol
-    being one: the first value of each cluster, and the cluster of each value."""
-    starts = np.concatenate([[True], np.diff(values) > tol])
-    return values[starts], np.cumsum(starts) - 1
-
-
-# times per evaluation slice of the polarization: its trig rows stay in cache
+# times (or bins) per evaluation slice of a spectral table: its trig rows stay in cache
 _SLICE_TIMES = 8192
 
 
-def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
-    """Vectorized t -> muon Bloch vectors P(t) of the evolved reduced state.
+@dataclass(frozen=True, eq=False)  # array fields: identity, not value, equality
+class MuonSpinTable:
+    """The muon spin in the Heisenberg picture, sigma_a(t) = U(t)^dag
+    (sigma_a x I) U(t) = sum_p C[a, p] phi_p(t) over the functions
+    phi = (1, cos g_1 t, ..., cos g_G t, sin g_1 t, ..., sin g_G t) of the
+    distinct positive level gaps ``gaps`` (rad/ns, ascending): its eigenbasis
+    entries are S_a[k, l] e^{i (w_k - w_l) t}. ``coefficients`` holds the
+    Hermitian C[a, p], shape (3, 1 + 2G, d, d); both arrays are read-only.
+    Tr[X sigma_a(t)] is ``at_times`` of ``traces(X)``, and its decay-weighted
+    bin integrals are ``over_bins`` of the same."""
 
-    Writes P_a(t) = Tr[rho(t) (sigma_a x I)] over the L distinct levels l_p
-    of the propagator as c_a + sum_{p<q} 2 Re[C_aqp e^{-i(l_q - l_p) t}]:
-    the diagonal level blocks form the constant. Per time only the L-1 level
-    phasors e^{i(l_q - l_0) t} take a cosine and a sine; the pair terms follow
-    from the product identities and one (3, 2 pairs) @ (2 pairs, n) real
-    matmul. Times run in fixed slices, so the trig rows stay cache-sized for
-    millions of times. Returns shape (n, 3).
+    gaps: np.ndarray
+    coefficients: np.ndarray
 
-    The callable carries ``decay_integrals(edges, lifetime_ns)``, the
-    decay-weighted integrals of P over time bins in closed form (see
-    ``musr.decay_bin_integrals``).
-    """
-    rho0 = require_density_matrix(rho0)
-    _require_dimension(rho0, prop.hamiltonian.dim, "propagator")
-    w, v = prop._eigensystem()
-    d_e = rho0.shape[0] // 2
-    rho_p = v.conj().T @ rho0 @ v
-    # c[a, k, l] = rho_p[k, l] (sigma_a)_p[l, k]; c[a, l, k] is its conjugate
-    c = np.array([rho_p * (v.conj().T @ kron(s, np.eye(d_e)) @ v).T for s in PAULI])
-    levels, level_of = _distinct(w, 1e-12 * np.abs(w).max())
-    n_phasors = len(levels) - 1
-    member = (level_of == np.arange(len(levels))[:, None]).astype(float)
-    blocks = member @ c @ member.T  # (3, L, L): c summed over level blocks
-    const = np.einsum("app->a", blocks).real
-    lo, hi = np.triu_indices(len(levels), 1)  # pairs grouped by lower level
-    amps = 2 * np.concatenate([blocks[:, hi, lo].real, blocks[:, hi, lo].imag], axis=1)
-    phis = levels[1:] - levels[0]
-    n_pairs = len(lo)
+    @classmethod
+    def from_eigensystem(cls, w: np.ndarray, v: np.ndarray) -> "MuonSpinTable":
+        """From the eigenvalues and eigenvectors of H/hbar; level gaps closer
+        than 1e-12 max|w| are one, and those that close to zero are constant."""
+        diff = w[:, None] - w
+        values = np.sort(np.abs(diff), axis=None)
+        firsts = values[np.concatenate([[True], np.diff(values) > 1e-12 * np.abs(w).max()])]
+        label = np.searchsorted(firsts, np.abs(diff), side="right") - 1
+        # the eigenbasis entries (k, l) of each basis function: the pairs of its
+        # gap for the cos rows, times i sign(w_k - w_l) for the sin rows
+        masks = label == np.arange(len(firsts))[:, None, None]
+        masks = np.concatenate([masks, 1j * np.sign(diff) * masks[1:]])
+        spin = v.conj().T @ np.kron(PAULI, np.eye(len(w) // 2)) @ v
+        table = cls(firsts[1:], v @ (spin[:, None] * masks) @ v.conj().T)
+        table.gaps.flags.writeable = table.coefficients.flags.writeable = False
+        return table
 
-    def polarization(times):
+    def traces(self, ops: np.ndarray) -> np.ndarray:
+        """Tr[X C[a, p]] of an operator X (d, d), shape (3, 1 + 2G), or of each
+        of a stack (..., d, d), shape (..., 3, 1 + 2G); real for Hermitian X."""
+        return np.tensordot(ops, self.coefficients, axes=([-1, -2], [2, 3])).real
+
+    def at_times(self, coeffs: np.ndarray, times) -> np.ndarray:
+        """sum_p coeffs[m, p] phi_p(t) at each time, shape (n, m), in fixed
+        slices of times, so the trig rows stay cache-sized."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((3, len(times)))
-        for start in range(0, len(times), _SLICE_TIMES):
-            ts = times[start:start + _SLICE_TIMES]
-            trig = np.empty((2 * n_pairs, len(ts)))
-            cos_t, sin_t = trig[:n_pairs], trig[n_pairs:]
-            # row q - 1 is level q's phasor, which is also the pair (0, q) term
-            phases = np.multiply.outer(phis, ts)
-            cos_l = np.cos(phases, out=cos_t[:n_phasors])
-            sin_l = np.sin(phases, out=sin_t[:n_phasors])
-            at = n_phasors  # then the pairs (p, q > p) of each lower level p
-            for p in range(1, n_phasors):
-                cq, sq, cp, sp = cos_l[p:], sin_l[p:], cos_l[p - 1], sin_l[p - 1]
-                cos_t[at:at + len(cq)] = cq * cp + sq * sp
-                sin_t[at:at + len(cq)] = sq * cp - cq * sp
-                at += len(cq)
-            np.add(amps @ trig, const[:, None], out=out[:, start:start + len(ts)])
-        return out.T
+        out = np.empty((len(times), len(coeffs)))
+        for at in range(0, len(times), _SLICE_TIMES):
+            phase = np.multiply.outer(times[at:at + _SLICE_TIMES], self.gaps)
+            basis = np.hstack([np.ones((len(phase), 1)), np.cos(phase), np.sin(phase)])
+            np.matmul(basis, coeffs.T, out=out[at:at + len(phase)])
+        return out
 
-    # pair gaps as the closure forms them, from the phasors of level 0
-    offsets = np.concatenate([[0.0], phis])
-    omegas = offsets[hi] - offsets[lo]
-
-    def decay_integrals(edges, lifetime_ns):
-        """Q_b = int_b e^{-t/tau}/tau P(t) dt over each bin of the ascending
-        ``edges``, shape (n_bins, 3), in closed form: each pair term integrates
-        e^{-t/tau}/tau e^{i w t} to e^{z t0} (e^{z dt} - 1) / (z tau) with
-        z = i w - 1/tau, the bracket taken without cancellation once per
-        distinct bin width (uniform edges repeat a few). Bins run in fixed
-        slices, so the (bins, pairs) temporaries stay cache-sized."""
+    def over_bins(self, coeffs: np.ndarray, edges, lifetime_ns: float) -> np.ndarray:
+        """sum_p coeffs[m, p] int_b e^{-t/tau}/tau phi_p(t) dt over each bin b of
+        the ascending ``edges``, shape (n_bins, m), in closed form: the cos and
+        sin terms of a gap g are the real and imaginary parts of
+        e^{z t0} (e^{z dt} - 1) / (z tau), z = i g - 1/tau, the bracket taken
+        without cancellation once per distinct bin width (uniform edges repeat
+        a few). Bins run in fixed slices, so the temporaries stay cache-sized."""
         edges = np.asarray(edges, dtype=float)
-        rate = 1.0 / lifetime_ns
-        out = np.empty((len(edges) - 1, 3))
+        rate, gaps = 1.0 / lifetime_ns, self.gaps
+        out = np.empty((len(edges) - 1, len(coeffs)))
         for at in range(0, len(out), _SLICE_TIMES):
             part = edges[at:at + _SLICE_TIMES + 1]
             start = part[:-1, None]
             width, of_bin = np.unique(np.diff(part), return_inverse=True)
-            decay, turn = -rate * width[:, None], omegas * width[:, None]
+            decay, turn = -rate * width[:, None], gaps * width[:, None]
             step = (np.expm1(decay) * np.cos(turn) - 2 * np.sin(turn / 2) ** 2
-                    + 1j * np.exp(decay) * np.sin(turn)) / ((1j * omegas - rate) * lifetime_ns)
-            phase = omegas * start
-            pairs = np.exp(-rate * start) * (np.cos(phase) + 1j * np.sin(phase)) * step[of_bin]
+                    + 1j * np.exp(decay) * np.sin(turn)) / ((1j * gaps - rate) * lifetime_ns)
+            pairs = np.exp(-rate * start) * np.exp(1j * gaps * start) * step[of_bin]
             mass = np.exp(-rate * start) * -np.expm1(decay[of_bin])
-            out[at:at + len(start)] = mass * const + np.concatenate(
-                [pairs.real, pairs.imag], axis=1) @ amps.T
+            np.matmul(np.hstack([mass, pairs.real, pairs.imag]), coeffs.T,
+                      out=out[at:at + len(start)])
         return out
 
-    # a function attribute, which functools.wraps copies onto any wrapper
-    polarization.decay_integrals = decay_integrals
+
+def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
+    """Vectorized t -> muon Bloch vectors P(t) of the evolved reduced state,
+    shape (n, 3): P_a(t) = Tr[rho0 sigma_a(t)] from the propagator's
+    ``spectral_table``. The callable carries ``decay_integrals(edges,
+    lifetime_ns)``, the decay-weighted integrals of P over time bins in closed
+    form, shape (n_bins, 3) (see ``musr.decay_bin_integrals``)."""
+    rho0 = require_density_matrix(rho0)
+    _require_dimension(rho0, prop.hamiltonian.dim, "propagator")
+    amps = prop.spectral_table.traces(rho0)
+    polarization = functools.partial(prop.spectral_table.at_times, amps)
+    # an attribute, which functools.wraps copies onto any wrapper
+    polarization.decay_integrals = functools.partial(prop.spectral_table.over_bins, amps)
     return polarization

@@ -414,7 +414,7 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     tests. Background clicks are added per detector as a Poisson count
     proportional to its signal, uniform on the window, so a bin takes them
     by its share of the window's width. Cost and memory do not depend on
-    n_muons: they grow with the bins (times the level pairs of a closed-form
+    n_muons: they grow with the bins (times the level gaps of a closed-form
     source) and with the seen regions times the bins, one slice at a time.
 
     The cell draw and the background take one stream each, spawned from the

@@ -52,11 +52,8 @@ def default_times(propagator: PropagatorSpec, n: int = 5) -> list[float]:
     gaps = propagator.eigenfrequency_gaps()
     if len(gaps) == 0:
         raise ValueError("propagator has no nonzero eigenfrequency gaps")
-    if len(gaps) == 1 or abs(gaps[1] - gaps[0]) < 1e-12:
-        beat = 2 * np.pi / gaps[0]
-    else:
-        beat = 2 * np.pi / abs(gaps[1] - gaps[0])
-    return golden_jitter_times(beat, n)
+    beat = gaps[1] - gaps[0] if len(gaps) > 1 and gaps[1] - gaps[0] >= 1e-12 else gaps[0]
+    return golden_jitter_times(2 * np.pi / beat, n)
 
 
 @dataclass
@@ -85,9 +82,9 @@ class MeasurementPlan:
 @dataclass
 class DesignMatrix:
     """Linear map from the 15 traceless coefficients of rho0 to the
-    predicted measurement values (offset 1/2 subtracted). One full SVD,
-    taken at construction, gives the rank, the condition number and the
-    null space."""
+    predicted measurement values (offset 1/2 subtracted). One SVD, taken at
+    construction, gives the rank, the condition number and the null space; it
+    is the full SVD only below 15 rows, where the null space needs all of Vt."""
 
     matrix: np.ndarray
     singular_values: np.ndarray = field(init=False)
@@ -95,7 +92,8 @@ class DesignMatrix:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
-        _, self.singular_values, self._vt = np.linalg.svd(self.matrix)
+        _, self.singular_values, self._vt = np.linalg.svd(
+            self.matrix, full_matrices=len(self.matrix) < 15)
 
     @property
     def rank(self) -> int:
@@ -105,9 +103,7 @@ class DesignMatrix:
     @property
     def condition_number(self) -> float:
         """Ratio of extreme singular values above the rank threshold."""
-        sv = self.singular_values
-        kept = sv[sv > 1e-10 * sv[0]]
-        return float(kept[0] / kept[-1])
+        return float(self.singular_values[0] / self.singular_values[self.rank - 1])
 
     def null_space(self) -> np.ndarray:
         return self._vt[self.rank:]
@@ -115,8 +111,10 @@ class DesignMatrix:
 
 def build_design_matrix(plan: MeasurementPlan) -> DesignMatrix:
     """Rows indexed by (time-major, direction-minor) measurement order:
-    row (t, k) = (1/2) n_k . S_t with S_t[a, i] = Tr[G_i U_t^dag (sigma_a x I) U_t].
-    The identity part of each projector drops out against the traceless G_i."""
+    row (t, k) = (1/2) Tr[G_i U_t^dag (n_k . sigma x I) U_t]. The identity
+    part of each projector drops out against the traceless G_i. A
+    PropagatorSpec gives the stack of U_t in one call; a plain callable is
+    called once per time."""
     if isinstance(plan.propagator, PropagatorSpec):
         u = plan.propagator.unitary(np.array(plan.times))
     else:
@@ -124,17 +122,29 @@ def build_design_matrix(plan: MeasurementPlan) -> DesignMatrix:
     if u.shape[1:] != (4, 4):
         raise ValueError(f"reconstruction needs a two-qubit (4x4) propagator, "
                          f"got unitaries of shape {u.shape[1:]}")
-    muon_spin = 2 * TWO_QUBIT_BASIS[:3]  # sigma_a x I
-    s = np.einsum("tba,xbc,tcd,ida->txi", u.conj(), muon_spin, u, TWO_QUBIT_BASIS,
-                  optimize=True).real
     n = np.array([d.vector for d in plan.directions])
-    return DesignMatrix(0.5 * np.einsum("ka,tai->tki", n, s).reshape(-1, 15))
+    spin = np.tensordot(n, TWO_QUBIT_BASIS[:3], axes=1)  # (n_k . sigma x I) / 2
+    heisenberg = u.conj().swapaxes(-1, -2)[:, None] @ spin @ u[:, None]  # (t, k, 4, 4)
+    rows = np.tensordot(heisenberg, TWO_QUBIT_BASIS, axes=([-1, -2], [1, 2])).real
+    return DesignMatrix(rows.reshape(-1, 15))
+
+
+def time_generic_rank(plan: MeasurementPlan) -> int:
+    """The largest rank that any choice of times gives the directions of a
+    plan with a two-qubit PropagatorSpec: one SVD of its spectral table
+    contracted with the directions, no times involved. A plan rank below it
+    is lost to the chosen times, not to the Hamiltonian."""
+    if plan.propagator.hamiltonian.dim != 4:
+        raise ValueError("the time-generic rank needs a two-qubit (4x4) propagator")
+    traces = plan.propagator.spectral_table.traces(TWO_QUBIT_BASIS)  # (15, 3, p)
+    n = np.array([d.vector for d in plan.directions])
+    coeffs = np.tensordot(n, traces, axes=([1], [1]))
+    return DesignMatrix(coeffs.transpose(0, 2, 1).reshape(-1, 15)).rank
 
 
 def forward_model(rho0: np.ndarray, plan: MeasurementPlan) -> np.ndarray:
     """Predicted w(+1/2, n_k, t_l), ordered like the design-matrix rows."""
-    design = build_design_matrix(plan)
-    return 0.5 + design.matrix @ state_to_coefficients(rho0)
+    return 0.5 + build_design_matrix(plan).matrix @ state_to_coefficients(rho0)
 
 
 def identifiability(plan: MeasurementPlan) -> tuple[int, float]:
@@ -153,7 +163,8 @@ class ReconstructionResult:
     clipped: bool
     null_space: np.ndarray
 
-    def to_json(self, plan: MeasurementPlan | None = None) -> str:
+    def to_json(self, plan: MeasurementPlan | None = None,
+                time_generic_rank: int | None = None) -> str:
         payload = {
             "rank": self.rank,
             "condition_number": self.condition_number,
@@ -165,10 +176,10 @@ class ReconstructionResult:
             "null_space": self.null_space.tolist(),
         }
         if plan is not None:
-            payload["plan"] = {
-                "directions": [[d.theta, d.phi] for d in plan.directions],
-                "times_ns": list(plan.times),
-            }
+            payload["plan"] = {"directions": [[d.theta, d.phi] for d in plan.directions],
+                               "times_ns": list(plan.times)}
+        if time_generic_rank is not None:
+            payload["time_generic_rank"] = time_generic_rank
         return json.dumps(payload, indent=2)
 
 

@@ -23,6 +23,15 @@ from musrtomo.twospin import reduced_tomogram
 SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
 
 
+def write_material(folder, **fields) -> str:
+    """A hyperfine material file with the given fields changed; the path."""
+    data = {"name": "custom", "family": "hyperfine", "A_MHz": 4463.0,
+            "A_is_angular": False, "deltaA_MHz": 0.0, "j_e": 0.5, **fields}
+    path = folder / "custom.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def read_csv(path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -148,6 +157,27 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("verb", ["evolve", "bell", "report"])
+    def test_single_level_spectrum_needs_a_time_span(self, tmp_path, capsys, verb):
+        # no coupling and no field leave one level, so no gap sets the window
+        material = write_material(tmp_path, A_MHz=0)
+        out = tmp_path / "out"
+        assert main([verb, "--material", material, "--B", "0", "--out", str(out)]) == 2
+        assert "pass --t-max-ns" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([verb, "--material", material, "--B", "0", "--t-max-ns", "1.0",
+                     "--steps", "4", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("j_e", [0.7, 0, -0.5, float("nan"), float("inf")])
+    def test_electron_spin_must_be_a_half_integer(self, tmp_path, capsys, j_e):
+        material = write_material(tmp_path, j_e=j_e)
+        out = tmp_path / "out"
+        rc = main(["evolve", "--material", material, "--B", "0", "--t-max-ns", "1.0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "j_e must be a positive multiple of 1/2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["evolve", "bell", "report"])
     def test_seed_belongs_to_simulate_only(self, verb):
         with pytest.raises(SystemExit) as exc:
             main([verb, "--seed", "1"])
@@ -270,6 +300,29 @@ class TestReconstruct:
         assert rep["residual_norm"] < 1e-8
         rho = np.array(rep["rho0_real"]) + 1j * np.array(rep["rho0_imag"])
         assert np.abs(rho - initial_muonium_state()).max() < 1e-6
+
+    def test_report_ends_with_the_time_generic_rank(self, tmp_path, capsys):
+        # rank 13 is all that any times give the 10a configuration
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        out = tmp_path / "rep.json"
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert list(rep)[-1] == "time_generic_rank"
+        assert rep["time_generic_rank"] == rep["rank"] == 13
+        assert "time-generic" not in capsys.readouterr().err
+
+    def test_times_that_lose_directions_are_named(self, tmp_path, capsys):
+        # two times give six rows, fewer than the 13 the Hamiltonian allows
+        plan_file, meas_file = self.write_inputs(tmp_path, [10.0, 25.0])
+        out = tmp_path / "rep.json"
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "rank 6 < time-generic rank 13" in err
+        assert "the chosen times, not the Hamiltonian, lose directions" in err
+        assert json.loads(out.read_text())["time_generic_rank"] == 13
 
     def test_hyperfine_plan_is_deficient(self, tmp_path, capsys):
         plan_file, meas_file = self.write_inputs(

@@ -30,7 +30,14 @@ from musrtomo.dynamics import (
 from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace
 from musrtomo.materials import available_presets, load_material, material_from_dict
 from musrtomo.musr import MUON_LIFETIME_NS
-from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction, rotation_matrix
+from musrtomo.tomography import (
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    Direction,
+    angular_momentum_ops,
+    rotation_matrix,
+)
 from musrtomo.twospin import individual_tomogram_unitary, reduced_tomogram
 
 
@@ -111,6 +118,31 @@ class TestBuildHamiltonian:
     def test_requires_axis_for_field(self):
         with pytest.raises(ValueError):
             HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=1.0, b_field=10.0)
+
+    @pytest.mark.parametrize("j_e", [0.5, 1.0, 1.5])
+    def test_matches_kronecker_sums(self, j_e, rng):
+        # one Kronecker product per component and term, summed in order
+        j_mu_ops, j_e_ops = angular_momentum_ops(0.5), angular_momentum_ops(j_e)
+        eye_e = np.eye(len(j_e_ops[0]))
+        for _ in range(5):
+            a, da, b = rng.uniform(0.5, 30.0), rng.uniform(-20.0, 20.0), rng.uniform(1, 4000)
+            b_axis, n_axis = random_direction(rng), random_direction(rng)
+            spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=a, delta_a=da, b_field=b,
+                                   b_axis=b_axis, aniso_axis=n_axis, j_e=j_e)
+            b_vec, n_vec = b_axis.vector * b, n_axis.vector
+            want = a * sum(np.kron(jm, je) for jm, je in zip(j_mu_ops, j_e_ops))
+            want = want - DEFAULT_CONSTANTS.gamma_mu * sum(
+                b_vec[i] * np.kron(j_mu_ops[i], eye_e) for i in range(3))
+            want = want + DEFAULT_CONSTANTS.gamma_e * sum(
+                b_vec[i] * np.kron(np.eye(2), j_e_ops[i]) for i in range(3))
+            want = want + da * np.kron(sum(n_vec[i] * j_mu_ops[i] for i in range(3)),
+                                       sum(n_vec[i] * j_e_ops[i] for i in range(3)))
+            assert np.array_equal(build_hamiltonian(spec), want)
+
+    @pytest.mark.parametrize("j_e", [0.7, 0.0, -0.5, 0.25, np.nan, np.inf])
+    def test_electron_spin_must_be_a_half_integer(self, j_e):
+        with pytest.raises(ValueError, match="j_e must be a positive multiple of 1/2"):
+            HamiltonianSpec.hyperfine(1.0, j_e=j_e)
 
 
 class TestClosedForms:

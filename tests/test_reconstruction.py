@@ -242,6 +242,26 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="4x4"):
             build_design_matrix(MeasurementPlan(prop, times=(0.1, 0.2)))
 
+    def test_few_rows_keep_the_whole_null_space(self):
+        # two times give six rows: the null space needs all 15 right
+        # singular vectors, which only the full SVD holds
+        design = build_design_matrix(MeasurementPlan(mustar_xz_prop(), times=(0.3, 1.7)))
+        assert design.matrix.shape == (6, 15) and design.rank == 6
+        null = design.null_space()
+        assert null.shape == (15 - design.rank, 15)
+        assert np.abs(null @ null.T - np.eye(9)).max() <= 1e-13
+        assert np.abs(design.matrix @ null.T).max() <= 1e-13
+
+    @pytest.mark.parametrize("n_times", [2, 5, 512])
+    def test_reduced_and_full_svd_agree(self, n_times):
+        plan = MeasurementPlan(mustar_xz_prop(), times=tuple(np.linspace(0.1, 90.0, n_times)))
+        design = build_design_matrix(plan)
+        _, sv, vt = np.linalg.svd(design.matrix, full_matrices=True)
+        assert np.abs(design.singular_values - sv).max() <= 1e-13 * sv[0]
+        assert design.null_space().shape == (15 - design.rank, 15)
+        assert np.abs(null_projector(design.null_space())
+                      - null_projector(vt[design.rank:])).max() <= 1e-10
+
 
 def _vector_rotation(direction):
     """SO(3) matrix of the spin rotation used in the frame-rotation test."""
@@ -258,6 +278,13 @@ class TestMeasurementPlan:
         plan = MeasurementPlan(mustar_xz_prop())
         assert len(plan.times) == 5
         assert len(set(plan.times)) == 5
+
+    def test_single_level_has_no_default_times(self):
+        prop = PropagatorSpec(HamiltonianSpec.hyperfine(0.0))
+        with pytest.raises(ValueError, match="no nonzero eigenfrequency gaps"):
+            default_times(prop)
+        with pytest.raises(ValueError, match="no nonzero eigenfrequency gaps"):
+            MeasurementPlan(prop)
 
     def test_duplicate_times_rejected(self):
         with pytest.raises(ValueError):
