@@ -5,7 +5,6 @@ reconstruction from measurable muon tomograms."""
 
 from .dynamics import (
     DEFAULT_CONSTANTS,
-    HamiltonianFamily,
     HamiltonianSpec,
     PhysicalConstants,
     PropagatorSpec,

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Verbs: evolve (field sweeps of the reduced tomogram and entanglement),
-simulate (Monte Carlo histograms plus tomogram estimation), reconstruct
-(initial state from a measurement file), bell (Bell-number maximization
-along an evolution), report (entanglement report time series).
+Verbs: evolve (field sweeps of the reduced tomogram and entanglement, one
+trace per --B value), simulate (Monte Carlo histograms plus tomogram
+estimation), reconstruct (initial state from a measurement file), bell
+(Bell-number maximization along an evolution), report (entanglement report
+time series); simulate, bell and report take one --B value.
 
 Outputs are plot-ready long-format CSV plus JSON manifests; no plotting
-dependency. Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
+dependency. Exit codes: 0 ok, 2 configuration error (usage errors
+included), 3 numeric failure.
 """
 
 import argparse
@@ -70,12 +72,15 @@ def _load_init(path: str | None, j_e: float) -> np.ndarray:
     return require_density_matrix(rho)
 
 
-def _propagator_from_args(args, b_field: float) -> tuple[PropagatorSpec, float]:
-    material = load_material(args.material)
+def _propagator(material_name: str, b_field: float, b_axis: str,
+                aniso_axis: str | None) -> tuple[PropagatorSpec, float]:
+    """(propagator, j_e) of a material in a field; the axes are names or
+    'vx,vy,vz' strings, the field axis read only for a nonzero field."""
+    material = load_material(material_name)
     spec = material.hamiltonian_spec(
         b_field=b_field,
-        b_axis=_axis(args.b_axis) if b_field != 0.0 else None,
-        aniso_axis=_axis(args.aniso_axis) if args.aniso_axis else None,
+        b_axis=_axis(b_axis) if b_field != 0.0 else None,
+        aniso_axis=_axis(aniso_axis) if aniso_axis else None,
     )
     return PropagatorSpec(spec), material.j_e
 
@@ -127,7 +132,7 @@ def cmd_evolve(args) -> int:
     # every configuration error surfaces before the output directory exists
     runs = []
     for b_field in fields:
-        prop, j_e = _propagator_from_args(args, b_field)
+        prop, j_e = _propagator(args.material, b_field, args.b_axis, args.aniso_axis)
         runs.append((b_field, prop, j_e, _load_init(args.init, j_e), _time_grid(prop, args)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -159,8 +164,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_time_flags(args)
-    b_field = args.B[0] if args.B else 0.0
-    prop, j_e = _propagator_from_args(args, b_field)
+    prop, j_e = _propagator(args.material, args.B, args.b_axis, args.aniso_axis)
     rho0 = _load_init(args.init, j_e)
     polarization = muon_polarization_function(rho0, prop)
     model = DecayModel(asymmetry=args.asymmetry)
@@ -204,11 +208,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     plan_data = json.loads(Path(args.plan).read_text())
-    prop, _ = _propagator_from_args(
-        argparse.Namespace(material=plan_data["material"],
-                           b_axis=plan_data.get("B_axis", "z"),
-                           aniso_axis=plan_data.get("aniso_axis")),
-        plan_data.get("B", 0.0))
+    prop, _ = _propagator(plan_data["material"], plan_data.get("B", 0.0),
+                          plan_data.get("B_axis", "z"), plan_data.get("aniso_axis"))
     dirs = [Direction(*d) if isinstance(d, (list, tuple)) else _axis(d)
             for d in plan_data.get("directions", ["x", "y", "z"])]
     plan = MeasurementPlan(prop, directions=tuple(dirs),
@@ -254,8 +255,7 @@ def _read_measurements(path: str, plan: MeasurementPlan):
 
 
 def _two_qubit_series(args, what: str, include_max_bell: bool = True):
-    b_field = args.B[0] if args.B else 0.0
-    prop, j_e = _propagator_from_args(args, b_field)
+    prop, j_e = _propagator(args.material, args.B, args.b_axis, args.aniso_axis)
     if j_e != 0.5:
         raise ConfigError(f"{what} requires a two-qubit system")
     rho0 = _load_init(args.init, j_e)
@@ -285,11 +285,13 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _common_physics_flags(p):
+def _common_physics_flags(p, sweep: bool = False):
     p.add_argument("--material", default="vacuum",
                    help=f"preset name or JSON path (presets: {', '.join(available_presets())})")
-    p.add_argument("--B", type=float, nargs="*", default=None,
-                   help="field magnitudes in Gauss (sweep for evolve)")
+    p.add_argument("--B", type=float, nargs="+" if sweep else None,
+                   default=None if sweep else 0.0,
+                   help="field magnitudes in Gauss, one trace each" if sweep
+                   else "field magnitude in Gauss")
     p.add_argument("--B-axis", dest="b_axis", default="z")
     p.add_argument("--aniso-axis", dest="aniso_axis", default=None)
     p.add_argument("--t-max-ns", dest="t_max_ns", type=float, default=None)
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="field-sweep time traces of the reduced tomogram")
-    _common_physics_flags(p)
+    _common_physics_flags(p, sweep=True)
     p.add_argument("--bell", action="store_true", help="include max_bell")
     p.add_argument("--out", default="evolve_out")
 

@@ -1,10 +1,8 @@
 """Spin Hamiltonians of the muonium family and their unitary propagators.
 
-Families
---------
-- hyperfine:   H = hbar w0 (J_mu . J_e), the free (vacuum) coupling;
-- isotropic:   adds Zeeman terms  - g_mu mu_mu (B . J_mu) + g_e mu_e (B . J_e);
-- anisotropic: adds an axially anisotropic exchange dA (N.J_mu)(N.J_e).
+One Hamiltonian, A (J_mu.J_e) - g_mu mu_mu (B.J_mu) + g_e mu_e (B.J_e)
++ dA (N.J_mu)(N.J_e), covers free muonium (B = 0, dA = 0), muonium in a field
+and anomalous muonium (dA != 0): its parameters say which system it is.
 
 Units: time in ns, angular frequencies in rad/ns, magnetic field in Gauss.
 Hamiltonians are handled as H/hbar in rad/ns throughout; material constants
@@ -12,20 +10,19 @@ quoted in MHz are converted on ingestion with an explicit flag saying whether
 the number is an angular frequency (rad-based) or a linear frequency (cycles,
 multiplied by 2 pi).
 
-Closed-form propagators are tabulated for the orientations: hyperfine (any
-j_e in {1/2, 1}); isotropic with B along z, x or y; anisotropic with
-(N, B) in {(z,z), (x,z), (y,z)}. Everything else goes through the numeric
-eigensolve path, against which every closed form is cross-checked in the
-test suite.
+Closed-form propagators are tabulated for: the pure coupling (j_e in
+{1/2, 1}); B along z, x or y without anisotropy; N along z, x or y with B
+zero or along z (j_e = 1/2 for all but the pure coupling). Everything else
+goes through the numeric eigensolve path, against which every closed form is
+cross-checked in the test suite.
 """
 
-import enum
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, require_density_matrix
+from .linalg import require_density_matrix
 from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
 from .twospin import TwoSpinTomogram, individual_tomogram_on_grid
 
@@ -63,21 +60,16 @@ class PhysicalConstants:
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
-class HamiltonianFamily(enum.Enum):
-    HYPERFINE = "hyperfine"
-    ISOTROPIC = "isotropic"
-    ANISOTROPIC = "anisotropic"
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Parameters of a muonium-family spin Hamiltonian.
 
     ``a`` and ``delta_a`` are angular frequencies (rad/ns), i.e. couplings
-    divided by hbar. ``b_field`` is the magnitude in Gauss along ``b_axis``.
+    divided by hbar. ``b_field`` is the magnitude in Gauss along ``b_axis``,
+    and the anisotropy axis ``aniso_axis`` is N; each axis is read only where
+    its term is present (``b_field``, respectively ``delta_a``, nonzero).
     """
 
-    family: HamiltonianFamily
     a: float
     delta_a: float = 0.0
     b_field: float = 0.0
@@ -91,49 +83,56 @@ class HamiltonianSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (2 * self.j_e >= 1 and float(2 * self.j_e).is_integer()):  # NaN fails too
             raise ValueError(f"j_e must be a positive multiple of 1/2, got {self.j_e!r}")
-        if self.family is HamiltonianFamily.ANISOTROPIC and self.aniso_axis is None:
-            raise ValueError("anisotropic family requires an anisotropy axis")
+        if self.delta_a != 0.0 and self.aniso_axis is None:
+            raise ValueError("nonzero anisotropy requires an anisotropy axis")
         if self.b_field != 0.0 and self.b_axis is None:
             raise ValueError("nonzero field requires a field axis")
-        if self.family is HamiltonianFamily.HYPERFINE and self.b_field != 0.0:
-            raise ValueError("hyperfine family has no Zeeman term; use isotropic")
 
     @classmethod
     def hyperfine(cls, omega0: float, j_e: float = 0.5) -> "HamiltonianSpec":
-        return cls(HamiltonianFamily.HYPERFINE, a=omega0, j_e=j_e)
+        return cls(a=omega0, j_e=j_e)
 
     @property
     def dim(self) -> int:
         return 2 * int(round(2 * self.j_e + 1))
 
 
-def build_hamiltonian(spec: HamiltonianSpec,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+@functools.cache
+def _spin_operators(j_e: float) -> tuple:
+    """(J_mu, J_e, J_mu x I, I x J_e) of a muon and an electron shell of spin
+    j_e, each a read-only stack over x, y, z; the products are in the
+    muon-major product basis. Built once per j_e."""
+    j_mu, j_el = np.array(angular_momentum_ops(0.5)), np.array(angular_momentum_ops(j_e))
+    ops = (j_mu, j_el, np.kron(j_mu, np.eye(len(j_el[0]))), np.kron(np.eye(2), j_el))
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """H/hbar in rad/ns, in the muon-major product basis (projections
     descending). Zeeman signs: muon enters with -gamma_mu, electron +gamma_e."""
-    j_mu, j_e = np.array(angular_momentum_ops(0.5)), np.array(angular_momentum_ops(spec.j_e))
-    mu, el = np.kron(j_mu, np.eye(len(j_e[0]))), np.kron(np.eye(2), j_e)  # J_mu x I, I x J_e
+    j_mu, j_e, mu, el = _spin_operators(spec.j_e)
     h = spec.a * sum(mu @ el)
     if spec.b_field != 0.0:
         b_vec = (spec.b_axis.vector * spec.b_field)[:, None, None]
-        h = h - constants.gamma_mu * sum(b_vec * mu) + constants.gamma_e * sum(b_vec * el)
-    if spec.family is HamiltonianFamily.ANISOTROPIC and spec.delta_a != 0.0:
+        h = h - DEFAULT_CONSTANTS.gamma_mu * sum(b_vec * mu) \
+            + DEFAULT_CONSTANTS.gamma_e * sum(b_vec * el)
+    if spec.delta_a != 0.0:
         n_vec = spec.aniso_axis.vector[:, None, None]
-        h = h + spec.delta_a * np.kron(sum(n_vec * j_mu), sum(n_vec * j_e))
+        n_mu, n_e = sum(n_vec * j_mu), sum(n_vec * j_e)
+        # (N.J_mu) x (N.J_e) from the same elementwise products as np.kron
+        h = h + spec.delta_a * (n_mu[:, None, :, None] * n_e[None, :, None, :]).reshape(h.shape)
     return h
 
 
 # --------------------------------------------------------------------------
 # closed forms
 
-def _axis_name(direction: Direction | None) -> str | None:
-    if direction is None:
-        return None
-    v = direction.vector
-    for name, ref in AXES.items():
-        if np.linalg.norm(v - ref.vector) < 1e-12:
-            return name
-    return None
+def _axis_name(direction: Direction) -> str:
+    """'x', 'y' or 'z' for a coordinate axis, 'oblique' for any other."""
+    return next((name for name, ref in AXES.items()
+                 if np.linalg.norm(direction.vector - ref.vector) < 1e-12), "oblique")
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,9 @@ class DerivedScalars:
     h: float
 
     @classmethod
-    def from_spec(cls, spec: HamiltonianSpec,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "DerivedScalars":
+    def from_spec(cls, spec: HamiltonianSpec) -> "DerivedScalars":
         a_h, da_h, b = spec.a, spec.delta_a, spec.b_field
-        gm, ge = constants.gamma_mu, constants.gamma_e
+        gm, ge = DEFAULT_CONSTANTS.gamma_mu, DEFAULT_CONSTANTS.gamma_e
         return cls(
             a=a_h / 4,
             b_plus=b * (gm + ge) / 2,
@@ -302,38 +300,40 @@ class OrientationNotTabulated(ValueError):
     """The requested field/axis orientation has no tabulated closed form."""
 
 
-def closed_form_variant(spec: HamiltonianSpec) -> str:
-    """Name of the applicable closed form, or raise OrientationNotTabulated."""
-    b_name = _axis_name(spec.b_axis) if spec.b_field != 0.0 else None
-    n_name = _axis_name(spec.aniso_axis)
-    if spec.family is HamiltonianFamily.HYPERFINE or \
-            (spec.family is HamiltonianFamily.ISOTROPIC and spec.b_field == 0.0):
-        if spec.j_e == 0.5:
-            return "hf"
-        if spec.j_e == 1.0:
-            return "hf_spin1"
-        raise OrientationNotTabulated(f"no closed form for j_e={spec.j_e}")
-    if spec.j_e != 0.5:
-        raise OrientationNotTabulated("field closed forms cover j_e=1/2 only")
-    if spec.family is HamiltonianFamily.ISOTROPIC:
-        if b_name in ("x", "y", "z"):
-            return f"mu_{b_name}"
-        raise OrientationNotTabulated("isotropic closed forms need B along x, y or z")
-    if spec.family is HamiltonianFamily.ANISOTROPIC:
-        if spec.delta_a == 0.0:
-            if spec.b_field == 0.0:
-                return "hf"
-            if b_name in ("x", "y", "z"):
-                return f"mu_{b_name}"
-        if n_name in ("x", "y", "z") and (b_name == "z" or spec.b_field == 0.0):
-            return f"mustar_{n_name}z"
-        raise OrientationNotTabulated("anisotropic closed forms need N in {x,y,z}, B along z")
-    raise OrientationNotTabulated(f"unknown family {spec.family}")
+# (j_e, B axis, N axis) -> closed form; an axis is None where its term is
+# absent, so (j_e, None, None) is the pure coupling (B = 0 and dA = 0)
+_CLOSED_FORMS = {
+    (0.5, None, None): propagator_hyperfine,
+    (1.0, None, None): propagator_hyperfine_spin1,
+    (0.5, "z", None): propagator_mu_longitudinal,
+    (0.5, "x", None): propagator_mu_transverse_x,
+    (0.5, "y", None): propagator_mu_transverse_y,
+    (0.5, None, "z"): propagator_mustar_zz,
+    (0.5, "z", "z"): propagator_mustar_zz,
+    (0.5, None, "x"): propagator_mustar_xz,
+    (0.5, "z", "x"): propagator_mustar_xz,
+    (0.5, None, "y"): propagator_mustar_yz,
+    (0.5, "z", "y"): propagator_mustar_yz,
+}
+
+
+def closed_form(spec: HamiltonianSpec) -> functools.partial:
+    """t -> U(t) by the tabulated closed form of the spec, or raise
+    OrientationNotTabulated: the form bound to the coupling ``spec.a`` for
+    the pure coupling, to the spec's ``DerivedScalars`` for the others."""
+    key = (spec.j_e, _axis_name(spec.b_axis) if spec.b_field != 0.0 else None,
+           _axis_name(spec.aniso_axis) if spec.delta_a != 0.0 else None)
+    if key not in _CLOSED_FORMS:
+        raise OrientationNotTabulated(f"no closed form for j_e={spec.j_e} with "
+                                      f"B axis {key[1]} and anisotropy axis {key[2]}")
+    pure = key[1:] == (None, None)
+    return functools.partial(_CLOSED_FORMS[key],
+                             spec.a if pure else DerivedScalars.from_spec(spec))
 
 
 @dataclass
 class PropagatorSpec:
-    """Hamiltonian and constants behind the callable ``unitary(t)``.
+    """Hamiltonian behind the callable ``unitary(t)``.
 
     ``unitary`` transcribes the tabulated closed form of the orientation
     (``closed_form_unitary``) and falls back to the Hermitian eigensolve
@@ -343,14 +343,9 @@ class PropagatorSpec:
     """
 
     hamiltonian: HamiltonianSpec
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-
-    @property
-    def scalars(self) -> DerivedScalars:
-        return DerivedScalars.from_spec(self.hamiltonian, self.constants)
 
     def matrix(self) -> np.ndarray:
-        return build_hamiltonian(self.hamiltonian, self.constants)
+        return build_hamiltonian(self.hamiltonian)
 
     @functools.cached_property
     def _eigensystem(self) -> tuple:
@@ -368,12 +363,7 @@ class PropagatorSpec:
         return (v * phases[..., None, :]) @ v.conj().T
 
     def closed_form_unitary(self, t) -> np.ndarray:
-        variant = closed_form_variant(self.hamiltonian)
-        if variant == "hf":
-            return propagator_hyperfine(self.hamiltonian.a, t)
-        if variant == "hf_spin1":
-            return propagator_hyperfine_spin1(self.hamiltonian.a, t)
-        return _FIELD_FORMS[variant](self.scalars, t)
+        return closed_form(self.hamiltonian)(t)
 
     @functools.cached_property
     def spectral_table(self) -> "MuonSpinTable":
@@ -383,16 +373,6 @@ class PropagatorSpec:
     def eigenfrequency_gaps(self) -> np.ndarray:
         """Distinct positive gaps of H/hbar (rad/ns), ascending; none for one level."""
         return self.spectral_table.gaps
-
-
-_FIELD_FORMS = {
-    "mu_z": propagator_mu_longitudinal,
-    "mu_x": propagator_mu_transverse_x,
-    "mu_y": propagator_mu_transverse_y,
-    "mustar_zz": propagator_mustar_zz,
-    "mustar_xz": propagator_mustar_xz,
-    "mustar_yz": propagator_mustar_yz,
-}
 
 
 def _require_dimension(rho0: np.ndarray, dim: int, what: str) -> None:
@@ -496,7 +476,8 @@ class MuonSpinTable:
         # gap for the cos rows, times i sign(w_k - w_l) for the sin rows
         masks = label == np.arange(len(firsts))[:, None, None]
         masks = np.concatenate([masks, 1j * np.sign(diff) * masks[1:]])
-        spin = v.conj().T @ np.kron(PAULI, np.eye(len(w) // 2)) @ v
+        mu = _spin_operators((len(w) // 2 - 1) / 2)[2]  # J_mu x I
+        spin = v.conj().T @ (2 * mu) @ v  # sigma x I = 2 (J_mu x I) in every entry
         table = cls(firsts[1:], v @ (spin[:, None] * masks) @ v.conj().T)
         table.gaps.flags.writeable = table.coefficients.flags.writeable = False
         return table

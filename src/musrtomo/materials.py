@@ -2,10 +2,13 @@
 
 A material file is JSON with the fields
 {name, family, A_MHz, A_is_angular, deltaA_MHz, j_e, notes}; couplings are
-quoted in MHz and the flag says whether the number is an angular frequency
-(used as-is, in rad units) or a linear frequency (multiplied by 2 pi on
-ingestion). Shipped presets: ``vacuum`` (free muonium), ``quartz`` and
-``si-mustar`` (anomalous muonium in silicon).
+quoted in MHz and the JSON boolean ``A_is_angular`` says whether the numbers
+are angular frequencies (used as-is, in rad units) or linear frequencies
+(multiplied by 2 pi on ingestion). The Hamiltonian follows from the numbers:
+the anisotropy term is there exactly when deltaA_MHz is nonzero. The optional
+``family`` (hyperfine, isotropic or anisotropic) is only checked: the first
+two reject a nonzero deltaA_MHz. Shipped presets: ``vacuum`` (free
+muonium), ``quartz`` and ``si-mustar`` (anomalous muonium in silicon).
 
 Extra search directories can be supplied through the ``MUSRTOMO_MATERIALS``
 environment variable (path-separator separated).
@@ -18,17 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import HamiltonianFamily, HamiltonianSpec
-from .tomography import Direction
+from .dynamics import HamiltonianSpec
+from .tomography import X_AXIS, Direction
 
 _PRESET_DIR = Path(__file__).parent / "materials"
 ENV_SEARCH_PATH = "MUSRTOMO_MATERIALS"
+_FAMILIES = ("hyperfine", "isotropic", "anisotropic")  # the first two without anisotropy
 
 
 @dataclass(frozen=True)
 class Material:
     name: str
-    family: HamiltonianFamily
     a_mhz: float
     a_is_angular: bool
     delta_a_mhz: float = 0.0
@@ -46,18 +49,17 @@ class Material:
     def hamiltonian_spec(self, b_field: float = 0.0,
                          b_axis: Direction | None = None,
                          aniso_axis: Direction | None = None) -> HamiltonianSpec:
-        family = self.family
-        if family is HamiltonianFamily.HYPERFINE and b_field != 0.0:
-            family = HamiltonianFamily.ISOTROPIC
-        if family is HamiltonianFamily.ANISOTROPIC and aniso_axis is None:
-            aniso_axis = Direction.from_vector([1.0, 0.0, 0.0])
+        """The material's Hamiltonian in a field ``b_field`` along ``b_axis``;
+        a nonzero anisotropy takes its axis from ``aniso_axis``, x by default."""
+        anisotropic = self.delta_a_mhz != 0.0
+        if anisotropic and aniso_axis is None:
+            aniso_axis = X_AXIS
         return HamiltonianSpec(
-            family=family,
             a=self.a_rad_ns,
-            delta_a=self.delta_a_rad_ns if family is HamiltonianFamily.ANISOTROPIC else 0.0,
+            delta_a=self.delta_a_rad_ns,
             b_field=b_field,
             b_axis=b_axis if b_field != 0.0 else None,
-            aniso_axis=aniso_axis if family is HamiltonianFamily.ANISOTROPIC else None,
+            aniso_axis=aniso_axis if anisotropic else None,
             j_e=self.j_e,
         )
 
@@ -76,12 +78,22 @@ def _search_dirs() -> list[Path]:
 
 
 def material_from_dict(data: dict) -> Material:
+    """The material of a parsed file; ValueError where the checks of the
+    module docstring fail."""
+    if not isinstance(data["A_is_angular"], bool):
+        raise ValueError(f"A_is_angular must be true or false, got {data['A_is_angular']!r}")
+    delta_a_mhz = float(data.get("deltaA_MHz", 0.0))
+    family = data.get("family")
+    if family not in (None, *_FAMILIES):
+        raise ValueError(f"unknown family {family!r}: use one of {', '.join(_FAMILIES)}")
+    if delta_a_mhz != 0.0 and family in _FAMILIES[:2]:
+        raise ValueError(f"family {family!r} has no anisotropy, but deltaA_MHz is "
+                         f"{delta_a_mhz!r}")
     return Material(
         name=data["name"],
-        family=HamiltonianFamily(data["family"]),
         a_mhz=float(data["A_MHz"]),
-        a_is_angular=bool(data["A_is_angular"]),
-        delta_a_mhz=float(data.get("deltaA_MHz", 0.0)),
+        a_is_angular=data["A_is_angular"],
+        delta_a_mhz=delta_a_mhz,
         j_e=float(data.get("j_e", 0.5)),
         notes=data.get("notes", ""),
     )

@@ -134,8 +134,8 @@ def time_generic_rank(plan: MeasurementPlan) -> int:
     plan with a two-qubit PropagatorSpec: one SVD of its spectral table
     contracted with the directions, no times involved. A plan rank below it
     is lost to the chosen times, not to the Hamiltonian."""
-    if plan.propagator.hamiltonian.dim != 4:
-        raise ValueError("the time-generic rank needs a two-qubit (4x4) propagator")
+    if not isinstance(plan.propagator, PropagatorSpec) or plan.propagator.hamiltonian.dim != 4:
+        raise ValueError("the time-generic rank needs a two-qubit (4x4) PropagatorSpec")
     traces = plan.propagator.spectral_table.traces(TWO_QUBIT_BASIS)  # (15, 3, p)
     n = np.array([d.vector for d in plan.directions])
     coeffs = np.tensordot(n, traces, axes=([1], [1]))

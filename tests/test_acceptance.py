@@ -24,7 +24,6 @@ import pytest
 from conftest import random_density_matrix, random_direction, random_product_mixture
 from musrtomo.dynamics import (
     DEFAULT_CONSTANTS,
-    HamiltonianFamily,
     HamiltonianSpec,
     PropagatorSpec,
     evolve_density,
@@ -150,10 +149,9 @@ def _variant_spec(variant, rng):
     if variant == "hf_spin1":
         return HamiltonianSpec.hyperfine(a, j_e=1.0)
     if variant.startswith("mu_"):
-        return HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=a, b_field=b,
-                               b_axis=axes[variant[-1]])
-    return HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=a, delta_a=da,
-                           b_field=b, b_axis=Z_AXIS, aniso_axis=axes[variant[-2]])
+        return HamiltonianSpec(a=a, b_field=b, b_axis=axes[variant[-1]])
+    return HamiltonianSpec(a=a, delta_a=da, b_field=b, b_axis=Z_AXIS,
+                           aniso_axis=axes[variant[-2]])
 
 
 @criterion("04 closed-form propagators vs numeric exponentials")

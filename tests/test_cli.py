@@ -177,6 +177,37 @@ class TestExitCodes:
         assert "j_e must be a positive multiple of 1/2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields", [[], ["100", "200"]], ids=["none", "two"])
+    @pytest.mark.parametrize("verb", ["simulate", "bell", "report"])
+    def test_single_field_verbs_take_one_field(self, tmp_path, verb, fields):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--B", *fields, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_evolve_takes_at_least_one_field(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--B", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"A_is_angular": "false"}, "A_is_angular must be true or false"),
+        ({"deltaA_MHz": 10.0}, "family 'hyperfine' has no anisotropy"),
+        ({"family": "isotropic", "deltaA_MHz": 10.0}, "family 'isotropic' has no anisotropy"),
+        ({"family": "muonic"}, "unknown family 'muonic'"),
+    ], ids=["string-flag", "hyperfine-delta", "isotropic-delta", "unknown-family"])
+    def test_bad_material_file_is_config_error(self, tmp_path, capsys, fields, message):
+        material = write_material(tmp_path, **fields)
+        out = tmp_path / "out"
+        rc = main(["evolve", "--material", material, "--B", "0", "--t-max-ns", "1.0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["evolve", "bell", "report"])
     def test_seed_belongs_to_simulate_only(self, verb):
         with pytest.raises(SystemExit) as exc:
@@ -260,9 +291,8 @@ class TestReconstruct:
             "directions": ["x", "y", "z"], "times_ns": times,
         }))
         mat = load_material(material)
-        prop = PropagatorSpec(mat.hamiltonian_spec(
-            b_field=b, b_axis=Z_AXIS,
-            aniso_axis=X_AXIS if mat.family.value == "anisotropic" else None))
+        prop = PropagatorSpec(mat.hamiltonian_spec(b_field=b, b_axis=Z_AXIS,
+                                                   aniso_axis=X_AXIS))
         plan = MeasurementPlan(prop, directions=(X_AXIS, Y_AXIS, Z_AXIS),
                                times=tuple(times))
         values = forward_model(initial_muonium_state(), plan)

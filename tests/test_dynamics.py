@@ -1,4 +1,5 @@
 import functools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,25 +11,31 @@ from musrtomo.dynamics import (
     DEFAULT_CONSTANTS,
     _SLICE_TIMES,
     DerivedScalars,
-    HamiltonianFamily,
     HamiltonianSpec,
+    MuonSpinTable,
     OrientationNotTabulated,
     PropagatorSpec,
+    _spin_operators,
     analytic_free_mu,
     analytic_free_mu_reduced,
     build_hamiltonian,
+    closed_form,
     evolve_density,
     evolve_tomogram,
     initial_muonium_state,
     muon_polarization_function,
     propagator_hyperfine,
+    propagator_hyperfine_spin1,
+    propagator_mu_longitudinal,
     propagator_mu_transverse_x,
     propagator_mu_transverse_y,
     propagator_mustar_xz,
     propagator_mustar_yz,
+    propagator_mustar_zz,
 )
 from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace
-from musrtomo.materials import available_presets, load_material, material_from_dict
+from musrtomo.materials import (_PRESET_DIR, available_presets, load_material,
+                                material_from_dict)
 from musrtomo.musr import MUON_LIFETIME_NS
 from musrtomo.tomography import (
     X_AXIS,
@@ -58,10 +65,9 @@ def spec_for(variant, rng):
         return HamiltonianSpec.hyperfine(a, j_e=1.0)
     axis = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}[variant[-1]]
     if variant.startswith("mu_"):
-        return HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=a, b_field=b, b_axis=axis)
+        return HamiltonianSpec(a=a, b_field=b, b_axis=axis)
     n_axis = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}[variant[-2]]
-    return HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=a, delta_a=da,
-                           b_field=b, b_axis=Z_AXIS, aniso_axis=n_axis)
+    return HamiltonianSpec(a=a, delta_a=da, b_field=b, b_axis=Z_AXIS, aniso_axis=n_axis)
 
 
 ALL_VARIANTS = ["hf", "mu_z", "mu_x", "mu_y", "mustar_zz", "mustar_xz",
@@ -94,21 +100,21 @@ class TestBuildHamiltonian:
         assert np.allclose(w, [-0.75, 0.25, 0.25, 0.25], atol=1e-13)
 
     def test_isotropic_reduces_at_zero_field(self):
-        iso = HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=2.2)
+        # a zero field reads no field axis
+        iso = HamiltonianSpec(a=2.2, b_axis=X_AXIS)
         assert np.abs(build_hamiltonian(iso)
                       - build_hamiltonian(HamiltonianSpec.hyperfine(2.2))).max() < 1e-14
 
     def test_anisotropic_reduces_without_delta(self):
-        aniso = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=2.2, delta_a=0.0,
-                                b_field=50.0, b_axis=Z_AXIS, aniso_axis=X_AXIS)
-        iso = HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=2.2,
-                              b_field=50.0, b_axis=Z_AXIS)
+        # a zero anisotropy reads no anisotropy axis
+        aniso = HamiltonianSpec(a=2.2, delta_a=0.0, b_field=50.0, b_axis=Z_AXIS,
+                                aniso_axis=X_AXIS)
+        iso = HamiltonianSpec(a=2.2, b_field=50.0, b_axis=Z_AXIS)
         assert np.abs(build_hamiltonian(aniso) - build_hamiltonian(iso)).max() < 1e-14
 
     def test_zeeman_signs(self):
         # muon Zeeman enters negative, electron positive, both along B
-        spec = HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=0.0,
-                               b_field=100.0, b_axis=Z_AXIS)
+        spec = HamiltonianSpec(a=0.0, b_field=100.0, b_axis=Z_AXIS)
         h = build_hamiltonian(spec)
         gm = DEFAULT_CONSTANTS.gamma_mu * 100
         ge = DEFAULT_CONSTANTS.gamma_e * 100
@@ -117,7 +123,7 @@ class TestBuildHamiltonian:
 
     def test_requires_axis_for_field(self):
         with pytest.raises(ValueError):
-            HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=1.0, b_field=10.0)
+            HamiltonianSpec(a=1.0, b_field=10.0)
 
     @pytest.mark.parametrize("j_e", [0.5, 1.0, 1.5])
     def test_matches_kronecker_sums(self, j_e, rng):
@@ -127,8 +133,8 @@ class TestBuildHamiltonian:
         for _ in range(5):
             a, da, b = rng.uniform(0.5, 30.0), rng.uniform(-20.0, 20.0), rng.uniform(1, 4000)
             b_axis, n_axis = random_direction(rng), random_direction(rng)
-            spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=a, delta_a=da, b_field=b,
-                                   b_axis=b_axis, aniso_axis=n_axis, j_e=j_e)
+            spec = HamiltonianSpec(a=a, delta_a=da, b_field=b, b_axis=b_axis,
+                                   aniso_axis=n_axis, j_e=j_e)
             b_vec, n_vec = b_axis.vector * b, n_axis.vector
             want = a * sum(np.kron(jm, je) for jm, je in zip(j_mu_ops, j_e_ops))
             want = want - DEFAULT_CONSTANTS.gamma_mu * sum(
@@ -173,7 +179,7 @@ class TestClosedForms:
         assert np.abs(u - np.exp(-1j * np.pi / 2) * np.eye(4)).max() < 1e-13
 
     def test_longitudinal_reduces_to_hyperfine_at_zero_field(self):
-        spec = HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=3.3)
+        spec = HamiltonianSpec(a=3.3)
         s = DerivedScalars.from_spec(spec)
         from musrtomo.dynamics import propagator_mu_longitudinal
         for t in (0.3, 2.1):
@@ -193,8 +199,7 @@ class TestClosedForms:
 
     def test_transverse_y_phase_pattern(self):
         # the y-field matrix is D U_x D^dag with D = diag(1, i, i, -1)
-        spec = HamiltonianSpec(HamiltonianFamily.ISOTROPIC, a=5.0,
-                               b_field=800.0, b_axis=X_AXIS)
+        spec = HamiltonianSpec(a=5.0, b_field=800.0, b_axis=X_AXIS)
         s = DerivedScalars.from_spec(spec)
         d = np.diag([1.0, 1j, 1j, -1.0])
         for t in (0.17, 3.9):
@@ -203,8 +208,8 @@ class TestClosedForms:
             assert np.abs(lhs - rhs).max() < 1e-14
 
     def test_yz_differs_from_xz_only_in_corner(self):
-        spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=0.58, delta_a=-0.47,
-                               b_field=100.0, b_axis=Z_AXIS, aniso_axis=X_AXIS)
+        spec = HamiltonianSpec(a=0.58, delta_a=-0.47, b_field=100.0, b_axis=Z_AXIS,
+                               aniso_axis=X_AXIS)
         s = DerivedScalars.from_spec(spec)
         for t in (0.4, 11.0):
             u_xz = propagator_mustar_xz(s, t)
@@ -217,8 +222,7 @@ class TestClosedForms:
     def test_degenerate_frequency_limit(self):
         # a = -dA/2 at zero field makes one internal frequency vanish; the
         # closed form must stay finite and exact
-        spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=1.0, delta_a=-2.0,
-                               aniso_axis=X_AXIS)
+        spec = HamiltonianSpec(a=1.0, delta_a=-2.0, aniso_axis=X_AXIS)
         prop = PropagatorSpec(spec)
         for t in (0.0, 0.7, 3.0):
             u = prop.closed_form_unitary(t)
@@ -227,9 +231,8 @@ class TestClosedForms:
 
     def test_spin_three_halves_numeric_only(self, rng):
         # acceptor-center shells (j_e = 3/2) go through the numeric path
-        spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=1.1, delta_a=0.4,
-                               b_field=25.0, b_axis=Z_AXIS, aniso_axis=X_AXIS,
-                               j_e=1.5)
+        spec = HamiltonianSpec(a=1.1, delta_a=0.4, b_field=25.0, b_axis=Z_AXIS,
+                               aniso_axis=X_AXIS, j_e=1.5)
         prop = PropagatorSpec(spec)
         with pytest.raises(OrientationNotTabulated):
             prop.closed_form_unitary(0.5)
@@ -239,8 +242,8 @@ class TestClosedForms:
             assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
     def test_untabulated_orientation_raises_and_numeric_covers(self):
-        spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=1.0, delta_a=0.3,
-                               b_field=10.0, b_axis=X_AXIS, aniso_axis=X_AXIS)
+        spec = HamiltonianSpec(a=1.0, delta_a=0.3, b_field=10.0, b_axis=X_AXIS,
+                               aniso_axis=X_AXIS)
         prop = PropagatorSpec(spec)
         with pytest.raises(OrientationNotTabulated):
             prop.closed_form_unitary(1.0)
@@ -248,8 +251,8 @@ class TestClosedForms:
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
     def test_scalar_definitions(self):
-        spec = HamiltonianSpec(HamiltonianFamily.ANISOTROPIC, a=4.0, delta_a=-1.0,
-                               b_field=200.0, b_axis=Z_AXIS, aniso_axis=X_AXIS)
+        spec = HamiltonianSpec(a=4.0, delta_a=-1.0, b_field=200.0, b_axis=Z_AXIS,
+                               aniso_axis=X_AXIS)
         s = DerivedScalars.from_spec(spec)
         gm, ge = DEFAULT_CONSTANTS.gamma_mu, DEFAULT_CONSTANTS.gamma_e
         assert abs(s.a - 1.0) < 1e-15
@@ -259,6 +262,138 @@ class TestClosedForms:
         assert abs(s.f - np.sqrt(s.d ** 2 + s.b_minus ** 2)) < 1e-14
         assert abs(s.h - np.sqrt((2 * s.a + s.d) ** 2 + s.b_plus ** 2)) < 1e-14
         assert abs(s.c - np.sqrt(4 * s.a ** 2 + s.b_plus ** 2)) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# oracle: the family-based Hamiltonian and closed-form choice that the
+# parameter-based ones replaced; the family is one of the strings below
+
+FAMILIES = ("hyperfine", "isotropic", "anisotropic")
+OBLIQUE = Direction.from_vector([0.6, 0.0, 0.8])
+ORACLE_AXES = (None, X_AXIS, Y_AXIS, Z_AXIS, OBLIQUE)
+VARIANT_FORMS = {"hf": propagator_hyperfine, "hf_spin1": propagator_hyperfine_spin1,
+                 "mu_z": propagator_mu_longitudinal, "mu_x": propagator_mu_transverse_x,
+                 "mu_y": propagator_mu_transverse_y, "mustar_zz": propagator_mustar_zz,
+                 "mustar_xz": propagator_mustar_xz, "mustar_yz": propagator_mustar_yz}
+
+
+def family_hamiltonian(family, spec):
+    """H/hbar of a (family, parameters) pair: the anisotropy term only for
+    the anisotropic family, one Kronecker product per term."""
+    j_mu, j_e = np.array(angular_momentum_ops(0.5)), np.array(angular_momentum_ops(spec.j_e))
+    mu, el = np.kron(j_mu, np.eye(len(j_e[0]))), np.kron(np.eye(2), j_e)
+    h = spec.a * sum(mu @ el)
+    if spec.b_field != 0.0:
+        b_vec = (spec.b_axis.vector * spec.b_field)[:, None, None]
+        h = h - DEFAULT_CONSTANTS.gamma_mu * sum(b_vec * mu) \
+            + DEFAULT_CONSTANTS.gamma_e * sum(b_vec * el)
+    if family == "anisotropic" and spec.delta_a != 0.0:
+        n_vec = spec.aniso_axis.vector[:, None, None]
+        h = h + spec.delta_a * np.kron(sum(n_vec * j_mu), sum(n_vec * j_e))
+    return h
+
+
+def _oracle_axis_name(direction):
+    if direction is None:
+        return None
+    for name, ref in {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}.items():
+        if np.linalg.norm(direction.vector - ref.vector) < 1e-12:
+            return name
+    return None
+
+
+def family_variant(family, spec):
+    """Name of the closed form a (family, parameters) pair chose, or None."""
+    b_name = _oracle_axis_name(spec.b_axis) if spec.b_field != 0.0 else None
+    n_name = _oracle_axis_name(spec.aniso_axis)
+    if family == "hyperfine" or (family == "isotropic" and spec.b_field == 0.0):
+        return {0.5: "hf", 1.0: "hf_spin1"}.get(spec.j_e)
+    if spec.j_e != 0.5:
+        return None
+    if family == "isotropic":
+        return f"mu_{b_name}" if b_name in ("x", "y", "z") else None
+    if spec.delta_a == 0.0:
+        if spec.b_field == 0.0:
+            return "hf"
+        if b_name in ("x", "y", "z"):
+            return f"mu_{b_name}"
+    if n_name in ("x", "y", "z") and (b_name == "z" or spec.b_field == 0.0):
+        return f"mustar_{n_name}z"
+    return None
+
+
+# (family, anisotropic, in a field, B axis, N axis, j_e) of every consistent
+# spec: the anisotropic family has an axis, only it has a nonzero dA, the
+# hyperfine family has no field, and a field has an axis
+CONSISTENT_CASES = [
+    (family, aniso, field, b_axis, n_axis, j_e)
+    for family in FAMILIES for aniso in (False, True) for field in (False, True)
+    for b_axis in ORACLE_AXES for n_axis in ORACLE_AXES for j_e in (0.5, 1.0, 1.5)
+    if not (family == "anisotropic" and n_axis is None)
+    and (family == "anisotropic" or not aniso)
+    and not (family == "hyperfine" and field)
+    and not (field and b_axis is None)]
+
+
+class TestFamilyOracle:
+    def test_case_count(self):
+        assert len(CONSISTENT_CASES) == 426
+
+    @given(a=st.floats(0.5, 30.0), da=st.floats(-20.0, 20.0).filter(bool),
+           b=st.floats(1.0, 4000.0), t=st.floats(0.0, 10.0))
+    @settings(deadline=None, max_examples=20)
+    def test_parameters_choose_as_the_family_did(self, a, da, b, t):
+        # every consistent spec: bit-equal Hamiltonians and the same closed
+        # form, or none, but for dA = 0, B = 0, j_e = 1 under the anisotropic
+        # family, which the family left to the numeric path
+        for family, aniso, field, b_axis, n_axis, j_e in CONSISTENT_CASES:
+            spec = HamiltonianSpec(a=a, delta_a=da if aniso else 0.0,
+                                   b_field=b if field else 0.0, b_axis=b_axis,
+                                   aniso_axis=n_axis, j_e=j_e)
+            assert build_hamiltonian(spec).tobytes() == \
+                family_hamiltonian(family, spec).tobytes()
+            try:
+                form = closed_form(spec).func
+            except OrientationNotTabulated:
+                form = None
+            variant = family_variant(family, spec)
+            if variant is None and (family, aniso, field, j_e) == \
+                    ("anisotropic", False, False, 1.0):
+                assert form is propagator_hyperfine_spin1
+                prop = PropagatorSpec(spec)
+                assert np.abs(prop.closed_form_unitary(t)
+                              - prop.numeric_unitary(t)).max() <= 1e-12
+            else:
+                assert form is VARIANT_FORMS.get(variant)
+
+    def test_spin_operators_built_once_per_spin(self, monkeypatch):
+        specs = [HamiltonianSpec(a=1.3, delta_a=-0.4, b_field=50.0, b_axis=OBLIQUE,
+                                 aniso_axis=OBLIQUE, j_e=j_e) for j_e in (0.5, 1.0, 1.5)]
+
+        def table(spec):
+            return MuonSpinTable.from_eigensystem(*np.linalg.eigh(build_hamiltonian(spec)))
+
+        for spec in specs:  # warm-up
+            table(spec)
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda *args: calls.append(args) or kron(*args))
+        for spec in specs:
+            table(spec)
+        assert calls == []
+        for spec in specs:
+            for op in _spin_operators(spec.j_e):
+                assert not op.flags.writeable
+
+    @pytest.mark.parametrize("j_e", [0.5, 1.0, 1.5])
+    def test_muon_pauli_stack_is_twice_the_muon_spin(self, j_e, rng):
+        # equal in every entry (a zero may differ in sign), and so to the last
+        # bit in the eigenbasis of any Hamiltonian
+        sigma = np.kron(PAULI, np.eye(int(round(2 * j_e + 1))))
+        twice = 2 * _spin_operators(j_e)[2]
+        assert np.array_equal(twice, sigma)
+        _, v = np.linalg.eigh(random_density_matrix(len(sigma[0]), rng))
+        assert (v.conj().T @ twice @ v).tobytes() == (v.conj().T @ sigma @ v).tobytes()
 
 
 class TestEvolveDensity:
@@ -475,7 +610,7 @@ class TestMaterials:
     def test_spec_construction(self):
         mat = load_material("si-mustar")
         spec = mat.hamiltonian_spec(b_field=33.0, b_axis=Z_AXIS, aniso_axis=X_AXIS)
-        assert spec.family is HamiltonianFamily.ANISOTROPIC
+        assert spec.aniso_axis == X_AXIS
         assert spec.delta_a < 0
 
     def test_env_search_path(self, tmp_path, monkeypatch):
@@ -489,6 +624,50 @@ class TestMaterials:
     def test_missing_material(self):
         with pytest.raises(FileNotFoundError):
             load_material("unobtainium")
+
+    @pytest.mark.parametrize("name", [*available_presets(), "spin1-file"])
+    def test_files_load_to_the_family_hamiltonian(self, name):
+        # the shipped presets and the j_e = 1 file give the Hamiltonian that
+        # their family gave: the anisotropy (axis x by default) only for the
+        # anisotropic family, whatever the field and the axes asked for
+        path = SPIN1_FILE if name == "spin1-file" else _PRESET_DIR / f"{name}.json"
+        data = json.loads(path.read_text())
+        mat = material_from_dict(data)
+        aniso = data["family"] == "anisotropic"
+        for b_field, b_axis in ((0.0, None), (176.0, Z_AXIS), (176.0, OBLIQUE)):
+            for n_axis in (None, X_AXIS, Z_AXIS, OBLIQUE):
+                spec = mat.hamiltonian_spec(b_field=b_field, b_axis=b_axis, aniso_axis=n_axis)
+                old = HamiltonianSpec(
+                    a=mat.a_rad_ns, delta_a=mat.delta_a_rad_ns if aniso else 0.0,
+                    b_field=b_field, b_axis=b_axis,
+                    aniso_axis=(n_axis or X_AXIS) if aniso else None, j_e=mat.j_e)
+                assert build_hamiltonian(spec).tobytes() == \
+                    family_hamiltonian(data["family"], old).tobytes()
+
+    def test_family_is_optional_and_only_checked(self):
+        data = {"name": "m", "A_MHz": 92.595, "A_is_angular": False,
+                "deltaA_MHz": -75.776}
+        assert material_from_dict({**data, "family": "anisotropic"}) == \
+            material_from_dict(data)
+        flat = {**data, "deltaA_MHz": 0.0}
+        for family in ("hyperfine", "isotropic", "anisotropic"):
+            assert material_from_dict({**flat, "family": family}) == material_from_dict(flat)
+
+    @pytest.mark.parametrize("family", ["hyperfine", "isotropic"])
+    def test_family_without_anisotropy_rejects_delta(self, family):
+        with pytest.raises(ValueError, match=f"family '{family}' has no anisotropy"):
+            material_from_dict({"name": "m", "family": family, "A_MHz": 92.595,
+                                "A_is_angular": False, "deltaA_MHz": -75.776})
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'isotropc'"):
+            material_from_dict({"name": "m", "family": "isotropc", "A_MHz": 4404.0,
+                                "A_is_angular": False})
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_angular_flag_must_be_a_boolean(self, flag):
+        with pytest.raises(ValueError, match="A_is_angular must be true or false"):
+            material_from_dict({"name": "m", "A_MHz": 4463.0, "A_is_angular": flag})
 
 
 SPIN1_FILE = Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json"

@@ -201,6 +201,13 @@ class TestTimeGenericRank:
         with pytest.raises(ValueError, match="4x4"):
             time_generic_rank(MeasurementPlan(prop, times=(0.1, 0.2)))
 
+    def test_rejects_a_plain_callable(self):
+        # a callable t -> U has no spectral table
+        levels = np.array([0.75, -0.25, 0.5, -1.0])
+        plan = MeasurementPlan(lambda t: np.diag(np.exp(-1j * levels * t)), times=(0.1, 0.2))
+        with pytest.raises(ValueError, match="needs a two-qubit .* PropagatorSpec"):
+            time_generic_rank(plan)
+
 
 class TestOneEigensystem:
     @pytest.mark.parametrize("b_axis", [AXES["z"], OBLIQUE], ids=["closed-form", "numeric"])
