@@ -17,7 +17,6 @@ from .dynamics import (
 )
 from .entanglement import (
     BellSetting,
-    EntanglementReport,
     bell_number,
     bell_number_of_state,
     entanglement_measure,

@@ -12,7 +12,6 @@ included), 3 numeric failure.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -41,7 +40,7 @@ from .musr import (
 )
 from .reconstruction import (MeasurementPlan, build_design_matrix, reconstruct_initial,
                              time_generic_rank)
-from .tomography import AXES, Direction, csv_text, float_cells
+from .tomography import AXES, Direction, csv_text, float_cells, read_sample_csv
 
 DEFAULT_SWEEPS = {
     "quartz": [0.0, 790.0, 1580.0, 3160.0],
@@ -236,22 +235,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def _read_measurements(path: str, plan: MeasurementPlan):
-    with open(path, newline="") as fh:
-        records = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-    # sigmas only when every record has one
-    table = {tuple(round(float(rec[c]), 9) for c in ("t_ns", "theta", "phi")):
-             (float(rec["w_plus"]), float(rec["sigma"]) if rec.get("sigma") else np.nan)
-             for rec in records}
-    rows = []
-    for t in plan.times:
-        for d in plan.directions:
-            key = (round(t, 9), round(d.theta, 9), round(d.phi, 9))
-            if key not in table:
-                raise ConfigError(f"measurement file misses (t={t}, "
-                                  f"theta={d.theta}, phi={d.phi})")
-            rows.append(table[key])
-    values, sigmas = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
-    return values, (sigmas if all(rec.get("sigma") for rec in records) else None)
+    """(w_plus, sigma) of the plan's rows, in plan order; sigma is None
+    unless every row the plan reads has one."""
+    keys = [(t, d.theta, d.phi) for t in plan.times for d in plan.directions]
+    values, sigmas = read_sample_csv(Path(path).read_text(), ("t_ns", "theta", "phi"),
+                                     keys, ("w_plus", "sigma"))
+    missing = np.isnan(values)
+    if missing.any():
+        raise ConfigError(f"measurement file has no w_plus for {keys[missing.argmax()]}")
+    return values, (None if np.isnan(sigmas).any() else sigmas)
 
 
 def _two_qubit_series(args, what: str, include_max_bell: bool = True):
@@ -276,7 +268,7 @@ def cmd_bell(args) -> int:
 def cmd_report(args) -> int:
     times, series = _two_qubit_series(args, "entanglement report",
                                       include_max_bell=not args.no_bell)
-    # one EntanglementReport.to_json record per instant, keys in its order
+    # one record per instant: t, then the series' keys in their order
     columns = {"t": times, **series}
     reports = [dict(zip(columns, values))
                for values in zip(*(c.tolist() for c in columns.values()))]

@@ -25,7 +25,6 @@ transposes, batched traces of powers); the per-state functions run the same
 kernels on one state.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -202,9 +201,9 @@ def negativity(rho: np.ndarray, dims: SubsystemDims):
 
 def entanglement_series(rho: np.ndarray, include_max_bell: bool = True) -> dict:
     """Every diagnostic of a stack of two-qubit states (n, 4, 4), each an
-    (n,) array, keyed as in ``EntanglementReport.to_json``: E, M2, M3, M4,
-    max_bell (NaN unless included) and negativity. The stack is validated
-    once and the partial transposes are formed once."""
+    (n,) array, keyed E, M2, M3, M4, max_bell (NaN unless included) and
+    negativity. The stack is validated once and the partial transposes are
+    formed once."""
     rho = _two_qubit_states(rho, "entanglement series")
     ppt = partial_transpose(rho, SubsystemDims(2, 2))
     m2, m3, m4 = _power_coefficients(ppt)
@@ -309,32 +308,3 @@ def tomographic_m34(w: TwoSpinTomogram, eval_dirs=None):
     m3 = (s1 - 3 * s2 + 2 * s3) / 6
     m4 = (3 * s2 ** 2 + s1 - 6 * s2 + 8 * s3 - 6 * s4) / 24
     return float(m3.real), float(m4.real)
-
-
-@dataclass
-class EntanglementReport:
-    """Entanglement diagnostics of a two-qubit state at one instant."""
-
-    t: float
-    e_measure: float
-    m2: float
-    m3: float
-    m4: float
-    max_bell: float
-    negativity: float
-
-    @classmethod
-    def from_state(cls, rho: np.ndarray, t: float = 0.0,
-                   include_max_bell: bool = True) -> "EntanglementReport":
-        rho = np.asarray(rho)
-        if rho.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        series = entanglement_series(rho[None], include_max_bell)
-        one = {key: float(values[0]) for key, values in series.items()}
-        return cls(t=t, e_measure=one["E"], m2=one["M2"], m3=one["M3"], m4=one["M4"],
-                   max_bell=one["max_bell"], negativity=one["negativity"])
-
-    def to_json(self) -> str:
-        return json.dumps({"t": self.t, "E": self.e_measure, "M2": self.m2,
-                           "M3": self.m3, "M4": self.m4, "max_bell": self.max_bell,
-                           "negativity": self.negativity})

@@ -1,7 +1,8 @@
 """Material parameter presets and loading.
 
 A material file is JSON with the fields
-{name, family, A_MHz, A_is_angular, deltaA_MHz, j_e, notes}; couplings are
+{name, family, A_MHz, A_is_angular, deltaA_MHz, j_e, notes}; A_MHz,
+deltaA_MHz and j_e are JSON numbers (not strings or booleans), couplings are
 quoted in MHz and the JSON boolean ``A_is_angular`` says whether the numbers
 are angular frequencies (used as-is, in rad units) or linear frequencies
 (multiplied by 2 pi on ingestion). The Hamiltonian follows from the numbers:
@@ -77,12 +78,21 @@ def _search_dirs() -> list[Path]:
     return dirs
 
 
+def _number(data: dict, field: str, default: float | None = None) -> float:
+    """The JSON number (int or float, not a boolean) ``data[field]``, or
+    ``default`` when one is given and the field is absent."""
+    value = data[field] if default is None else data.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def material_from_dict(data: dict) -> Material:
     """The material of a parsed file; ValueError where the checks of the
     module docstring fail."""
     if not isinstance(data["A_is_angular"], bool):
         raise ValueError(f"A_is_angular must be true or false, got {data['A_is_angular']!r}")
-    delta_a_mhz = float(data.get("deltaA_MHz", 0.0))
+    delta_a_mhz = _number(data, "deltaA_MHz", 0.0)
     family = data.get("family")
     if family not in (None, *_FAMILIES):
         raise ValueError(f"unknown family {family!r}: use one of {', '.join(_FAMILIES)}")
@@ -91,10 +101,10 @@ def material_from_dict(data: dict) -> Material:
                          f"{delta_a_mhz!r}")
     return Material(
         name=data["name"],
-        a_mhz=float(data["A_MHz"]),
+        a_mhz=_number(data, "A_MHz"),
         a_is_angular=data["A_is_angular"],
         delta_a_mhz=delta_a_mhz,
-        j_e=float(data.get("j_e", 0.5)),
+        j_e=_number(data, "j_e", 0.5),
         notes=data.get("notes", ""),
     )
 

@@ -298,7 +298,7 @@ class SpinTomogram:
         if self.values.shape != (dim, self.grid.n_nodes):
             raise ValueError(f"values shape {self.values.shape} != "
                              f"({dim}, {self.grid.n_nodes})")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
+        if not np.all((self.values >= -1e-12) & (self.values <= 1 + 1e-12)):
             raise ValueError("tomogram values outside [0, 1]")
         sums = self.values.sum(axis=0)
         if np.max(np.abs(sums - 1.0)) > 1e-10:
@@ -329,27 +329,31 @@ class SpinTomogram:
         grid = grid if grid is not None else QuadratureGrid.for_spin(j)
         ms, nodes = spin_projections(j), grid.nodes()
         keys = [(m, node.theta, node.phi) for m in ms for node in nodes]
-        values = read_sample_csv(text, ("m", "theta", "phi"), keys)
+        (values,) = read_sample_csv(text, ("m", "theta", "phi"), keys)
         return cls(j, grid, values.reshape(len(ms), len(nodes)))
 
 
-def read_sample_csv(text: str, columns: tuple, keys) -> np.ndarray:
-    """Probabilities of a tomogram CSV in the order of ``keys``.
+def read_sample_csv(text: str, columns: tuple, keys,
+                    values: tuple = ("probability",)) -> np.ndarray:
+    """The ``values`` columns of a keyed sample CSV, in the order of ``keys``:
+    shape (len(values), len(keys)).
 
     Lines starting with '#' are skipped; each row is keyed by its ``columns``
     values and each key of ``keys`` holds the same values in that order, both
-    compared rounded to 12 digits. A key without a row raises ValueError.
+    compared rounded to 9 digits. An empty or missing value cell reads as
+    NaN. A key without a row raises ValueError.
     """
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    table = {tuple(round(float(rec[c]), 12) for c in columns): float(rec["probability"])
+    table = {tuple(round(float(rec[c]), 9) for c in columns):
+             [float(rec.get(v) or "nan") for v in values]
              for rec in csv.DictReader(rows)}
-    values = []
+    out = []
     for key in keys:
-        key = tuple(round(float(x), 12) for x in key)
+        key = tuple(round(float(x), 9) for x in key)
         if key not in table:
             raise ValueError(f"file misses sample {key}")
-        values.append(table[key])
-    return np.array(values)
+        out.append(table[key])
+    return np.array(out, dtype=float).reshape(-1, len(values)).T
 
 
 def float_cells(values, repeat: int = 1) -> list:

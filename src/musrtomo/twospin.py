@@ -12,6 +12,7 @@ projections descending; coupled labels are (L descending, M descending).
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .tomography import (
     float_cells,
     operator_from_symbol,
     operator_symbol_on_grid,
-    quantizer,
     read_sample_csv,
     require_state,
     rotation_matrix,
@@ -60,6 +60,14 @@ class TwoSpinBasis:
 
     def coupled_labels(self) -> list[tuple[float, float]]:
         return [(ell, m) for ell in self.total_spins() for m in spin_projections(ell)]
+
+    def blocks(self) -> list[tuple[float, slice]]:
+        """(L, rows) of each diagonal block of the coupled basis, in coupled
+        order: L descending, each block's rows following the previous's."""
+        spins = self.total_spins()
+        sizes = [int(round(2 * ell)) + 1 for ell in spins]
+        return [(ell, slice(at, at + d))
+                for ell, d, at in zip(spins, sizes, accumulate(sizes, initial=0))]
 
 
 def cg_matrix(j_mu: float, j_e: float) -> np.ndarray:
@@ -110,12 +118,22 @@ def reduced_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
     return tomogram(partial_trace(rho, TwoSpinBasis(j_mu, j_e).dims, keep="a"), j_mu, dir_mu)
 
 
+def _coupled(rho: np.ndarray, j_mu: float, j_e: float,
+             u: np.ndarray | None = None) -> np.ndarray:
+    """U_CG u rho u^dag U_CG^T: the state, first conjugated by the unitary
+    ``u`` when one is given, in the coupled basis."""
+    v = cg_matrix(j_mu, j_e)
+    if u is not None:
+        if np.shape(u) != v.shape:
+            raise ValueError(f"unitary shape {np.shape(u)} != {v.shape}")
+        v = v @ _require_unitary(u)
+    return v @ rho @ v.conj().T
+
+
 def total_tomogram(rho: np.ndarray, j_mu: float, j_e: float, u: np.ndarray) -> np.ndarray:
     """<L M| U rho U^dag |L M> over the coupled labels (L desc, M desc)."""
-    rho = require_density_matrix(rho)
-    u = _require_unitary(u)
-    ucg = cg_matrix(j_mu, j_e)
-    return np.einsum("ia,ab,ib->i", ucg @ u, rho, (ucg @ u).conj()).real
+    rho = require_state(rho, TwoSpinBasis(j_mu, j_e).dim, "(2j_mu+1)(2j_e+1)")
+    return _coupled(rho, j_mu, j_e, u).diagonal().real.copy()
 
 
 def blockdiag_rotation(j_mu: float, j_e: float, direction: Direction) -> np.ndarray:
@@ -123,35 +141,26 @@ def blockdiag_rotation(j_mu: float, j_e: float, direction: Direction) -> np.ndar
     (blocks ordered L descending). Equals the CG conjugation of the product
     rotation R^(j_mu) x R^(j_e)."""
     basis = TwoSpinBasis(j_mu, j_e)
-    blocks = [rotation_matrix(ell, direction) for ell in basis.total_spins()]
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    at = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[at:at + d, at:at + d] = b
-        at += d
+    for ell, rows in basis.blocks():
+        out[rows, rows] = rotation_matrix(ell, direction)
     return out
 
 
 def total_pdf(rho: np.ndarray, j_mu: float, j_e: float, direction: Direction) -> dict:
     """f^(L)(M, N): per-L probabilities of total projection M along N.
 
-    Diagonal of (direct-sum rotation)^dag rho_coupled (direct-sum rotation),
-    grouped by L. Not invertible in general; see reconstruct_blockdiag for the
+    Diagonal of R_L^dag rho_LL R_L for each diagonal block rho_LL of the
+    coupled-basis state, which is the direct-sum rotation's diagonal grouped
+    by L. Not invertible in general; see reconstruct_blockdiag for the
     permutation-symmetric (block-diagonal) case.
     """
-    rho = require_density_matrix(rho)
     basis = TwoSpinBasis(j_mu, j_e)
-    ucg = cg_matrix(j_mu, j_e)
-    rho_coupled = ucg @ rho @ ucg.T
-    u = blockdiag_rotation(j_mu, j_e, direction)
-    diag = np.einsum("ai,ab,bi->i", u.conj(), rho_coupled, u).real
+    rho_coupled = _coupled(require_state(rho, basis.dim, "(2j_mu+1)(2j_e+1)"), j_mu, j_e)
     out = {}
-    at = 0
-    for ell in basis.total_spins():
-        d = int(round(2 * ell)) + 1
-        out[ell] = diag[at:at + d]
-        at += d
+    for ell, rows in basis.blocks():
+        r = rotation_matrix(ell, direction)
+        out[ell] = np.einsum("ai,ab,bi->i", r.conj(), rho_coupled[rows, rows], r).real
     return out
 
 
@@ -167,29 +176,29 @@ def total_pdf_on_grid(rho: np.ndarray, j_mu: float, j_e: float,
 def reconstruct_blockdiag(f_samples: dict, grid: QuadratureGrid,
                           j_mu: float, j_e: float) -> np.ndarray:
     """Reconstruct the block-diagonal (coupled-basis) part of a state from its
-    total probability distribution, block by block with spin-L quantizers.
+    total probability distribution: each block L is the spin-L inverse
+    ``operator_from_symbol`` of f^(L), an array (2L+1, n_nodes).
 
     Exact for permutation-symmetric states, whose coupled-basis density matrix
     is block-diagonal.
     """
     basis = TwoSpinBasis(j_mu, j_e)
-    l_max = max(basis.total_spins())
+    blocks = basis.blocks()
+    l_max = blocks[0][0]
     if grid.degree < int(round(4 * l_max)):
         raise ValueError(f"grid degree {grid.degree} insufficient; "
                          f"need >= {int(round(4 * l_max))}")
-    weights = grid.weights
-    nodes = grid.nodes()
+    spins = [ell for ell, _ in blocks]
+    if set(f_samples) != set(spins):
+        raise ValueError(f"f_samples holds L = {list(f_samples)}, "
+                         f"the basis L = {spins}")
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    at = 0
-    for ell in basis.total_spins():
-        d = int(round(2 * ell)) + 1
-        block = np.zeros((d, d), dtype=complex)
-        vals = f_samples[ell]
-        for mi, m in enumerate(spin_projections(ell)):
-            for ni, node in enumerate(nodes):
-                block += weights[ni] * vals[mi, ni] * quantizer(ell, m, node)
-        out[at:at + d, at:at + d] = block
-        at += d
+    for ell, rows in blocks:
+        values = np.asarray(f_samples[ell])
+        expect = (rows.stop - rows.start, grid.n_nodes)
+        if values.shape != expect:
+            raise ValueError(f"f_samples[{ell}] has shape {values.shape}, not {expect}")
+        out[rows, rows] = operator_from_symbol(values, ell, grid)
     return out
 
 
@@ -216,8 +225,8 @@ class TwoSpinTomogram:
         sums = self.values.sum(axis=(0, 2))
         if np.max(np.abs(sums - 1.0)) > 1e-10:
             raise ValueError("joint probabilities must sum to 1 per direction pair")
-        if np.any(self.values < -1e-12):
-            raise ValueError("negative joint probabilities")
+        if not np.all(self.values >= -1e-12):
+            raise ValueError("negative or missing joint probabilities")
 
     @classmethod
     def from_state(cls, rho: np.ndarray, j_mu: float, j_e: float,
@@ -256,7 +265,7 @@ class TwoSpinTomogram:
         nodes_mu, nodes_e = grid_mu.nodes(), grid_e.nodes()
         keys = [(m_mu, n_mu.theta, n_mu.phi, m_e, n_e.theta, n_e.phi)
                 for m_mu in ms_mu for n_mu in nodes_mu for m_e in ms_e for n_e in nodes_e]
-        values = read_sample_csv(
+        (values,) = read_sample_csv(
             text, ("m_mu", "theta_mu", "phi_mu", "m_e", "theta_e", "phi_e"), keys)
         shape = (len(ms_mu), len(nodes_mu), len(ms_e), len(nodes_e))
         return cls(j_mu, j_e, grid_mu, grid_e, values.reshape(shape))
@@ -290,9 +299,5 @@ def total_from_individual(w: TwoSpinTomogram, u: np.ndarray) -> np.ndarray:
     """Total tomogram <L M|U rho U^dag|L M> evaluated from individual-tomogram
     samples: the state is rebuilt by quadrature against the product quantizers
     and then conjugated into the coupled basis."""
-    u = _require_unitary(u)
     rho = reconstruct_two_spin(w)
-    rho = (rho + rho.conj().T) / 2
-    ucg = cg_matrix(w.j_mu, w.j_e)
-    m = ucg @ u @ rho @ u.conj().T @ ucg.T
-    return np.diag(m).real
+    return _coupled((rho + rho.conj().T) / 2, w.j_mu, w.j_e, u).diagonal().real.copy()

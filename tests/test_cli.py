@@ -198,7 +198,11 @@ class TestExitCodes:
         ({"deltaA_MHz": 10.0}, "family 'hyperfine' has no anisotropy"),
         ({"family": "isotropic", "deltaA_MHz": 10.0}, "family 'isotropic' has no anisotropy"),
         ({"family": "muonic"}, "unknown family 'muonic'"),
-    ], ids=["string-flag", "hyperfine-delta", "isotropic-delta", "unknown-family"])
+        ({"A_MHz": "4463"}, "A_MHz must be a JSON number, got '4463'"),
+        ({"j_e": True}, "j_e must be a JSON number, got True"),
+        ({"deltaA_MHz": None}, "deltaA_MHz must be a JSON number, got None"),
+    ], ids=["string-flag", "hyperfine-delta", "isotropic-delta", "unknown-family",
+            "string-coupling", "boolean-spin", "null-anisotropy"])
     def test_bad_material_file_is_config_error(self, tmp_path, capsys, fields, message):
         material = write_material(tmp_path, **fields)
         out = tmp_path / "out"
@@ -371,6 +375,52 @@ class TestReconstruct:
                    "--measurements", str(meas_file), "--allow-deficient",
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
+
+
+    def measured_with_sigmas(self, tmp_path):
+        # every plan row carries a sigma, of a different size each
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        header, *rows = meas_file.read_text().strip().splitlines()
+        rows = [f"{row}{0.01 * (1 + k % 4)!r}" for k, row in enumerate(rows)]
+        return plan_file, meas_file, header, rows
+
+    def run_reconstruct(self, tmp_path, plan_file, meas_file, name):
+        out = tmp_path / name
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient", "--out", str(out)]) == 0
+        return out.read_text()
+
+    def test_sigmas_kept_past_an_unread_row_without_one(self, tmp_path):
+        plan_file, meas_file, header, rows = self.measured_with_sigmas(tmp_path)
+        meas_file.write_text("\n".join([header, *rows]) + "\n")
+        weighted = self.run_reconstruct(tmp_path, plan_file, meas_file, "a.json")
+        meas_file.write_text("\n".join([header, *rows, "999.0,0.0,0.0,0.5,"]) + "\n")
+        assert self.run_reconstruct(tmp_path, plan_file, meas_file, "b.json") == weighted
+        meas_file.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ","
+                                                  for row in rows)]) + "\n")
+        assert self.run_reconstruct(tmp_path, plan_file, meas_file, "c.json") != weighted
+
+    def test_a_read_row_without_sigma_drops_the_weights(self, tmp_path):
+        plan_file, meas_file, header, rows = self.measured_with_sigmas(tmp_path)
+        meas_file.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ","
+                                                  for row in rows)]) + "\n")
+        unweighted = self.run_reconstruct(tmp_path, plan_file, meas_file, "a.json")
+        rows[4] = rows[4].rsplit(",", 1)[0] + ","
+        meas_file.write_text("\n".join([header, *rows]) + "\n")
+        assert self.run_reconstruct(tmp_path, plan_file, meas_file, "b.json") == unweighted
+
+    def test_empty_w_plus_is_config_error(self, tmp_path, capsys):
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        header, *rows = meas_file.read_text().strip().splitlines()
+        t, theta, phi, _, sigma = rows[2].split(",")
+        rows[2] = ",".join([t, theta, phi, "", sigma])
+        meas_file.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient",
+                     "--out", str(tmp_path / "rep.json")]) == 2
+        assert "measurement file has no w_plus for (10.0, 0.0, 0.0)" in capsys.readouterr().err
 
 
 class TestBellAndReport:

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -668,6 +669,22 @@ class TestMaterials:
     def test_angular_flag_must_be_a_boolean(self, flag):
         with pytest.raises(ValueError, match="A_is_angular must be true or false"):
             material_from_dict({"name": "m", "A_MHz": 4463.0, "A_is_angular": flag})
+
+    @pytest.mark.parametrize("field", ["A_MHz", "deltaA_MHz", "j_e"])
+    @pytest.mark.parametrize("value", ["4463", True, False, None],
+                             ids=["string", "true", "false", "null"])
+    def test_numbers_must_be_json_numbers(self, field, value):
+        data = {"name": "m", "A_MHz": 4463.0, "A_is_angular": False, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a JSON number, "
+                                                       f"got {value!r}")):
+            material_from_dict(data)
+
+    def test_integers_load_as_their_floats(self):
+        ints = material_from_dict({"name": "m", "A_MHz": 4463, "A_is_angular": False,
+                                   "deltaA_MHz": 0, "j_e": 1})
+        floats = material_from_dict({"name": "m", "A_MHz": 4463.0, "A_is_angular": False,
+                                     "deltaA_MHz": 0.0, "j_e": 1.0})
+        assert ints == floats
 
 
 SPIN1_FILE = Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json"

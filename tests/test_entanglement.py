@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -11,12 +10,12 @@ from musrtomo.dynamics import PropagatorSpec, HamiltonianSpec, evolve_density, \
     initial_muonium_state, propagator_hyperfine_spin1
 from musrtomo.entanglement import (
     BellSetting,
-    EntanglementReport,
     bell_cells,
     bell_number,
     bell_number_of_state,
     correlation_matrix,
     entanglement_measure,
+    entanglement_series,
     max_bell,
     negativity,
     positivity_coefficients,
@@ -350,13 +349,15 @@ class TestTomographicM34:
             assert abs(got[1] - ref[1]) <= 1e-6
 
 
-class TestEntanglementReport:
-    def test_invariants_and_json(self, rng):
-        rho = random_density_matrix(4, rng)
-        rep = EntanglementReport.from_state(rho, t=1.5)
-        assert rep.e_measure >= 0
-        assert abs(rep.e_measure
-                   - (abs(rep.m3) + abs(rep.m4) - rep.m3 - rep.m4)) < 1e-14
-        assert (rep.e_measure > 1e-12) == (rep.m3 < -1e-13 or rep.m4 < -1e-13)
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {"t", "E", "M2", "M3", "M4", "max_bell", "negativity"}
+class TestEntanglementSeries:
+    def test_measure_invariants_per_state(self, rng, singlet):
+        # E >= 0, E = |M3| + |M4| - M3 - M4, and E > 0 exactly when M3 or M4 < 0,
+        # on random states and on the singlet and the maximally mixed state
+        rho = np.stack([random_density_matrix(4, rng) for _ in range(8)]
+                       + [singlet, np.eye(4) / 4])
+        series = entanglement_series(rho)
+        e, m3, m4 = series["E"], series["M3"], series["M4"]
+        assert np.all(e >= 0)
+        assert np.abs(e - (np.abs(m3) + np.abs(m4) - m3 - m4)).max() < 1e-14
+        assert np.array_equal(e > 1e-12, (m3 < -1e-13) | (m4 < -1e-13))
+        assert e[-2] > 0 and e[-1] == 0

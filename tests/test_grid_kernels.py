@@ -1,6 +1,7 @@
 """The batched grid kernels (one cached rotation stack per spin and grid)
 against the per-node routes they replace, kept here as oracles: a rotation
-matrix, projector or quantizer per (m, node) and one state per instant."""
+matrix, projector or quantizer per (m, node) and one state per instant, and
+the total probability distribution from the full direct-sum rotation."""
 
 from collections import Counter
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_direction
 from musrtomo import tomography, twospin
 from musrtomo.dynamics import HamiltonianSpec, PropagatorSpec, evolve_density, evolve_tomogram
 from musrtomo.entanglement import _kernel_tensor
@@ -25,9 +26,19 @@ from musrtomo.tomography import (
     rotations,
     spin_projections,
 )
-from musrtomo.twospin import TwoSpinTomogram, reconstruct_two_spin
+from musrtomo.linalg import kron
+from musrtomo.twospin import (
+    TwoSpinBasis,
+    TwoSpinTomogram,
+    cg_matrix,
+    reconstruct_blockdiag,
+    reconstruct_two_spin,
+    total_pdf,
+    total_pdf_on_grid,
+)
 
 TWO_SPIN_SHAPES = ((0.5, 0.5), (0.5, 1.0))
+COUPLED_SHAPES = ((0.5, 0.5), (0.5, 1.0), (0.5, 1.5), (1.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -95,6 +106,52 @@ def reconstruct_two_spin_per_node(w):
     return rho_t.reshape(dim, dim)
 
 
+def total_pdf_direct_sum(rho, j_mu, j_e, direction):
+    """f^(L)(M, N) from the diagonal of the whole D x D conjugation of the
+    coupled-basis state by U_CG (R^(j_mu) x R^(j_e)) U_CG^T, the direct sum
+    of the spin-L rotations, split into blocks of 2L+1 entries."""
+    ucg = cg_matrix(j_mu, j_e)
+    u = ucg @ kron(rotation_matrix(j_mu, direction), rotation_matrix(j_e, direction)) @ ucg.T
+    diag = np.einsum("ai,ab,bi->i", u.conj(), ucg @ rho @ ucg.T, u).real
+    out, at = {}, 0
+    for ell in TwoSpinBasis(j_mu, j_e).total_spins():
+        d = int(round(2 * ell)) + 1
+        out[ell] = diag[at:at + d]
+        at += d
+    return out
+
+
+def reconstruct_blockdiag_per_node(f_samples, grid, j_mu, j_e):
+    """Block-diagonal inverse as the quadrature sum of w_n f^(L)(m, n)
+    quantizer(L, m, n), one term per (L, m, node)."""
+    blocks = []
+    for ell in TwoSpinBasis(j_mu, j_e).total_spins():
+        d = int(round(2 * ell)) + 1
+        block = np.zeros((d, d), dtype=complex)
+        for mi, m in enumerate(spin_projections(ell)):
+            for ni, node in enumerate(grid.nodes()):
+                block += grid.weights[ni] * f_samples[ell][mi, ni] * quantizer(ell, m, node)
+        blocks.append(block)
+    dim = sum(len(block) for block in blocks)
+    out, at = np.zeros((dim, dim), dtype=complex), 0
+    for block in blocks:
+        out[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    return out
+
+
+def blockdiag_state(rng, j_mu, j_e):
+    """A random state that is block-diagonal in the coupled basis, in the
+    product basis, with its coupled-basis matrix."""
+    basis = TwoSpinBasis(j_mu, j_e)
+    rho_coupled = np.zeros((basis.dim, basis.dim), dtype=complex)
+    weights = rng.dirichlet(np.ones(len(basis.total_spins())))
+    for weight, (ell, rows) in zip(weights, basis.blocks(), strict=True):
+        rho_coupled[rows, rows] = weight * random_density_matrix(rows.stop - rows.start, rng)
+    ucg = cg_matrix(j_mu, j_e)
+    return ucg.T @ rho_coupled @ ucg, rho_coupled
+
+
 def evolve_per_instant(rho0, unitary_of_t, times, j_mu, j_e):
     """One evolved state, unitary call and tomogram per instant."""
     grid_mu, grid_e = QuadratureGrid.for_spin(j_mu), QuadratureGrid.for_spin(j_e)
@@ -156,6 +213,29 @@ class TestAgainstPerNodeOracles:
             assert np.abs(tom.values - ref).max() <= 1e-13
 
 
+    @given(shape=st.sampled_from(COUPLED_SHAPES), seed=st.integers(0, 10_000))
+    @settings(deadline=None, max_examples=12)
+    def test_total_routes(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        j_mu, j_e = shape
+        rho, rho_coupled = blockdiag_state(rng, j_mu, j_e)
+        generic = random_density_matrix(len(rho), rng)
+        for _ in range(3):
+            direction = random_direction(rng)
+            for state in (rho, generic):
+                got, want = total_pdf(state, j_mu, j_e, direction), \
+                    total_pdf_direct_sum(state, j_mu, j_e, direction)
+                assert list(got) == list(want)
+                for ell in want:
+                    assert np.abs(got[ell] - want[ell]).max() <= 1e-13
+        grid = QuadratureGrid.for_spin(j_mu + j_e)
+        samples = total_pdf_on_grid(rho, j_mu, j_e, grid)
+        rec = reconstruct_blockdiag(samples, grid, j_mu, j_e)
+        assert np.abs(rec - reconstruct_blockdiag_per_node(samples, grid, j_mu, j_e)).max() \
+            <= 1e-13
+        assert np.abs(rec - rho_coupled).max() <= 1e-12
+
+
 class TestCachedTables:
     @pytest.mark.parametrize("j", [0.5, 2.0])
     def test_hand_built_grid_gets_its_own_stack(self, j, rng):
@@ -189,8 +269,9 @@ class TestCachedTables:
 
 
 def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
-    """After one warm-up, a j = 2 sphere round trip and a 1/2 x 1 two-spin
-    round trip call no rotation_matrix, quantizer or leggauss."""
+    """After one warm-up, a j = 2 sphere round trip, a 1/2 x 1 two-spin round
+    trip and the 1/2 x 1 block-diagonal inverse call no rotation_matrix,
+    quantizer or leggauss."""
     calls = Counter()
 
     def counted(module, name):
@@ -204,13 +285,16 @@ def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
 
     for module in (tomography, twospin):
         counted(module, "rotation_matrix")
-        counted(module, "quantizer")
+    counted(tomography, "quantizer")
     counted(np.polynomial.legendre, "leggauss")
     rho5, rho6 = random_density_matrix(5, rng), random_density_matrix(6, rng)
+    grid = QuadratureGrid.for_spin(1.5)
+    samples = total_pdf_on_grid(blockdiag_state(rng, 0.5, 1.0)[0], 0.5, 1.0, grid)
 
     def round_trips():
         reconstruct_from_sphere(SpinTomogram.from_state(rho5, 2.0))
         reconstruct_two_spin(TwoSpinTomogram.from_state(rho6, 0.5, 1.0))
+        reconstruct_blockdiag(samples, grid, 0.5, 1.0)
 
     round_trips()
     calls.clear()

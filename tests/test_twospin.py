@@ -41,6 +41,20 @@ def random_unitary(rng, dim):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+class TestTwoSpinBasis:
+    @pytest.mark.parametrize("j_mu", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("j_e", [0.5, 1.0, 1.5, 2.0])
+    def test_blocks_tile_the_coupled_basis_in_order(self, j_mu, j_e):
+        basis = TwoSpinBasis(j_mu, j_e)
+        blocks = basis.blocks()
+        assert [ell for ell, _ in blocks] == basis.total_spins()
+        stops = [0] + [rows.stop for _, rows in blocks]
+        assert [rows.start for _, rows in blocks] == stops[:-1] and stops[-1] == basis.dim
+        labels = basis.coupled_labels()
+        for ell, rows in blocks:
+            assert [label[0] for label in labels[rows]] == [ell] * (int(round(2 * ell)) + 1)
+
+
 class TestCGMatrix:
     def test_two_qubit_explicit(self):
         assert np.abs(cg_matrix(0.5, 0.5) - EQ14_MATRIX).max() < 1e-14
@@ -268,6 +282,56 @@ class TestReconstructBlockdiag:
         assert np.abs(rec - ucg @ rho @ ucg.T).max() <= 1e-9
 
 
+class TestTotalRouteBoundaries:
+    WRONG_DIM = (np.eye(3) / 3, r"density matrix dimension 3 != \(2j_mu\+1\)\(2j_e\+1\) = 4")
+    STACK = (np.stack([np.eye(4) / 4] * 2),
+             r"expected one density matrix, got a stack of shape \(2, 4, 4\)")
+    ROUTES = {
+        "total_pdf": lambda rho: total_pdf(rho, 0.5, 0.5, Z_AXIS),
+        "total_pdf_on_grid": lambda rho: total_pdf_on_grid(rho, 0.5, 0.5,
+                                                           QuadratureGrid.for_spin(1.0)),
+        "total_tomogram": lambda rho: total_tomogram(rho, 0.5, 0.5, np.eye(4)),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("case", ["wrong_dim", "stack"])
+    def test_state_is_one_matrix_of_the_basis_dimension(self, route, case):
+        rho, message = self.WRONG_DIM if case == "wrong_dim" else self.STACK
+        with pytest.raises(ValueError, match=message):
+            self.ROUTES[route](rho)
+
+    @pytest.mark.parametrize("u", [np.eye(3), np.eye(4)[:3]], ids=["3x3", "3x4"])
+    def test_unitary_of_the_basis_dimension(self, u, singlet):
+        with pytest.raises(ValueError, match=r"unitary shape \(3, [34]\) != \(4, 4\)"):
+            total_tomogram(singlet, 0.5, 0.5, u)
+        with pytest.raises(ValueError, match=r"unitary shape \(3, [34]\) != \(4, 4\)"):
+            total_from_individual(TwoSpinTomogram.from_state(singlet, 0.5, 0.5), u)
+
+    def samples(self, singlet):
+        grid = QuadratureGrid.for_spin(1.0)
+        return total_pdf_on_grid(singlet, 0.5, 0.5, grid), grid
+
+    def test_blockdiag_rejects_missing_l(self, singlet):
+        f, grid = self.samples(singlet)
+        del f[0.0]
+        with pytest.raises(ValueError, match=r"f_samples holds L = \[1.0\], "
+                                             r"the basis L = \[1.0, 0.0\]"):
+            reconstruct_blockdiag(f, grid, 0.5, 0.5)
+
+    def test_blockdiag_rejects_extra_l(self, singlet):
+        f, grid = self.samples(singlet)
+        f[2.0] = np.zeros((5, grid.n_nodes))
+        with pytest.raises(ValueError, match="f_samples holds L"):
+            reconstruct_blockdiag(f, grid, 0.5, 0.5)
+
+    def test_blockdiag_rejects_wrong_block_shape(self, singlet):
+        f, grid = self.samples(singlet)
+        f[1.0] = f[1.0][:, :-1]
+        with pytest.raises(ValueError, match=rf"f_samples\[1.0\] has shape \(3, "
+                                             rf"{grid.n_nodes - 1}\), not \(3, {grid.n_nodes}\)"):
+            reconstruct_blockdiag(f, grid, 0.5, 0.5)
+
+
 class TestReconstructTwoSpin:
     def test_random_two_qubit(self, rng):
         for _ in range(50):
@@ -351,3 +415,10 @@ class TestTwoSpinTomogramContainer:
         lines = w.to_csv().splitlines()
         with pytest.raises(ValueError, match="file misses sample"):
             TwoSpinTomogram.from_csv("\n".join(lines[:-1]), 0.5, 0.5)
+
+    def test_csv_empty_probability_rejected(self, rng):
+        w = TwoSpinTomogram.from_state(random_density_matrix(4, rng), 0.5, 0.5)
+        lines = w.to_csv().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ","
+        with pytest.raises(ValueError, match="negative or missing joint probabilities"):
+            TwoSpinTomogram.from_csv("\n".join(lines), 0.5, 0.5)
