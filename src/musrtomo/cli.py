@@ -12,6 +12,7 @@ included), 3 numeric failure.
 """
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -40,7 +41,7 @@ from .musr import (
 )
 from .reconstruction import (MeasurementPlan, build_design_matrix, reconstruct_initial,
                              time_generic_rank)
-from .tomography import AXES, Direction, csv_text, float_cells, read_sample_csv
+from .tomography import AXES, Direction, csv_text, float_cells
 
 DEFAULT_SWEEPS = {
     "quartz": [0.0, 790.0, 1580.0, 3160.0],
@@ -236,10 +237,28 @@ def cmd_reconstruct(args) -> int:
 
 def _read_measurements(path: str, plan: MeasurementPlan):
     """(w_plus, sigma) of the plan's rows, in plan order; sigma is None
-    unless every row the plan reads has one."""
+    unless every row the plan reads has one.
+
+    Lines starting with '#' are skipped. Rows and plan keys (t_ns, theta,
+    phi) match rounded to 9 digits; an empty or missing w_plus or sigma cell
+    reads as NaN. A repeated row, a plan key without a row and a read row
+    without w_plus are configuration errors.
+    """
+    def rounded(key):
+        return tuple(round(float(x), 9) for x in key)
+
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
+    table = {}
+    for rec in csv.DictReader(lines):
+        key = rounded(rec[c] for c in ("t_ns", "theta", "phi"))
+        if key in table:
+            raise ConfigError(f"measurement file repeats the row {key}")
+        table[key] = [float(rec.get(v) or "nan") for v in ("w_plus", "sigma")]
     keys = [(t, d.theta, d.phi) for t in plan.times for d in plan.directions]
-    values, sigmas = read_sample_csv(Path(path).read_text(), ("t_ns", "theta", "phi"),
-                                     keys, ("w_plus", "sigma"))
+    try:
+        values, sigmas = np.array([table[rounded(key)] for key in keys]).reshape(-1, 2).T
+    except KeyError as exc:
+        raise ConfigError(f"file misses sample {exc.args[0]}") from None
     missing = np.isnan(values)
     if missing.any():
         raise ConfigError(f"measurement file has no w_plus for {keys[missing.argmax()]}")

@@ -311,17 +311,11 @@ def histogram_to_tomogram(gamma_value, asymmetry: float,
 
 
 def _as_polarization(fn, times: np.ndarray) -> np.ndarray:
-    """Evaluate a polarization source: callable -> (n, 3) vectors, or
-    callable -> (n, 2, 2) density matrices converted to Bloch vectors."""
+    """Evaluate a polarization source: a callable giving (n, 3) Bloch vectors."""
     out = np.asarray(fn(times))
-    if out.ndim == 2 and out.shape == (len(times), 3):
-        return np.asarray(out, dtype=float)
-    if out.ndim == 3 and out.shape[1:] == (2, 2):
-        px = 2 * out[:, 0, 1].real
-        py = -2 * out[:, 0, 1].imag
-        pz = (out[:, 0, 0] - out[:, 1, 1]).real
-        return np.stack([px, py, pz], axis=1)
-    raise ValueError("polarization source must yield (n,3) vectors or (n,2,2) matrices")
+    if out.shape != (len(times), 3):
+        raise ValueError("polarization source must yield (n,3) vectors")
+    return np.asarray(out, dtype=float)
 
 
 def decay_bin_integrals(polarization_of_t, bin_edges, lifetime_ns: float):
@@ -422,7 +416,7 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
 
     Args:
         polarization_of_t: callable mapping an array of times (ns) to muon
-            Bloch vectors (n, 3) or 2x2 density matrices (n, 2, 2).
+            Bloch vectors (n, 3).
         geometry: detector set.
         model: asymmetry/lifetime/species.
         n_muons: ensemble size (>= 1).
@@ -547,7 +541,7 @@ ESTIMATE_SCHEMA = "musrtomo/tomogram-estimate/v1"
 
 
 def estimate_cells(estimates: list[AxisEstimate]) -> dict:
-    """The columns of ``estimates_to_csv`` as cell strings by header name."""
+    """The columns of the tomogram-estimate CSV as cell strings by header name."""
     columns = {name: [] for name in ("axis_theta", "axis_phi", "t_ns", "w_plus", "sigma",
                                      "pair_counts", "low_confidence")}
     times, time_cells = None, None  # estimate_tomogram gives every axis one times array
@@ -562,7 +556,3 @@ def estimate_cells(estimates: list[AxisEstimate]) -> dict:
                 list(map(str, np.asarray(est.low_confidence, dtype=int).tolist())))):
             column += cells
     return columns
-
-
-def estimates_to_csv(estimates: list[AxisEstimate]) -> str:
-    return csv_text(ESTIMATE_SCHEMA, estimate_cells(estimates))

@@ -10,8 +10,7 @@ module provides
 - the forward map state -> tomogram and the quantizer operators that invert
   it by quadrature over the sphere, on a grid each one contraction,
 - the three-direction inverse for qubits (dual-basis formula),
-- the CSV reader and writer shared by the tomogram containers and the
-  command-line outputs.
+- the column-wise CSV writer of the command-line outputs.
 
 Conventions
 -----------
@@ -25,7 +24,6 @@ tomogram/quantizer is fixed by requiring the sphere-quadrature round trip to
 be exact, which also makes the j=1/2 quantizer equal I/2 + 3m (n.sigma).
 """
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -310,50 +308,6 @@ class SpinTomogram:
         rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
         grid = grid if grid is not None else QuadratureGrid.for_spin(j)
         return cls(j, grid, operator_symbol_on_grid(rho, j, grid).real)
-
-    def to_csv(self) -> str:
-        # rows run over (m, theta, phi), the last fastest
-        grid, dim = self.grid, self.values.shape[0]
-        return csv_text("musrtomo/spin-tomogram/v1", {
-            "m": float_cells(spin_projections(self.j), grid.n_nodes),
-            "theta": float_cells(grid.thetas, len(grid.phis)) * dim,
-            "phi": float_cells(grid.phis) * (len(grid.thetas) * dim),
-            "weight": float_cells(grid.weights) * dim,
-            "probability": float_cells(self.values)})
-
-    @classmethod
-    def from_csv(cls, text: str, j: float,
-                 grid: QuadratureGrid | None = None) -> "SpinTomogram":
-        """Rebuild from ``to_csv`` output; the grid must match the file's
-        (theta, phi) layout (the default grid for ``j`` unless given)."""
-        grid = grid if grid is not None else QuadratureGrid.for_spin(j)
-        ms, nodes = spin_projections(j), grid.nodes()
-        keys = [(m, node.theta, node.phi) for m in ms for node in nodes]
-        (values,) = read_sample_csv(text, ("m", "theta", "phi"), keys)
-        return cls(j, grid, values.reshape(len(ms), len(nodes)))
-
-
-def read_sample_csv(text: str, columns: tuple, keys,
-                    values: tuple = ("probability",)) -> np.ndarray:
-    """The ``values`` columns of a keyed sample CSV, in the order of ``keys``:
-    shape (len(values), len(keys)).
-
-    Lines starting with '#' are skipped; each row is keyed by its ``columns``
-    values and each key of ``keys`` holds the same values in that order, both
-    compared rounded to 9 digits. An empty or missing value cell reads as
-    NaN. A key without a row raises ValueError.
-    """
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    table = {tuple(round(float(rec[c]), 9) for c in columns):
-             [float(rec.get(v) or "nan") for v in values]
-             for rec in csv.DictReader(rows)}
-    out = []
-    for key in keys:
-        key = tuple(round(float(x), 9) for x in key)
-        if key not in table:
-            raise ValueError(f"file misses sample {key}")
-        out.append(table[key])
-    return np.array(out, dtype=float).reshape(-1, len(values)).T
 
 
 def float_cells(values, repeat: int = 1) -> list:

@@ -21,11 +21,8 @@ from .tomography import (
     Direction,
     QuadratureGrid,
     clebsch_gordan,
-    csv_text,
-    float_cells,
     operator_from_symbol,
     operator_symbol_on_grid,
-    read_sample_csv,
     require_state,
     rotation_matrix,
     spin_projections,
@@ -88,6 +85,8 @@ def cg_matrix(j_mu: float, j_e: float) -> np.ndarray:
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
     if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-10 * max(1.0, u.shape[0]):
         raise ValueError("matrix is not unitary within tolerance")
     return u
@@ -97,6 +96,8 @@ def individual_tomogram_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Diagonal of U rho U^dag in the product basis (joint probabilities)."""
     rho = require_density_matrix(rho)
     u = _require_unitary(u)
+    if u.shape != rho.shape:
+        raise ValueError(f"unitary shape {u.shape} != state shape {rho.shape}")
     return np.einsum("ia,ab,ib->i", u, rho, u.conj()).real
 
 
@@ -237,38 +238,6 @@ class TwoSpinTomogram:
         grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
         return cls(j_mu, j_e, grid_mu, grid_e,
                    individual_tomogram_on_grid(rho, j_mu, j_e, grid_mu, grid_e))
-
-    def marginal_mu(self) -> np.ndarray:
-        """Muon marginal per muon node (electron variables summed out)."""
-        return self.values.sum(axis=3).sum(axis=2)
-
-    def to_csv(self) -> str:
-        # rows run over (m_mu, theta_mu, phi_mu, m_e, theta_e, phi_e), the last fastest
-        d_mu, n_mu, d_e, n_e = self.values.shape
-        g_mu, g_e, per_mu = self.grid_mu, self.grid_e, d_e * n_e  # rows per muon node
-        return csv_text("musrtomo/two-spin-tomogram/v1", {
-            "m_mu": float_cells(spin_projections(self.j_mu), n_mu * per_mu),
-            "theta_mu": float_cells(g_mu.thetas, len(g_mu.phis) * per_mu) * d_mu,
-            "phi_mu": float_cells(g_mu.phis, per_mu) * (len(g_mu.thetas) * d_mu),
-            "m_e": float_cells(spin_projections(self.j_e), n_e) * (d_mu * n_mu),
-            "theta_e": float_cells(g_e.thetas, len(g_e.phis)) * (d_mu * n_mu * d_e),
-            "phi_e": float_cells(g_e.phis) * (len(g_e.thetas) * d_mu * n_mu * d_e),
-            "probability": float_cells(self.values)})
-
-    @classmethod
-    def from_csv(cls, text: str, j_mu: float, j_e: float,
-                 grid_mu: QuadratureGrid | None = None,
-                 grid_e: QuadratureGrid | None = None) -> "TwoSpinTomogram":
-        grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
-        grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
-        ms_mu, ms_e = spin_projections(j_mu), spin_projections(j_e)
-        nodes_mu, nodes_e = grid_mu.nodes(), grid_e.nodes()
-        keys = [(m_mu, n_mu.theta, n_mu.phi, m_e, n_e.theta, n_e.phi)
-                for m_mu in ms_mu for n_mu in nodes_mu for m_e in ms_e for n_e in nodes_e]
-        (values,) = read_sample_csv(
-            text, ("m_mu", "theta_mu", "phi_mu", "m_e", "theta_e", "phi_e"), keys)
-        shape = (len(ms_mu), len(nodes_mu), len(ms_e), len(nodes_e))
-        return cls(j_mu, j_e, grid_mu, grid_e, values.reshape(shape))
 
 
 def individual_tomogram_on_grid(rho: np.ndarray, j_mu: float, j_e: float,

@@ -55,8 +55,8 @@ def random_direction(rng):
 def decay_weighted_gl(source, edges, lifetime_ns, panels, nodes=16):
     """(m_b, Q_b) of each bin of ``edges`` by composite Gauss-Legendre in t:
     ``panels`` equal panels of ``nodes`` nodes per bin, weight e^{-t/tau}/tau.
-    Q_b = int_b e^{-t/tau}/tau P(t) dt for a source of (n, 3) Bloch vectors or
-    (n, 2, 2) density matrices; at most about 65,536 nodes per source call."""
+    Q_b = int_b e^{-t/tau}/tau P(t) dt for a source of (n, 3) Bloch vectors;
+    at most about 65,536 nodes per source call."""
     from musrtomo.musr import _as_polarization
     edges = np.asarray(edges, dtype=float)
     x, w = np.polynomial.legendre.leggauss(nodes)

@@ -410,6 +410,51 @@ class TestReconstruct:
         meas_file.write_text("\n".join([header, *rows]) + "\n")
         assert self.run_reconstruct(tmp_path, plan_file, meas_file, "b.json") == unweighted
 
+    def test_rows_match_in_any_order_to_nine_digits(self, tmp_path):
+        # '#' lines are skipped, and the plan's keys find their rows in any
+        # order, with the times and angles compared rounded to 9 digits
+        plan_file, meas_file, header, rows = self.measured_with_sigmas(tmp_path)
+        meas_file.write_text("\n".join([header, *rows]) + "\n")
+        want = self.run_reconstruct(tmp_path, plan_file, meas_file, "a.json")
+        t, rest = rows[0].split(",", 1)
+        shifted = [f"{float(t) + 1e-11!r},{rest}", *rows[1:]]
+        meas_file.write_text("\n".join(["# measured", header, *reversed(shifted)]) + "\n")
+        assert self.run_reconstruct(tmp_path, plan_file, meas_file, "b.json") == want
+
+    def test_a_key_off_in_the_ninth_digit_is_missing(self, tmp_path, capsys):
+        plan_file, meas_file, header, rows = self.measured_with_sigmas(tmp_path)
+        t, rest = rows[0].split(",", 1)
+        rows[0] = f"{float(t) + 1e-8!r},{rest}"
+        meas_file.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient",
+                     "--out", str(tmp_path / "rep.json")]) == 2
+        assert "file misses sample (10.0, 1.570796327, 0.0)" in capsys.readouterr().err
+
+    def test_a_missing_sigma_column_reads_as_empty_cells(self, tmp_path):
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        unweighted = self.run_reconstruct(tmp_path, plan_file, meas_file, "a.json")
+        _, *rows = meas_file.read_text().strip().splitlines()
+        meas_file.write_text("\n".join(["t_ns,theta,phi,w_plus",
+                                        *(row.rsplit(",", 1)[0] for row in rows)]) + "\n")
+        assert self.run_reconstruct(tmp_path, plan_file, meas_file, "b.json") == unweighted
+
+    @pytest.mark.parametrize("repeat", ["read", "unread"])
+    def test_repeated_row_is_config_error(self, tmp_path, capsys, repeat):
+        # a second row for one (t_ns, theta, phi) is refused, not read over
+        # the first, also where the plan does not read that key
+        plan_file, meas_file, header, rows = self.measured_with_sigmas(tmp_path)
+        t, theta, phi, _, sigma = rows[0].split(",")
+        extra = [",".join([t, theta, phi, "0.9", sigma])] if repeat == "read" \
+            else ["999.0,0.0,0.0,0.5,"] * 2
+        meas_file.write_text("\n".join([header, *rows, *extra]) + "\n")
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient",
+                     "--out", str(tmp_path / "rep.json")]) == 2
+        key = "(10.0, 1.570796327, 0.0)" if repeat == "read" else "(999.0, 0.0, 0.0)"
+        assert f"measurement file repeats the row {key}" in capsys.readouterr().err
+
     def test_empty_w_plus_is_config_error(self, tmp_path, capsys):
         plan_file, meas_file = self.write_inputs(
             tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])

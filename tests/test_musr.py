@@ -11,18 +11,19 @@ from musrtomo.materials import load_material
 from musrtomo.musr import (
     AxisEstimate,
     DecayModel,
+    ESTIMATE_SCHEMA,
     Detector,
     DetectorGeometry,
     HistogramSeries,
     decay_bin_integrals,
+    estimate_cells,
     estimate_tomogram,
-    estimates_to_csv,
     gamma_distribution,
     _as_polarization,
     histogram_to_tomogram,
     simulate_events,
 )
-from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS
+from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS, csv_text
 
 # muons per block of the event oracle; each block draws from its own stream
 BLOCK_MUONS = 200_000
@@ -42,14 +43,11 @@ def precessing(ts):
                      0.5 + 0.5 * np.cos(ts / 300)], axis=1)
 
 
-def rho_precessing(ts):
+def turning(ts):
+    # turns through all three components at two frequencies
     ts = np.atleast_1d(ts)
-    rho = np.zeros((len(ts), 2, 2), dtype=complex)
-    rho[:, 0, 0] = 0.5 + 0.4 * np.cos(ts / 300)
-    rho[:, 1, 1] = 1 - rho[:, 0, 0]
-    rho[:, 0, 1] = 0.2 * np.exp(1j * ts / 500)
-    rho[:, 1, 0] = rho[:, 0, 1].conj()
-    return rho
+    return np.stack([0.4 * np.cos(ts / 500), -0.4 * np.sin(ts / 500),
+                     0.8 * np.cos(ts / 300)], axis=1)
 
 
 def hemisphere_pair():
@@ -571,26 +569,17 @@ class TestSimulateEvents:
         assert np.all(counts[1] <= counts[0])
         assert abs(counts[1].sum() / counts[0].sum() - 0.5) < 0.01
 
-    def test_density_matrix_input(self):
-        model = DecayModel()
-        edges = np.array([0.0, 2000.0])
-
-        def rho_of_t(ts):
-            n = len(np.atleast_1d(ts))
-            rho = np.zeros((n, 2, 2), dtype=complex)
-            rho[:, 0, 0] = 1.0
-            return rho
-
-        h1 = simulate_events(rho_of_t, hemisphere_pair(), model, 20_000, 1,
-                             edges, background_fraction=0.0)
-        h2 = simulate_events(STATIC_UP, hemisphere_pair(), model, 20_000, 1,
-                             edges, background_fraction=0.0)
-        assert np.array_equal(h1.counts, h2.counts)
+    def test_density_matrix_source_rejected(self):
+        # a source gives (n, 3) Bloch vectors, not a stack of 2x2 matrices
+        rho_of_t = lambda ts: np.tile(np.diag([1.0, 0.0]).astype(complex), (len(ts), 1, 1))
+        with pytest.raises(ValueError, match=r"must yield \(n,3\) vectors"):
+            simulate_events(rho_of_t, hemisphere_pair(), DecayModel(), 20_000, 1,
+                            np.array([0.0, 2000.0]), background_fraction=0.0)
 
     @pytest.mark.parametrize("source, geometry, model, n_muons, edges", [
         (STATIC_UP, hemisphere_pair, DecayModel(), 50_000, (0.0, 3, 65)),
         (UNPOLARIZED, mixed_detectors, DecayModel(), 50_000, (0.0, 3, 65)),
-        (rho_precessing, mixed_detectors, DecayModel(), 50_000, (0.0, 3, 65)),
+        (turning, mixed_detectors, DecayModel(), 50_000, (0.0, 3, 65)),
         (precessing, mixed_detectors, DecayModel(species="mu_minus"), 50_000, (0.0, 3, 65)),
         (precessing, mixed_detectors, DecayModel(asymmetry=0.5), 50_000, (137.5, 3, 33)),
         ("quartz-oblique", mixed_detectors, DecayModel(), 30_000, (0.0, 3, 513)),
@@ -604,7 +593,7 @@ class TestSimulateEvents:
         ("quartz-oblique", lambda: DetectorGeometry.opposing_pairs(
             [Z_AXIS, X_AXIS, Y_AXIS], np.radians(70)), DecayModel(), 200_001,
          (0.0, 3, 513)),
-    ], ids=["static-up", "unpolarized", "density-matrix", "mu-minus", "edges-above-0",
+    ], ids=["static-up", "unpolarized", "turning", "mu-minus", "edges-above-0",
             "muonium-mixed", "one-muon", "slice-plus-one", "block-plus-one",
             "more-cells-than-hits", "three-slices", "muonium-block-plus-one"])
     def test_counts_equal_whole_block_oracle(self, source, geometry, model, n_muons,
@@ -908,5 +897,5 @@ class TestSerialization:
                            w_plus=np.array([0.9]), sigma=np.array([0.01]),
                            pair_counts=np.array([500.0]),
                            low_confidence=np.array([False]))
-        text = estimates_to_csv([est])
+        text = csv_text(ESTIMATE_SCHEMA, estimate_cells([est]))
         assert "w_plus" in text and "0.9" in text

@@ -19,7 +19,6 @@ from musrtomo.tomography import (
     dual_basis,
     operator_symbol_on_grid,
     quantizer,
-    read_sample_csv,
     reconstruct_from_sphere,
     reconstruct_qubit_three_directions,
     rotation_matrix,
@@ -174,8 +173,6 @@ class TestEverySupportedSpin:
         rho = random_density_matrix(int(round(2 * j)) + 1, rng)
         tom = SpinTomogram.from_state(rho, j)
         assert np.abs(reconstruct_from_sphere(tom) - rho).max() <= 1e-9
-        back = SpinTomogram.from_csv(tom.to_csv(), j)
-        assert np.array_equal(back.values, tom.values)
 
 
 class TestThreeJ:
@@ -392,49 +389,9 @@ class TestSpinTomogramContainer:
         with pytest.raises(ValueError):
             SpinTomogram(0.5, grid, bad)
 
-    def test_csv_contains_all_samples(self, rng):
-        rho = random_density_matrix(2, rng)
-        tom = SpinTomogram.from_state(rho, 0.5)
-        text = tom.to_csv()
-        lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
-        assert lines[0] == "m,theta,phi,weight,probability"
-        assert len(lines) - 1 == 2 * tom.grid.n_nodes
-
-    def test_csv_roundtrip_bit_exact(self, rng):
-        rho = random_density_matrix(3, rng)
-        tom = SpinTomogram.from_state(rho, 1.0)
-        back = SpinTomogram.from_csv(tom.to_csv(), 1.0)
-        assert np.array_equal(back.values, tom.values)
-
-    def test_csv_missing_row_rejected(self, rng):
+    def test_missing_probability_rejected(self, rng):
         tom = SpinTomogram.from_state(random_density_matrix(2, rng), 0.5)
-        lines = tom.to_csv().splitlines()
-        with pytest.raises(ValueError, match="file misses sample"):
-            SpinTomogram.from_csv("\n".join(lines[:-1]), 0.5)
-
-    def test_csv_empty_probability_rejected(self, rng):
-        tom = SpinTomogram.from_state(random_density_matrix(2, rng), 0.5)
-        lines = tom.to_csv().splitlines()
-        lines[-1] = lines[-1].rsplit(",", 1)[0] + ","
+        values = tom.values.copy()
+        values[-1, -1] = np.nan
         with pytest.raises(ValueError, match="tomogram values outside"):
-            SpinTomogram.from_csv("\n".join(lines), 0.5)
-
-
-class TestReadSampleCsv:
-    TEXT = "# schema: test\nt,x,a,b\n1.0000000001,2,0.5,\n3,4,0.25\n5,6,,7\n"
-
-    def test_value_columns_in_key_order(self):
-        got = read_sample_csv(self.TEXT, ("t", "x"), [(5, 6), (1, 2)], ("a", "b"))
-        assert got.shape == (2, 2)
-        assert np.isnan(got[0, 0]) and got[1, 0] == 7.0
-        assert got[0, 1] == 0.5 and np.isnan(got[1, 1])
-
-    def test_keys_match_rounded_to_nine_digits(self):
-        (got,) = read_sample_csv(self.TEXT, ("t", "x"), [(1.0, 2.0)], ("a",))
-        assert got.tolist() == [0.5]
-        with pytest.raises(ValueError, match="file misses sample"):
-            read_sample_csv(self.TEXT, ("t", "x"), [(1.00000001, 2.0)], ("a",))
-
-    def test_missing_value_cell_and_column_read_nan(self):
-        got = read_sample_csv(self.TEXT, ("t", "x"), [(3, 4)], ("a", "b", "c"))
-        assert got[0, 0] == 0.25 and np.isnan(got[1:, 0]).all()
+            SpinTomogram(0.5, tom.grid, values)

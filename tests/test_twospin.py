@@ -104,6 +104,16 @@ class TestIndividualTomogramUnitary:
         with pytest.raises(ValueError):
             individual_tomogram_unitary(np.eye(4) / 4, np.diag([1.0, 1.0, 1.0, 0.5]))
 
+    def test_rejects_non_square(self):
+        # a 3x4 isometry passes u u^dag = I but is no unitary
+        isometry = np.eye(4)[:3]
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(3, 4\)"):
+            individual_tomogram_unitary(np.eye(4) / 4, isometry)
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError, match=r"unitary shape \(3, 3\) != state shape \(4, 4\)"):
+            individual_tomogram_unitary(np.eye(4) / 4, np.eye(3))
+
     def test_matches_analytic_free_evolution(self, rng):
         # rotations composed with the coupling propagator reproduce the
         # closed-form evolved tomogram
@@ -393,32 +403,14 @@ class TestTwoSpinTomogramContainer:
     def test_marginal_matches_reduced(self, rng):
         rho = random_density_matrix(4, rng)
         w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
-        marg = w.marginal_mu() / w.grid_e.n_nodes
+        marg = w.values.sum(axis=(2, 3)) / w.grid_e.n_nodes
         for ni, node in enumerate(w.grid_mu.nodes()):
             ref = reduced_tomogram(rho, 0.5, 0.5, node)
             assert np.abs(marg[:, ni] - ref).max() < 1e-12
 
-    def test_csv_row_count(self, rng):
-        rho = random_density_matrix(4, rng)
-        w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
-        lines = [ln for ln in w.to_csv().strip().splitlines() if not ln.startswith("#")]
-        assert len(lines) - 1 == 4 * w.grid_mu.n_nodes * w.grid_e.n_nodes
-
-    def test_csv_roundtrip_bit_exact(self, rng):
-        rho = random_density_matrix(4, rng)
-        w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
-        back = TwoSpinTomogram.from_csv(w.to_csv(), 0.5, 0.5)
-        assert np.array_equal(back.values, w.values)
-
-    def test_csv_missing_row_rejected(self, rng):
+    def test_missing_probability_rejected(self, rng):
         w = TwoSpinTomogram.from_state(random_density_matrix(4, rng), 0.5, 0.5)
-        lines = w.to_csv().splitlines()
-        with pytest.raises(ValueError, match="file misses sample"):
-            TwoSpinTomogram.from_csv("\n".join(lines[:-1]), 0.5, 0.5)
-
-    def test_csv_empty_probability_rejected(self, rng):
-        w = TwoSpinTomogram.from_state(random_density_matrix(4, rng), 0.5, 0.5)
-        lines = w.to_csv().splitlines()
-        lines[-1] = lines[-1].rsplit(",", 1)[0] + ","
+        values = w.values.copy()
+        values[-1, -1, -1, -1] = np.nan
         with pytest.raises(ValueError, match="negative or missing joint probabilities"):
-            TwoSpinTomogram.from_csv("\n".join(lines), 0.5, 0.5)
+            TwoSpinTomogram(0.5, 0.5, w.grid_mu, w.grid_e, values)

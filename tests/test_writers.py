@@ -11,21 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
 from musrtomo.cli import _comparison_json, main
-from musrtomo.dynamics import initial_muonium_state
-from musrtomo.musr import AxisEstimate, DetectorGeometry, HistogramSeries, estimates_to_csv
-from musrtomo.tomography import (
-    X_AXIS,
-    Z_AXIS,
-    Direction,
-    QuadratureGrid,
-    SpinTomogram,
-    csv_text,
-    float_cells,
-    spin_projections,
-)
-from musrtomo.twospin import TwoSpinTomogram
+from musrtomo.musr import (AxisEstimate, DetectorGeometry, ESTIMATE_SCHEMA, HistogramSeries,
+                           estimate_cells)
+from musrtomo.tomography import X_AXIS, Z_AXIS, Direction, csv_text, float_cells
 
 SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
 
@@ -100,30 +89,9 @@ class TestHelpers:
         assert float_cells(np.pi / 2, 2) == [repr(np.pi / 2)] * 2
 
 
-class TestTomogramWriters:
-    @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
-    def test_spin_tomogram(self, j, rng):
-        dim = int(2 * j + 1)
-        tom = SpinTomogram.from_state(random_density_matrix(dim, rng), j)
-        rows = csv_oracle(tom.to_csv())
-        assert rows[0] == ["m", "theta", "phi", "weight", "probability"]
-        nodes, weights = tom.grid.nodes(), tom.grid.weights
-        want = [(m, node.theta, node.phi, weights[k], tom.values[i, k])
-                for i, m in enumerate(spin_projections(j)) for k, node in enumerate(nodes)]
-        assert [tuple(map(float, row)) for row in rows[1:]] == want
-
-    @pytest.mark.parametrize("j_e", [0.5, 1.0])
-    def test_two_spin_tomogram(self, j_e, rng):
-        rho = initial_muonium_state() if j_e == 0.5 else random_density_matrix(6, rng)
-        w = TwoSpinTomogram.from_state(rho, 0.5, j_e, grid_mu=QuadratureGrid.of_degree(3))
-        rows = csv_oracle(w.to_csv())
-        assert rows[0][-1] == "probability"
-        want = [(m_mu, n_mu.theta, n_mu.phi, m_e, n_e.theta, n_e.phi, w.values[a, b, c, d])
-                for a, m_mu in enumerate(spin_projections(0.5))
-                for b, n_mu in enumerate(w.grid_mu.nodes())
-                for c, m_e in enumerate(spin_projections(j_e))
-                for d, n_e in enumerate(w.grid_e.nodes())]
-        assert [tuple(map(float, row)) for row in rows[1:]] == want
+def estimates_csv(estimates) -> str:
+    """The tomogram-estimate CSV as ``simulate`` writes it."""
+    return csv_text(ESTIMATE_SCHEMA, estimate_cells(estimates))
 
 
 class TestSimulateWriters:
@@ -156,7 +124,7 @@ class TestSimulateWriters:
               repr(float(est.w_plus[i])), repr(float(est.sigma[i])),
               repr(float(est.pair_counts[i])), int(est.low_confidence[i])]
              for est in ests for i, t in enumerate(est.times)))
-        assert estimates_to_csv(ests) == want
+        assert estimates_csv(ests) == want
 
     def test_estimates_with_their_own_times(self):
         # each axis keeps its own times when they are separate arrays
@@ -164,7 +132,7 @@ class TestSimulateWriters:
                              sigma=np.full(2, 0.1), pair_counts=np.array([9, 9]),
                              low_confidence=np.zeros(2, dtype=bool))
                 for ts in ([1.0, 2.0], [3.0, 4.5])]
-        rows = csv_oracle(estimates_to_csv(ests))
+        rows = csv_oracle(estimates_csv(ests))
         assert [row[2] for row in rows[1:]] == ["1.0", "2.0", "3.0", "4.5"]
 
     def test_low_confidence_cells(self):
@@ -173,7 +141,7 @@ class TestSimulateWriters:
                             pair_counts=np.array([500, 7]),
                             low_confidence=np.array([False, True]))
                for axis in (Z_AXIS, X_AXIS)]
-        rows = csv_oracle(estimates_to_csv(est))
+        rows = csv_oracle(estimates_csv(est))
         assert rows[1] == ["0.0", "0.0", "1.0", "0.9", "0.01", "500.0", "0"]
         assert rows[2] == ["0.0", "0.0", "3.0", "nan", "nan", "7.0", "1"]
         assert rows[3][:2] == [repr(X_AXIS.theta), "0.0"] and len(rows) == 5
