@@ -8,7 +8,8 @@ module provides
 - SU(2) rotation matrices, per direction or as a cached read-only stack per
   spin and grid, 3j symbols and Clebsch-Gordan coefficients,
 - the forward map state -> tomogram and the quantizer operators that invert
-  it by quadrature over the sphere, on a grid each one contraction,
+  it by quadrature over the sphere; on a grid each is one matrix product
+  against a cached, read-only symbol or quantizer table per spin and grid,
 - the three-direction inverse for qubits (dual-basis formula),
 - the column-wise CSV writer of the command-line outputs.
 
@@ -337,19 +338,44 @@ def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:
 
 def operator_symbol_on_grid(op: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
     """Tomographic symbol Tr[op R|j m><j m|R^dag] of an arbitrary operator, or
-    of each of a stack (..., d, d) of them, shape (..., 2j+1, n_nodes)."""
-    r = rotations(j, grid)
-    op_r = np.asarray(op, dtype=complex)[..., None, :, :] @ r
-    return np.einsum("nai,...nai->...in", r.conj(), op_r)
+    of each of a stack (..., d, d) of them, shape (..., 2j+1, n_nodes): one
+    product with the cached symbol table of ``_grid_tables``."""
+    d = int(round(2 * j)) + 1
+    op = np.asarray(op)
+    if op.shape[-2:] != (d, d):
+        raise ValueError(f"operator shape {op.shape} does not end in (2j+1, 2j+1) = {(d, d)}")
+    return (op.reshape(op.shape[:-2] + (d * d,)) @ _grid_tables(j, grid)[0]).reshape(
+        op.shape[:-2] + (d, grid.n_nodes))
 
 
 def operator_from_symbol(symbol: np.ndarray, j: float, grid: QuadratureGrid) -> np.ndarray:
     """Inverse of ``operator_symbol_on_grid`` on grids of degree >= 4j: the
     quadrature sum of w_n symbol[..., m, n] times the quantizers R_n diag(k_m)
-    R_n^dag, taken as sum_n R_n diag(sum_m w_n symbol[..., m, n] k_m) R_n^dag."""
+    R_n^dag, one product with the cached quantizer table of ``_grid_tables``."""
+    d = int(round(2 * j)) + 1
+    symbol = np.asarray(symbol)
+    if symbol.shape[-2:] != (d, grid.n_nodes):
+        raise ValueError(f"symbol shape {symbol.shape} does not end in "
+                         f"(2j+1, grid.n_nodes) = {(d, grid.n_nodes)}")
+    return (symbol.reshape(symbol.shape[:-2] + (d * grid.n_nodes,))
+            @ _grid_tables(j, grid)[1]).reshape(symbol.shape[:-2] + (d, d))
+
+
+@lru_cache(maxsize=32)
+def _grid_tables(j: float, grid: QuadratureGrid) -> tuple:
+    """Read-only symbol and quantizer tables of spin j on ``grid``, from the
+    ``rotations`` stack R, the weights w and the kernels k of
+    ``_quantizer_kernels``: T[(a, b), (m, n)] = R_n[b, m] conj(R_n[a, m]),
+    shape (d^2, d n), and Q[(m, n), (a, b)] = w_n (R_n diag(k_m) R_n^dag)[a, b],
+    shape (d n, d^2), with d = 2j+1 and n the node count."""
     r = rotations(j, grid)
-    diags = (symbol * grid.weights).swapaxes(-1, -2) @ _quantizer_kernels(j)
-    return np.einsum("...nak,nbk->...ab", r * diags[..., None, :], r.conj())
+    d, n = r.shape[-1], grid.n_nodes
+    symbol = np.einsum("nam,nbm->abmn", r.conj(), r).reshape(d * d, d * n)
+    quant = np.einsum("n,mk,nak,nbk->mnab", grid.weights, _quantizer_kernels(j),
+                      r, r.conj()).reshape(d * n, d * d)
+    for table in (symbol, quant):
+        table.flags.writeable = False
+    return symbol, quant
 
 
 def dual_basis(n1: Direction, n2: Direction, n3: Direction):

@@ -242,10 +242,13 @@ class TwoSpinTomogram:
 
 def individual_tomogram_on_grid(rho: np.ndarray, j_mu: float, j_e: float,
                                 grid_mu: QuadratureGrid, grid_e: QuadratureGrid) -> np.ndarray:
-    """Individual tomogram of a state or a stack (..., D, D) of states, not
-    validated here, on all node pairs: shape (..., 2j_mu+1, n_mu, 2j_e+1, n_e).
+    """Individual tomogram of a state or a stack (..., D, D) of states, only
+    shape-checked here, on all node pairs: shape (..., 2j_mu+1, n_mu, 2j_e+1, n_e).
     The muon symbol of each electron matrix element, then the electron's."""
     d_mu, d_e = int(round(2 * j_mu + 1)), int(round(2 * j_e + 1))
+    if np.shape(rho)[-2:] != (d_mu * d_e,) * 2:
+        raise ValueError(f"state shape {np.shape(rho)} does not end in (D, D), "
+                         f"D = (2j_mu+1)(2j_e+1) = {d_mu * d_e}")
     rho_t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (d_mu, d_e, d_mu, d_e))
     per_mu = operator_symbol_on_grid(np.moveaxis(rho_t, (-4, -2), (-2, -1)), j_mu, grid_mu)
     return operator_symbol_on_grid(np.moveaxis(per_mu, (-4, -3), (-2, -1)), j_e, grid_e).real

@@ -483,6 +483,12 @@ class TestEvolveTomogram:
         prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
         assert evolve_tomogram(singlet, prop.unitary, []) == []
 
+    def test_state_dimension_not_the_spins(self):
+        # a 1/2 x 1/2 propagator and state sampled as 1/2 x 1
+        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
+        with pytest.raises(ValueError, match=r"\(2j_mu\+1\)\(2j_e\+1\) = 6"):
+            evolve_tomogram(np.eye(4) / 4, prop.unitary, [0.1], 0.5, 1.0)
+
 
 class TestAnalyticFreeMu:
     def test_reduced_values(self):

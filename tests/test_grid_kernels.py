@@ -19,6 +19,7 @@ from musrtomo.tomography import (
     SpinTomogram,
     Z_AXIS,
     clebsch_gordan,
+    operator_from_symbol,
     operator_symbol_on_grid,
     quantizer,
     reconstruct_from_sphere,
@@ -259,6 +260,7 @@ class TestCachedTables:
     def test_cached_arrays_are_read_only(self):
         grid = QuadratureGrid.for_spin(1.5)
         for table in (grid.thetas, grid.theta_weights, grid.phis, rotations(1.5, grid),
+                      *tomography._grid_tables(1.5, grid),
                       _kernel_tensor(QuadratureGrid.for_spin(0.5))):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
@@ -267,11 +269,24 @@ class TestCachedTables:
         with pytest.raises(ValueError, match="unsupported spin"):
             rotations(2.5, QuadratureGrid.for_spin(2.5))
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 3), (3, 3), (2, 2, 1)])
+    def test_symbol_rejects_a_misshapen_operator(self, shape):
+        # (1, 4) has the size of a 2 x 2 operator, which a bare reshape would take
+        with pytest.raises(ValueError, match=r"\(2j\+1, 2j\+1\) = \(2, 2\)"):
+            operator_symbol_on_grid(np.ones(shape), 0.5, QuadratureGrid.for_spin(0.5))
+
+    @pytest.mark.parametrize("shape", [(24,), (12, 2), (2, 11), (3, 12), (2, 12, 1)])
+    def test_inverse_rejects_a_misshapen_symbol(self, shape):
+        # (12, 2) is the transposed symbol, the same size as the right one
+        with pytest.raises(ValueError, match=r"\(2j\+1, grid.n_nodes\) = \(2, 12\)"):
+            operator_from_symbol(np.ones(shape), 0.5, QuadratureGrid.for_spin(0.5))
+
 
 def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
     """After one warm-up, a j = 2 sphere round trip, a 1/2 x 1 two-spin round
-    trip and the 1/2 x 1 block-diagonal inverse call no rotation_matrix,
-    quantizer or leggauss."""
+    trip, the 1/2 x 1 block-diagonal inverse and a 1/2 x 1/2 tomogram
+    evolution call no rotation_matrix, quantizer or leggauss, and build no
+    symbol or quantizer table."""
     calls = Counter()
 
     def counted(module, name):
@@ -287,18 +302,22 @@ def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
         counted(module, "rotation_matrix")
     counted(tomography, "quantizer")
     counted(np.polynomial.legendre, "leggauss")
-    rho5, rho6 = random_density_matrix(5, rng), random_density_matrix(6, rng)
+    rho4, rho5, rho6 = (random_density_matrix(d, rng) for d in (4, 5, 6))
     grid = QuadratureGrid.for_spin(1.5)
     samples = total_pdf_on_grid(blockdiag_state(rng, 0.5, 1.0)[0], 0.5, 1.0, grid)
+    prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
 
     def round_trips():
         reconstruct_from_sphere(SpinTomogram.from_state(rho5, 2.0))
         reconstruct_two_spin(TwoSpinTomogram.from_state(rho6, 0.5, 1.0))
         reconstruct_blockdiag(samples, grid, 0.5, 1.0)
+        evolve_tomogram(rho4, prop.unitary, [0.0, 0.3, 1.1])
 
     round_trips()
     calls.clear()
+    built = tomography._grid_tables.cache_info().misses
     round_trips()
     assert calls == {}
+    assert tomography._grid_tables.cache_info().misses == built
     tomography.quantizer(0.5, 0.5, Z_AXIS)  # the counters do count
     assert calls == {"quantizer": 1, "rotation_matrix": 1}
