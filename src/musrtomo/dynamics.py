@@ -187,19 +187,6 @@ def propagator_hyperfine(omega0: float, t) -> np.ndarray:
     return 0.5 * _phase(-omega0 * t / 4) * u
 
 
-def propagator_mu_longitudinal(s: DerivedScalars, t) -> np.ndarray:
-    """Isotropic Hamiltonian, B along z."""
-    t = np.asarray(t, dtype=float)
-    ct = np.cos(s.c * t)
-    u = np.zeros(t.shape + (4, 4), dtype=complex)
-    u[..., 0, 0] = np.exp(-1j * (2 * s.a - s.b_minus) * t)
-    u[..., 1, 1] = ct + 1j * _sin_ratio(s.b_plus, s.c, t)
-    u[..., 2, 2] = ct - 1j * _sin_ratio(s.b_plus, s.c, t)
-    u[..., 1, 2] = u[..., 2, 1] = -1j * _sin_ratio(2 * s.a, s.c, t)
-    u[..., 3, 3] = np.exp(-1j * (2 * s.a + s.b_minus) * t)
-    return _phase(s.a * t) * u
-
-
 def propagator_mu_transverse_x(s: DerivedScalars, t) -> np.ndarray:
     """Isotropic Hamiltonian, B along x. Symmetric, six distinct entries;
     the signs of the (1,2)/(1,3) pair are fixed by the Zeeman sign convention
@@ -236,7 +223,8 @@ def propagator_mu_transverse_y(s: DerivedScalars, t) -> np.ndarray:
 
 
 def propagator_mustar_zz(s: DerivedScalars, t) -> np.ndarray:
-    """Anisotropic Hamiltonian, N and B both along z."""
+    """Anisotropic Hamiltonian, N and B both along z; at dA = 0 (d = 0) the
+    isotropic Hamiltonian with B along z."""
     t = np.asarray(t, dtype=float)
     ct = np.cos(s.c * t)
     ad = s.a + s.d
@@ -305,7 +293,7 @@ class OrientationNotTabulated(ValueError):
 _CLOSED_FORMS = {
     (0.5, None, None): propagator_hyperfine,
     (1.0, None, None): propagator_hyperfine_spin1,
-    (0.5, "z", None): propagator_mu_longitudinal,
+    (0.5, "z", None): propagator_mustar_zz,
     (0.5, "x", None): propagator_mu_transverse_x,
     (0.5, "y", None): propagator_mu_transverse_y,
     (0.5, None, "z"): propagator_mustar_zz,

@@ -119,15 +119,22 @@ def eig_hermitian(m: np.ndarray):
     return np.linalg.eigh(_require_hermitian(m))
 
 
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.einsum("...ij,...ij->...", m.conj(), m).real
+
+
 def require_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity and unit trace of a density matrix, or of each
     matrix of a stack (..., d, d)."""
     rho = _as_stack(rho)
     if rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    scale = np.maximum(np.linalg.norm(rho, axis=(-2, -1)), 1.0)
-    defects = np.linalg.norm(rho - rho.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if (defects > 1e-10 * scale).any():
+    # |defect|_F > 1e-10 max(|rho|_F, 1), on squared norms; the bound is at
+    # least 1e-10, so |rho|_F is needed only once a defect exceeds that
+    defects = _squared_norms(rho - rho.conj().swapaxes(-1, -2))
+    if (defects > 1e-20).any() and \
+            (defects > 1e-20 * np.maximum(_squared_norms(rho), 1.0)).any():
         raise ValueError("density matrix is not Hermitian")
     traces = rho.diagonal(0, -2, -1).sum(-1)
     errors = np.abs(traces - 1.0)

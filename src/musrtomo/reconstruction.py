@@ -75,6 +75,9 @@ class MeasurementPlan:
                 raise ValueError("default times require a PropagatorSpec")
             self.times = tuple(default_times(self.propagator))
         self.times = tuple(float(t) for t in self.times)
+        for t in self.times:
+            if not 0.0 <= t < np.inf:
+                raise ValueError(f"time {t!r} must be finite and nonnegative")
         if len(set(self.times)) != len(self.times):
             raise ValueError("times must be pairwise distinct")
 

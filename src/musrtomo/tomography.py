@@ -25,7 +25,7 @@ tomogram/quantizer is fixed by requiring the sphere-quadrature round trip to
 be exact, which also makes the j=1/2 quantizer equal I/2 + 3m (n.sigma).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
 
@@ -75,19 +75,42 @@ Z_AXIS = Direction(0.0, 0.0)
 AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=32)
+def _grid_arrays(degree: int) -> tuple:
+    """Read-only (thetas, theta_weights, phis) of the grid of ``degree``:
+    Gauss-Legendre nodes in cos(theta), theta ascending, and a uniform phi."""
+    n_theta = max(2, degree + 1)
+    n_phi = max(3, degree + 2)
+    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    order = np.argsort(-x)  # theta ascending
+    arrays = np.arccos(x[order]), wx[order] / 2.0, 2 * np.pi * np.arange(n_phi) / n_phi
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True)
 class QuadratureGrid:
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta) times a
     uniform trapezoid in phi, with weights normalized to integrate dn/4pi.
 
-    Exact for spherical polynomials up to the declared ``degree``. Grids with
-    equal degrees and arrays are equal and share cached tables.
+    Exact for spherical polynomials up to ``degree``. A grid is its degree:
+    grids of equal degree are equal, share the read-only arrays of
+    ``_grid_arrays`` and share cached tables.
     """
 
-    thetas: np.ndarray
-    theta_weights: np.ndarray
-    phis: np.ndarray
     degree: int
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    theta_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    phis: np.ndarray = field(init=False, repr=False, compare=False)
+    n_nodes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        thetas, theta_weights, phis = _grid_arrays(self.degree)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "theta_weights", theta_weights)
+        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "n_nodes", len(thetas) * len(phis))
 
     @classmethod
     def for_spin(cls, j: float) -> "QuadratureGrid":
@@ -97,29 +120,9 @@ class QuadratureGrid:
     @classmethod
     @lru_cache(maxsize=32)
     def of_degree(cls, degree: int) -> "QuadratureGrid":
-        """The grid of ``degree``, built once; its arrays are read-only."""
-        n_theta = max(2, degree + 1)
-        n_phi = max(3, degree + 2)
-        x, wx = np.polynomial.legendre.leggauss(n_theta)
-        order = np.argsort(-x)  # theta ascending
-        arrays = np.arccos(x[order]), wx[order] / 2.0, 2 * np.pi * np.arange(n_phi) / n_phi
-        for a in arrays:
-            a.flags.writeable = False
-        return cls(*arrays, degree=degree)
-
-    def _key(self) -> tuple:
-        return (self.degree, self.thetas.tobytes(), self.theta_weights.tobytes(),
-                self.phis.tobytes())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadratureGrid) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.thetas) * len(self.phis)
+        """``QuadratureGrid(degree)``, one instance per degree, so that cache
+        lookups keyed on it compare by identity."""
+        return cls(degree)
 
     def nodes(self) -> list[Direction]:
         """Flattened nodes, theta-major: index = i_theta * n_phi + i_phi."""
@@ -297,10 +300,10 @@ class SpinTomogram:
         if self.values.shape != (dim, self.grid.n_nodes):
             raise ValueError(f"values shape {self.values.shape} != "
                              f"({dim}, {self.grid.n_nodes})")
-        if not np.all((self.values >= -1e-12) & (self.values <= 1 + 1e-12)):
+        if not (self.values.min() >= -1e-12 and self.values.max() <= 1 + 1e-12):  # NaN fails
             raise ValueError("tomogram values outside [0, 1]")
         sums = self.values.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
+        if np.abs(sums - 1.0).max() > 1e-10:
             raise ValueError("tomogram columns must each sum to 1")
 
     @classmethod

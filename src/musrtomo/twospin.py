@@ -224,9 +224,9 @@ class TwoSpinTomogram:
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape} != {expect}")
         sums = self.values.sum(axis=(0, 2))
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
+        if np.abs(sums - 1.0).max() > 1e-10:
             raise ValueError("joint probabilities must sum to 1 per direction pair")
-        if not np.all(self.values >= -1e-12):
+        if not self.values.min() >= -1e-12:  # NaN fails too
             raise ValueError("negative or missing joint probabilities")
 
     @classmethod
@@ -246,12 +246,14 @@ def individual_tomogram_on_grid(rho: np.ndarray, j_mu: float, j_e: float,
     shape-checked here, on all node pairs: shape (..., 2j_mu+1, n_mu, 2j_e+1, n_e).
     The muon symbol of each electron matrix element, then the electron's."""
     d_mu, d_e = int(round(2 * j_mu + 1)), int(round(2 * j_e + 1))
-    if np.shape(rho)[-2:] != (d_mu * d_e,) * 2:
-        raise ValueError(f"state shape {np.shape(rho)} does not end in (D, D), "
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (d_mu * d_e,) * 2:
+        raise ValueError(f"state shape {rho.shape} does not end in (D, D), "
                          f"D = (2j_mu+1)(2j_e+1) = {d_mu * d_e}")
-    rho_t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (d_mu, d_e, d_mu, d_e))
-    per_mu = operator_symbol_on_grid(np.moveaxis(rho_t, (-4, -2), (-2, -1)), j_mu, grid_mu)
-    return operator_symbol_on_grid(np.moveaxis(per_mu, (-4, -3), (-2, -1)), j_e, grid_e).real
+    rho_t = rho.reshape(-1, d_mu, d_e, d_mu, d_e)                       # (s, a, c, b, d)
+    per_mu = operator_symbol_on_grid(rho_t.transpose(0, 2, 4, 1, 3), j_mu, grid_mu)
+    values = operator_symbol_on_grid(per_mu.transpose(0, 3, 4, 1, 2), j_e, grid_e)
+    return values.reshape(rho.shape[:-2] + values.shape[1:]).real        # (..., m, i, e, k)
 
 
 def reconstruct_two_spin(w: TwoSpinTomogram) -> np.ndarray:
@@ -261,8 +263,7 @@ def reconstruct_two_spin(w: TwoSpinTomogram) -> np.ndarray:
         if grid.degree < int(round(4 * j)):
             raise ValueError("grid degree insufficient for reconstruction")
     per_mu = operator_from_symbol(w.values, w.j_e, w.grid_e)          # (m, i, c, d)
-    rho_t = operator_from_symbol(np.moveaxis(per_mu, (0, 1), (-2, -1)),
-                                 w.j_mu, w.grid_mu)                     # (c, d, a, b)
+    rho_t = operator_from_symbol(per_mu.transpose(2, 3, 0, 1), w.j_mu, w.grid_mu)  # (c, d, a, b)
     dim = w.values.shape[0] * w.values.shape[2]
     return rho_t.transpose(2, 0, 3, 1).reshape(dim, dim)
 

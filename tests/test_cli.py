@@ -377,6 +377,19 @@ class TestReconstruct:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_plan_time_is_a_configuration_error(self, tmp_path, capsys, bad):
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        plan = json.loads(plan_file.read_text())
+        plan["times_ns"][0] = bad
+        plan_file.write_text(json.dumps(plan))  # NaN / Infinity literals
+        rc = main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                   str(meas_file), "--allow-deficient", "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert f"time {bad!r} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def measured_with_sigmas(self, tmp_path):
         # every plan row carries a sigma, of a different size each
         plan_file, meas_file = self.write_inputs(

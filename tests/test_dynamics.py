@@ -27,7 +27,6 @@ from musrtomo.dynamics import (
     muon_polarization_function,
     propagator_hyperfine,
     propagator_hyperfine_spin1,
-    propagator_mu_longitudinal,
     propagator_mu_transverse_x,
     propagator_mu_transverse_y,
     propagator_mustar_xz,
@@ -182,9 +181,8 @@ class TestClosedForms:
     def test_longitudinal_reduces_to_hyperfine_at_zero_field(self):
         spec = HamiltonianSpec(a=3.3)
         s = DerivedScalars.from_spec(spec)
-        from musrtomo.dynamics import propagator_mu_longitudinal
         for t in (0.3, 2.1):
-            assert np.abs(propagator_mu_longitudinal(s, t)
+            assert np.abs(propagator_mustar_zz(s, t)
                           - propagator_hyperfine(3.3, t)).max() < 1e-12
 
     def test_spin1_matrix_elements(self):
@@ -273,7 +271,7 @@ FAMILIES = ("hyperfine", "isotropic", "anisotropic")
 OBLIQUE = Direction.from_vector([0.6, 0.0, 0.8])
 ORACLE_AXES = (None, X_AXIS, Y_AXIS, Z_AXIS, OBLIQUE)
 VARIANT_FORMS = {"hf": propagator_hyperfine, "hf_spin1": propagator_hyperfine_spin1,
-                 "mu_z": propagator_mu_longitudinal, "mu_x": propagator_mu_transverse_x,
+                 "mu_z": propagator_mustar_zz, "mu_x": propagator_mu_transverse_x,
                  "mu_y": propagator_mu_transverse_y, "mustar_zz": propagator_mustar_zz,
                  "mustar_xz": propagator_mustar_xz, "mustar_yz": propagator_mustar_yz}
 

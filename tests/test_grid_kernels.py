@@ -239,23 +239,40 @@ class TestAgainstPerNodeOracles:
 
 class TestCachedTables:
     @pytest.mark.parametrize("j", [0.5, 2.0])
-    def test_hand_built_grid_gets_its_own_stack(self, j, rng):
+    def test_two_degrees_get_two_stacks(self, j, rng):
         grid = QuadratureGrid.for_spin(j)
-        shifted = QuadratureGrid(grid.thetas, grid.theta_weights, grid.phis + 0.3, grid.degree)
+        finer = QuadratureGrid(grid.degree + 2)
         rho = random_density_matrix(int(round(2 * j)) + 1, rng)
         SpinTomogram.from_state(rho, j, grid)  # fills the default grid's stack first
-        tom = SpinTomogram.from_state(rho, j, shifted)
-        assert np.abs(tom.values - symbol_per_node(rho, j, shifted).real).max() <= 1e-13
+        tom = SpinTomogram.from_state(rho, j, finer)
+        assert np.abs(tom.values - symbol_per_node(rho, j, finer).real).max() <= 1e-13
         assert np.abs(reconstruct_from_sphere(tom) - rho).max() <= 1e-9
-        assert np.abs(rotations(j, shifted) - rotations(j, grid)).max() > 0.1
+        assert finer != grid and finer.n_nodes > grid.n_nodes
+        assert rotations(j, finer).shape[0] == finer.n_nodes
+        assert tomography._grid_tables(j, finer)[0].shape[1] > \
+            tomography._grid_tables(j, grid)[0].shape[1]
 
     def test_equal_grids_share_a_stack(self):
         grid = QuadratureGrid.for_spin(1.0)
-        twin = QuadratureGrid(grid.thetas.copy(), grid.theta_weights.copy(),
-                              grid.phis.copy(), grid.degree)
+        twin = QuadratureGrid(4)
+        assert twin is not grid
         assert twin == grid and hash(twin) == hash(grid)
+        assert twin.thetas is grid.thetas and twin.phis is grid.phis
         assert rotations(1.0, twin) is rotations(1.0, grid)
         assert QuadratureGrid.of_degree(4) is grid
+
+    def test_a_grid_is_its_degree(self):
+        grid = QuadratureGrid.for_spin(1.0)
+        assert grid == QuadratureGrid(4) and repr(grid) == "QuadratureGrid(degree=4)"
+        assert QuadratureGrid(4) != QuadratureGrid(6)
+        tables = tomography._grid_tables(1.0, grid)
+        before = tomography._grid_tables.cache_info()
+        assert tomography._grid_tables(1.0, QuadratureGrid(4)) is tables
+        after = tomography._grid_tables.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert after.hits == before.hits + 1
+        with pytest.raises(AttributeError):
+            grid.thetas = grid.thetas  # frozen
 
     def test_cached_arrays_are_read_only(self):
         grid = QuadratureGrid.for_spin(1.5)
@@ -283,10 +300,11 @@ class TestCachedTables:
 
 
 def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
-    """After one warm-up, a j = 2 sphere round trip, a 1/2 x 1 two-spin round
-    trip, the 1/2 x 1 block-diagonal inverse and a 1/2 x 1/2 tomogram
-    evolution call no rotation_matrix, quantizer or leggauss, and build no
-    symbol or quantizer table."""
+    """After one warm-up, a j = 2 sphere round trip, 1/2 x 1 and 1/2 x 1/2
+    two-spin round trips (the latter on hand-built grids), the 1/2 x 1
+    block-diagonal inverse and a 1/2 x 1/2 tomogram evolution call no
+    rotation_matrix, quantizer, leggauss or moveaxis, and build no grid
+    arrays and no symbol or quantizer table."""
     calls = Counter()
 
     def counted(module, name):
@@ -302,6 +320,7 @@ def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
         counted(module, "rotation_matrix")
     counted(tomography, "quantizer")
     counted(np.polynomial.legendre, "leggauss")
+    counted(np, "moveaxis")
     rho4, rho5, rho6 = (random_density_matrix(d, rng) for d in (4, 5, 6))
     grid = QuadratureGrid.for_spin(1.5)
     samples = total_pdf_on_grid(blockdiag_state(rng, 0.5, 1.0)[0], 0.5, 1.0, grid)
@@ -310,14 +329,17 @@ def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
     def round_trips():
         reconstruct_from_sphere(SpinTomogram.from_state(rho5, 2.0))
         reconstruct_two_spin(TwoSpinTomogram.from_state(rho6, 0.5, 1.0))
+        reconstruct_two_spin(TwoSpinTomogram.from_state(rho4, 0.5, 0.5, QuadratureGrid(2),
+                                                         QuadratureGrid(2)))
         reconstruct_blockdiag(samples, grid, 0.5, 1.0)
         evolve_tomogram(rho4, prop.unitary, [0.0, 0.3, 1.1])
 
     round_trips()
     calls.clear()
-    built = tomography._grid_tables.cache_info().misses
+    caches = (tomography._grid_arrays, tomography.rotations, tomography._grid_tables)
+    built = [cache.cache_info().misses for cache in caches]
     round_trips()
     assert calls == {}
-    assert tomography._grid_tables.cache_info().misses == built
+    assert [cache.cache_info().misses for cache in caches] == built
     tomography.quantizer(0.5, 0.5, Z_AXIS)  # the counters do count
     assert calls == {"quantizer": 1, "rotation_matrix": 1}

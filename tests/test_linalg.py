@@ -10,6 +10,7 @@ from musrtomo.linalg import (
     kron,
     partial_trace,
     partial_transpose,
+    require_density_matrix,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -159,3 +160,48 @@ class TestPropagator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             propagator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+
+class TestDensityMatrixTolerances:
+    """The check rejects a Hermitian defect |rho - rho^dag|_F above
+    1e-10 max(|rho|_F, 1) and a trace error above 1e-10; pinned at 0.9 and
+    1.1 times each bound, for one matrix and for one slice of a stack."""
+
+    # unit trace and Hermitian: |rho|_F < 1 (scale 1) and |rho|_F = sqrt(13)
+    BASES = [np.diag([0.7, 0.3]).astype(complex), np.diag([3.0, -2.0]).astype(complex)]
+
+    @staticmethod
+    def checked(rho, stacked):
+        """require_density_matrix on rho, or on a stack holding it between
+        two clean states."""
+        if stacked:
+            clean = np.eye(len(rho)) / len(rho)
+            rho = np.array([clean, rho, clean])
+        return require_density_matrix(rho)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("base", range(len(BASES)))
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    def test_hermitian_defect_bound(self, stacked, base, factor, ok):
+        rho = self.BASES[base].copy()
+        bound = 1e-10 * max(np.linalg.norm(rho), 1.0)
+        # rho[0, 1] = i delta gives rho - rho^dag = i delta (E01 + E10), norm sqrt(2) delta
+        rho[0, 1] = 1j * factor * bound / np.sqrt(2)
+        if ok:
+            self.checked(rho, stacked)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                self.checked(rho, stacked)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("base", range(len(BASES)))
+    @pytest.mark.parametrize("error, ok", [(0.9e-10, True), (-0.9e-10, True),
+                                           (1.1e-10, False), (-1.1e-10, False)])
+    def test_trace_bound(self, stacked, base, error, ok):
+        rho = self.BASES[base].copy()
+        rho[1, 1] += error
+        if ok:
+            self.checked(rho, stacked)
+        else:
+            with pytest.raises(ValueError, match="trace"):
+                self.checked(rho, stacked)

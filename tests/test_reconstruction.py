@@ -290,6 +290,11 @@ class TestMeasurementPlan:
         with pytest.raises(ValueError):
             MeasurementPlan(mustar_xz_prop(), times=(1.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_non_finite_or_negative_time_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"time {bad!r} must be finite and nonnegative"):
+            MeasurementPlan(mustar_xz_prop(), times=(1.0, bad, 2.0))
+
 
 class TestReconstructInitial:
     def test_noiseless_roundtrip_full_rank(self, rng):
