@@ -16,7 +16,7 @@ import csv
 import functools
 import json
 import sys
-from itertools import compress
+from itertools import compress, starmap
 from pathlib import Path
 
 import numpy as np
@@ -112,34 +112,37 @@ def _muon_bloch(rho: np.ndarray, j_e: float) -> np.ndarray:
     return np.einsum("...ab,kba->...k", rho_mu, PAULI).real
 
 
-# one record of comparison.json in the layout of json.dumps(records, indent=2)
-_COMPARISON_RECORD = ('  {{\n    "axis": [\n      {},\n      {}\n    ],\n    "t_ns": {},\n'
-                      '    "w_estimate": {},\n    "w_truth": {},\n    "sigma": {},\n'
-                      '    "deviation_sigmas": {}\n  }}')
-
-
-def _comparison_json(*columns) -> str:
-    """json.dumps(records, indent=2) of the records whose fields, in template
-    order, are the ``float_cells`` columns; no key and no finite repr holds
-    'nan' or 'inf', so the text takes JSON's NaN and Infinity in one pass."""
-    records = ",\n".join(map(_COMPARISON_RECORD.format, *columns))
+def _records_json(columns: dict) -> str:
+    """json.dumps(records, indent=2) of one record per row of the equal-length
+    ``columns`` of cell strings (``float_cells``), keyed by the column names in
+    their order; a column of cell pairs gives each record a two-element list.
+    No name and no finite repr holds 'nan' or 'inf', so the text takes JSON's
+    NaN and Infinity in one pass. Columns of unequal length raise ValueError."""
+    fields = (f'    "{name}": [\n      {{{i}[0]}},\n      {{{i}[1]}}\n    ]'
+              if column and isinstance(column[0], tuple) else f'    "{name}": {{{i}}}'
+              for i, (name, column) in enumerate(columns.items()))
+    template = "  {{\n" + ",\n".join(fields) + "\n  }}"
+    records = ",\n".join(starmap(template.format, zip(*columns.values(), strict=True)))
     text = f"[\n{records}\n]" if records else "[]"
     return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _evolution(args, b_field: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(times, rho(t) stack (n, d, d), j_e) of the configured evolution in a field."""
+    prop, j_e = _propagator(args.material, b_field, args.b_axis, args.aniso_axis)
+    rho0, times = _load_init(args.init, j_e), _time_grid(prop, args)
+    return times, evolve_density(rho0, prop.unitary(times)), j_e
 
 
 def cmd_evolve(args) -> int:
     fields = args.B if args.B is not None else DEFAULT_SWEEPS.get(args.material, [0.0])
     # every configuration error surfaces before the output directory exists
-    runs = []
-    for b_field in fields:
-        prop, j_e = _propagator(args.material, b_field, args.b_axis, args.aniso_axis)
-        runs.append((b_field, prop, j_e, _load_init(args.init, j_e), _time_grid(prop, args)))
+    runs = [(b_field, *_evolution(args, b_field)) for b_field in fields]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"material": args.material, "fields_gauss": fields, "files": []}
     axes = np.array([axis.vector for axis in AXES.values()])
-    for b_field, prop, j_e, rho0, times in runs:
-        rho = evolve_density(rho0, prop.unitary(times))  # (n, d, d), one pass
+    for b_field, times, rho, j_e in runs:
         e_val = neg = mb = None
         if j_e == 0.5:
             series = entanglement_series(rho, include_max_bell=args.bell)
@@ -199,8 +202,9 @@ def cmd_simulate(args) -> int:
     keep = on.ravel().tolist()
     theta, phi, t_ns, w_est, sigma = (list(compress(cells[name], keep)) for name in (
         "axis_theta", "axis_phi", "t_ns", "w_plus", "sigma"))
-    (out_dir / "comparison.json").write_text(_comparison_json(
-        theta, phi, t_ns, w_est, float_cells(truth), sigma, float_cells(dev)))
+    (out_dir / "comparison.json").write_text(_records_json({
+        "axis": list(zip(theta, phi)), "t_ns": t_ns, "w_estimate": w_est,
+        "w_truth": float_cells(truth), "sigma": sigma, "deviation_sigmas": float_cells(dev)}))
     within = np.count_nonzero(np.abs(dev) <= 3)
     print(f"simulated {args.n_muons} muons; {within}/{len(dev)} bins within 3 sigma")
     return 0
@@ -266,12 +270,9 @@ def _read_measurements(path: str, plan: MeasurementPlan):
 
 
 def _two_qubit_series(args, what: str, include_max_bell: bool = True):
-    prop, j_e = _propagator(args.material, args.B, args.b_axis, args.aniso_axis)
+    times, rho, j_e = _evolution(args, args.B)
     if j_e != 0.5:
         raise ConfigError(f"{what} requires a two-qubit system")
-    rho0 = _load_init(args.init, j_e)
-    times = _time_grid(prop, args)
-    rho = evolve_density(rho0, prop.unitary(times))
     return times, entanglement_series(rho, include_max_bell)
 
 
@@ -288,11 +289,9 @@ def cmd_report(args) -> int:
     times, series = _two_qubit_series(args, "entanglement report",
                                       include_max_bell=not args.no_bell)
     # one record per instant: t, then the series' keys in their order
-    columns = {"t": times, **series}
-    reports = [dict(zip(columns, values))
-               for values in zip(*(c.tolist() for c in columns.values()))]
-    Path(args.out).write_text(json.dumps(reports, indent=2))
-    print(f"wrote {len(reports)} entanglement reports to {args.out}")
+    Path(args.out).write_text(_records_json({
+        "t": float_cells(times), **{name: float_cells(v) for name, v in series.items()}}))
+    print(f"wrote {len(times)} entanglement reports to {args.out}")
     return 0
 
 

@@ -18,7 +18,7 @@ binomial errors through the count ratio.
 import functools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -242,7 +242,6 @@ class HistogramSeries:
     counts: np.ndarray  # (n_detectors, n_bins), stored as int64
     n_muons: int
     background_fraction: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=float)
@@ -278,7 +277,6 @@ class HistogramSeries:
                 "background_fraction": self.background_fraction,
                 "asymmetry": model.asymmetry, "lifetime_ns": model.lifetime_ns,
                 "species": model.species}
-        meta.update(self.metadata)
         return json.dumps(meta, indent=2)
 
 
@@ -476,8 +474,7 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
             row += _multinomial(rng_bg, n_bg, widths)
 
     return HistogramSeries(bin_edges=bin_edges, counts=counts, n_muons=n_muons,
-                           background_fraction=background_fraction,
-                           metadata={"seed": seed})
+                           background_fraction=background_fraction)
 
 
 @dataclass

@@ -166,9 +166,8 @@ class ReconstructionResult:
     clipped: bool
     null_space: np.ndarray
 
-    def to_json(self, plan: MeasurementPlan | None = None,
-                time_generic_rank: int | None = None) -> str:
-        payload = {
+    def to_json(self, plan: MeasurementPlan, time_generic_rank: int) -> str:
+        return json.dumps({
             "rank": self.rank,
             "condition_number": self.condition_number,
             "residual_norm": self.residual_norm,
@@ -177,13 +176,10 @@ class ReconstructionResult:
             "rho0_imag": np.imag(self.rho0).tolist(),
             "null_space_dimension": int(self.null_space.shape[0]),
             "null_space": self.null_space.tolist(),
-        }
-        if plan is not None:
-            payload["plan"] = {"directions": [[d.theta, d.phi] for d in plan.directions],
-                               "times_ns": list(plan.times)}
-        if time_generic_rank is not None:
-            payload["time_generic_rank"] = time_generic_rank
-        return json.dumps(payload, indent=2)
+            "plan": {"directions": [[d.theta, d.phi] for d in plan.directions],
+                     "times_ns": list(plan.times)},
+            "time_generic_rank": time_generic_rank,
+        }, indent=2)
 
 
 def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,

@@ -106,6 +106,9 @@ class QuadratureGrid:
     n_nodes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)) \
+                or self.degree < 0:
+            raise ValueError(f"grid degree must be an integer >= 0, got {self.degree!r}")
         thetas, theta_weights, phis = _grid_arrays(self.degree)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "theta_weights", theta_weights)

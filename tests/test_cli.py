@@ -156,6 +156,24 @@ class TestExitCodes:
         assert ("initial state dimension 4 does not match the propagator dimension 6"
                 in capsys.readouterr().err)
 
+    def test_evolve_init_mismatch_leaves_no_output_dir(self, tmp_path, capsys):
+        init = tmp_path / "rho0.json"
+        init.write_text(json.dumps({"real": (np.eye(4) / 4).tolist()}))
+        out = tmp_path / "out"
+        rc = main(["evolve", "--material", SPIN1, "--init", str(init), "--B", "0", "50",
+                   "--steps", "4", "--out", str(out)])
+        assert rc == 2
+        assert ("initial state dimension 4 does not match the evolution operator dimension 6"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["bell", "report"])
+    def test_two_qubit_verbs_reject_a_spin1_shell(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        assert main([verb, "--material", SPIN1, "--steps", "4", "--out", str(out)]) == 2
+        assert "requires a two-qubit system" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["evolve", "bell", "report"])
     def test_single_level_spectrum_needs_a_time_span(self, tmp_path, capsys, verb):
         # no coupling and no field leave one level, so no gap sets the window

@@ -3,6 +3,7 @@ against the per-node routes they replace, kept here as oracles: a rotation
 matrix, projector or quantizer per (m, node) and one state per instant, and
 the total probability distribution from the full direct-sum rotation."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -273,6 +274,17 @@ class TestCachedTables:
         assert after.hits == before.hits + 1
         with pytest.raises(AttributeError):
             grid.thetas = grid.thetas  # frozen
+
+    @pytest.mark.parametrize("degree", [-3, -1, True, False, 2.5, 4.0, "4", None])
+    def test_degree_must_be_a_nonnegative_integer(self, degree):
+        with pytest.raises(ValueError, match=f"grid degree must be an integer >= 0, "
+                                             f"got {re.escape(repr(degree))}"):
+            QuadratureGrid(degree)
+
+    @pytest.mark.parametrize("degree", [0, 3, np.int64(4)])
+    def test_integer_degrees_build_grids(self, degree):
+        grid = QuadratureGrid(degree)
+        assert grid.degree == degree and grid.weights.sum() == pytest.approx(1.0)
 
     def test_cached_arrays_are_read_only(self):
         grid = QuadratureGrid.for_spin(1.5)

@@ -400,7 +400,8 @@ class TestReconstructInitial:
         values = forward_model(initial_muonium_state(), plan)
         result = reconstruct_initial(values, plan)
         import json
-        payload = json.loads(result.to_json(plan))
+        payload = json.loads(result.to_json(plan, time_generic_rank=15))
         assert payload["rank"] == 15
         assert payload["null_space_dimension"] == 0
         assert len(payload["plan"]["times_ns"]) == 5
+        assert payload["time_generic_rank"] == 15

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from musrtomo.cli import _comparison_json, main
+from musrtomo.cli import _records_json, main
 from musrtomo.musr import (AxisEstimate, DetectorGeometry, ESTIMATE_SCHEMA, HistogramSeries,
                            estimate_cells)
 from musrtomo.tomography import X_AXIS, Z_AXIS, Direction, csv_text, float_cells
@@ -147,26 +147,39 @@ class TestSimulateWriters:
         assert rows[3][:2] == [repr(X_AXIS.theta), "0.0"] and len(rows) == 5
 
 
+COMPARISON_KEYS = ("t_ns", "w_estimate", "w_truth", "sigma", "deviation_sigmas")
+
+
+def comparison_columns(records) -> dict:
+    """``_records_json`` columns of comparison records: the axis as a column
+    of cell pairs, every other field as a column of cells."""
+    return {"axis": [tuple(float_cells(r["axis"])) for r in records],
+            **{key: float_cells([r[key] for r in records]) for key in COMPARISON_KEYS}}
+
+
 class TestComparisonJson:
+    """``_records_json`` in the layout of ``comparison.json``."""
+
     def test_matches_json_dumps(self):
         records = [{"axis": [0.0, 1.5707963267948966], "t_ns": 6.4, "w_estimate": 0.25,
                     "w_truth": 1 / 3, "sigma": 1e-05, "deviation_sigmas": -2.0}] * 2
-        columns = [float_cells([r["axis"][0] for r in records]),
-                   float_cells([r["axis"][1] for r in records]),
-                   *(float_cells([r[key] for r in records])
-                     for key in ("t_ns", "w_estimate", "w_truth", "sigma", "deviation_sigmas"))]
-        assert _comparison_json(*columns) == json.dumps(records, indent=2)
+        assert _records_json(comparison_columns(records)) == json.dumps(records, indent=2)
 
     def test_non_finite_values(self):
-        columns = [float_cells([v]) for v in (0.0, 0.0, 1.0, np.nan, np.inf, -np.inf, np.nan)]
-        text = _comparison_json(*columns)
+        record = dict(zip(["axis", *COMPARISON_KEYS],
+                          [[0.0, 0.0], 1.0, np.nan, np.inf, -np.inf, np.nan]))
+        text = _records_json(comparison_columns([record]))
         (record,) = json_oracle(text)
         assert record["w_truth"] == np.inf and record["sigma"] == -np.inf
         assert np.isnan(record["w_estimate"]) and np.isnan(record["deviation_sigmas"])
         assert "NaN" in text and "-Infinity" in text
 
     def test_empty_report(self):
-        assert _comparison_json(*[[]] * 7) == json.dumps([], indent=2) == "[]"
+        assert _records_json(comparison_columns([])) == json.dumps([], indent=2) == "[]"
+
+    def test_rejects_unequal_columns(self):
+        with pytest.raises(ValueError):
+            _records_json({"t": ["1.0", "2.0"], "E": ["0.5"]})
 
 
 SIMULATE_SETUPS = {
@@ -224,3 +237,15 @@ class TestCommandWriters:
                      "--out", str(out)]) == 0
         header, *rows = csv_oracle(read(out))
         assert header == ["t_ns", "max_bell", "E", "negativity"] and len(rows) == 16
+
+    @pytest.mark.parametrize("flags, steps", [([], 16), (["--no-bell"], 16), ([], 4096)],
+                             ids=["bell", "no-bell", "4096-steps"])
+    def test_report(self, flags, steps, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["report", "--material", "quartz", "--B", "790", "--B-axis", "x",
+                     "--steps", str(steps), *flags, "--out", str(out)]) == 0
+        reports = json_oracle(read(out))
+        assert len(reports) == steps
+        assert all(list(r) == ["t", "E", "M2", "M3", "M4", "max_bell", "negativity"]
+                   for r in reports)
+        assert all(np.isnan(r["max_bell"]) == bool(flags) for r in reports)
