@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_density_matrix
+from .linalg import require_state, require_unitary
 from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
 from .twospin import TwoSpinTomogram, individual_tomogram_on_grid
 
@@ -363,28 +363,15 @@ class PropagatorSpec:
         return self.spectral_table.gaps
 
 
-def _require_dimension(rho0: np.ndarray, dim: int, what: str) -> None:
-    if rho0.shape[-1] != dim:
-        raise ValueError(f"initial state dimension {rho0.shape[-1]} does not match "
-                         f"the {what} dimension {dim}")
-
-
 def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """U rho0 U^dag; trace, Hermiticity and spectrum preserved.
 
     ``u`` is one unitary (d, d) or a stack (n, d, d), giving the stack of
     evolved states; each matrix of the stack must be unitary.
     """
-    rho0 = require_density_matrix(rho0)
-    if rho0.ndim != 2:
-        raise ValueError("the initial state must be one density matrix")
-    u = np.asarray(u, dtype=complex)
-    _require_dimension(rho0, u.shape[-1], "evolution operator")
-    u_dag = u.conj().swapaxes(-1, -2)
-    defects = np.linalg.norm(u @ u_dag - np.eye(u.shape[-1]), axis=(-2, -1))
-    if np.any(defects > 1e-10 * u.shape[-1]):
-        raise ValueError("evolution operator is not unitary")
-    return u @ rho0 @ u_dag
+    u = require_unitary(u)
+    rho0 = require_state(rho0, u.shape[-1], "propagator dimension")
+    return u @ rho0 @ u.conj().swapaxes(-1, -2)
 
 
 def initial_muonium_state(j_e: float = 0.5) -> np.ndarray:
@@ -516,8 +503,7 @@ def muon_polarization_function(rho0: np.ndarray, prop: PropagatorSpec):
     ``spectral_table``. The callable carries ``decay_integrals(edges,
     lifetime_ns)``, the decay-weighted integrals of P over time bins in closed
     form, shape (n_bins, 3) (see ``musr.decay_bin_integrals``)."""
-    rho0 = require_density_matrix(rho0)
-    _require_dimension(rho0, prop.hamiltonian.dim, "propagator")
+    rho0 = require_state(rho0, prop.hamiltonian.dim, "propagator dimension")
     amps = prop.spectral_table.traces(rho0)
     polarization = functools.partial(prop.spectral_table.at_times, amps)
     # an attribute, which functools.wraps copies onto any wrapper

@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import TWO_QUBIT_BASIS, SubsystemDims, partial_transpose, require_density_matrix
+from .linalg import (TWO_QUBIT_BASIS, SubsystemDims, partial_transpose,
+                     require_density_matrix, require_state)
 from .tomography import Direction, QuadratureGrid
 from .twospin import TwoSpinTomogram, individual_tomogram
 
@@ -168,13 +169,7 @@ def positivity_coefficients(lam: np.ndarray) -> PositivityCoefficients:
     M3 = (1 - 3 p2 + 2 p3)/6,
     M4 = (1 - 6 p2 + 3 p2^2 + 8 p3 - 6 p4)/24,   p_k = Tr[lam^k].
     """
-    lam = np.asarray(lam, dtype=complex)
-    if lam.shape != (4, 4):
-        raise ValueError("positivity coefficients are defined for 4x4 matrices")
-    if abs(np.trace(lam) - 1.0) > 1e-10:
-        raise ValueError("matrix must have unit trace")
-    if np.linalg.norm(lam - lam.conj().T) > 1e-10 * max(1.0, np.linalg.norm(lam)):
-        raise ValueError("matrix must be Hermitian")
+    lam = require_state(lam, 4, "two-qubit dimension")
     return PositivityCoefficients(*(float(m) for m in _power_coefficients(lam)))
 
 

@@ -1,12 +1,17 @@
 """Dense complex-matrix primitives: the Pauli matrices and the two-qubit
 operator basis built from them, Kronecker products, partial trace and
-transpose over a bipartite split, Hermitian eigendecomposition and the
-density-matrix check.
+transpose over a bipartite split, Hermitian eigendecomposition, and the
+package's only input checks for states and unitaries.
 
 All functions are pure and operate on plain ``numpy`` complex arrays. Matrices
 stay small here (dimension <= ~16). The partial trace, the partial transpose
-and the density-matrix check also take a stack (..., d, d) of matrices, one
-per instant of a time trace, and act per matrix.
+and the checks also take a stack (..., d, d) of matrices, one per instant of
+a time trace, and act per matrix.
+
+Every other module validates states and unitaries with
+``require_density_matrix``, ``require_state`` and ``require_unitary`` instead
+of restating them. Each first requires finite entries, so NaN or infinity
+raises ``ValueError`` rather than passing a tolerance test.
 """
 
 from dataclasses import dataclass
@@ -125,8 +130,9 @@ def _squared_norms(m: np.ndarray) -> np.ndarray:
 
 
 def require_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity and unit trace of a density matrix, or of each
-    matrix of a stack (..., d, d)."""
+    """Validate a density matrix, or each matrix of a stack (..., d, d):
+    finite, square, Hermitian within 1e-10 max(|rho|_F, 1) and unit trace
+    within 1e-10."""
     rho = _as_stack(rho)
     if rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
@@ -142,3 +148,25 @@ def require_density_matrix(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"density matrix trace {traces.flat[errors.argmax()]} != 1")
     return rho
 
+
+def require_state(rho: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """One density matrix (not a stack) of dimension ``dim``, called ``name``."""
+    rho = require_density_matrix(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"expected one density matrix, got a stack of shape {rho.shape}")
+    if rho.shape[0] != dim:
+        raise ValueError(f"density matrix dimension {rho.shape[0]} != {name} = {dim}")
+    return rho
+
+
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    """Validate a unitary (d, d), or each matrix of a stack (..., d, d):
+    finite, square and |U U^dag - I|_F <= 1e-10 d."""
+    u = _as_stack(u)
+    if u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
+    d = u.shape[-1]
+    defects = np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(d), axis=(-2, -1))
+    if np.any(defects > 1e-10 * d):
+        raise ValueError("evolution operator is not unitary")
+    return u

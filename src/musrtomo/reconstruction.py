@@ -70,6 +70,10 @@ class MeasurementPlan:
 
     def __post_init__(self):
         self.directions = tuple(self.directions)
+        for d in self.directions:
+            if not np.isfinite([d.theta, d.phi]).all():
+                raise ValueError(f"direction (theta, phi) = ({d.theta!r}, {d.phi!r}) "
+                                 "must be finite")
         if not self.times:
             if not isinstance(self.propagator, PropagatorSpec):
                 raise ValueError("default times require a PropagatorSpec")

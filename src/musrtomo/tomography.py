@@ -31,7 +31,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import PAULI, require_density_matrix
+from .linalg import PAULI, require_state
 
 SUPPORTED_SPINS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -248,16 +248,6 @@ def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
     rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
     r = rotation_matrix(j, direction)
     return np.einsum("ai,ab,bi->i", r.conj(), rho, r).real
-
-
-def require_state(rho: np.ndarray, dim: int, name: str) -> np.ndarray:
-    """One density matrix (not a stack) of dimension ``dim``, called ``name``."""
-    rho = require_density_matrix(rho)
-    if rho.ndim != 2:
-        raise ValueError(f"expected one density matrix, got a stack of shape {rho.shape}")
-    if rho.shape[0] != dim:
-        raise ValueError(f"density matrix dimension {rho.shape[0]} != {name} = {dim}")
-    return rho
 
 
 @lru_cache(maxsize=len(SUPPORTED_SPINS))

@@ -16,14 +16,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import SubsystemDims, kron, partial_trace, require_density_matrix
+from .linalg import (SubsystemDims, kron, partial_trace, require_density_matrix,
+                     require_state, require_unitary)
 from .tomography import (
     Direction,
     QuadratureGrid,
     clebsch_gordan,
     operator_from_symbol,
     operator_symbol_on_grid,
-    require_state,
     rotation_matrix,
     spin_projections,
     tomogram,
@@ -83,21 +83,12 @@ def cg_matrix(j_mu: float, j_e: float) -> np.ndarray:
     return u
 
 
-def _require_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-10 * max(1.0, u.shape[0]):
-        raise ValueError("matrix is not unitary within tolerance")
-    return u
-
-
 def individual_tomogram_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Diagonal of U rho U^dag in the product basis (joint probabilities)."""
-    rho = require_density_matrix(rho)
-    u = _require_unitary(u)
-    if u.shape != rho.shape:
-        raise ValueError(f"unitary shape {u.shape} != state shape {rho.shape}")
+    u = require_unitary(u)
+    if u.shape != np.shape(rho):
+        raise ValueError(f"unitary shape {u.shape} != state shape {np.shape(rho)}")
+    rho = require_state(rho, len(u), "unitary dimension")
     return np.einsum("ia,ab,ib->i", u, rho, u.conj()).real
 
 
@@ -127,7 +118,7 @@ def _coupled(rho: np.ndarray, j_mu: float, j_e: float,
     if u is not None:
         if np.shape(u) != v.shape:
             raise ValueError(f"unitary shape {np.shape(u)} != {v.shape}")
-        v = v @ _require_unitary(u)
+        v = v @ require_unitary(u)
     return v @ rho @ v.conj().T
 
 

@@ -147,24 +147,21 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_init_dimension_mismatch_is_config_error(self, tmp_path, capsys):
-        init = tmp_path / "rho0.json"
-        init.write_text(json.dumps({"real": (np.eye(4) / 4).tolist()}))
-        rc = main(["simulate", "--material", SPIN1, "--init", str(init),
-                   "--n-muons", "100", "--out", str(tmp_path / "sim")])
-        assert rc == 2
-        assert ("initial state dimension 4 does not match the propagator dimension 6"
-                in capsys.readouterr().err)
+    INIT_VERB_FLAGS = {"simulate": ["--n-muons", "100"],
+                       "evolve": ["--B", "0", "50", "--steps", "4"],
+                       "bell": ["--steps", "4"], "report": ["--steps", "4"]}
 
-    def test_evolve_init_mismatch_leaves_no_output_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", list(INIT_VERB_FLAGS))
+    def test_init_dimension_mismatch_is_config_error(self, tmp_path, capsys, verb):
+        # one message from every verb that takes --init, and no output
         init = tmp_path / "rho0.json"
         init.write_text(json.dumps({"real": (np.eye(4) / 4).tolist()}))
         out = tmp_path / "out"
-        rc = main(["evolve", "--material", SPIN1, "--init", str(init), "--B", "0", "50",
-                   "--steps", "4", "--out", str(out)])
+        rc = main([verb, "--material", SPIN1, "--init", str(init),
+                   *self.INIT_VERB_FLAGS[verb], "--out", str(out)])
         assert rc == 2
-        assert ("initial state dimension 4 does not match the evolution operator dimension 6"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == ("configuration error: density matrix "
+                                           "dimension 4 != propagator dimension = 6\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["bell", "report"])
@@ -406,6 +403,18 @@ class TestReconstruct:
                    str(meas_file), "--allow-deficient", "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert f"time {bad!r} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_non_finite_plan_direction_is_a_configuration_error(self, tmp_path, capsys):
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        plan = json.loads(plan_file.read_text())
+        plan["directions"][0] = [float("nan"), 0.0]
+        plan_file.write_text(json.dumps(plan))  # a NaN literal
+        rc = main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                   str(meas_file), "--allow-deficient", "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert "direction (theta, phi) = (nan, 0.0) must be finite" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
     def measured_with_sigmas(self, tmp_path):

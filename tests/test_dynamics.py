@@ -413,9 +413,20 @@ class TestEvolveDensity:
         with pytest.raises(ValueError):
             evolve_density(random_density_matrix(4, rng), np.diag([1, 1, 1, 0.5]))
 
+    def test_rejects_a_non_finite_unitary(self, rng):
+        # NaN fails every tolerance test, so it must be refused, not evolved
+        with pytest.raises(ValueError, match="finite"):
+            evolve_density(random_density_matrix(4, rng), np.full((4, 4), np.nan))
+
+    def test_rejects_one_non_finite_matrix_of_a_stack(self, rng):
+        stack = propagator_hyperfine(4.453, np.linspace(0.0, 2.0, 8))
+        stack[5, 1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            evolve_density(random_density_matrix(4, rng), stack)
+
     def test_dimension_mismatch_names_both(self, rng):
-        with pytest.raises(ValueError, match="initial state dimension 4 does not match "
-                                             "the evolution operator dimension 6"):
+        with pytest.raises(ValueError, match="density matrix dimension 4 != "
+                                             "propagator dimension = 6"):
             evolve_density(random_density_matrix(4, rng), np.eye(6))
 
     def test_reduced_tomogram_after_coupling(self, rng):
@@ -515,8 +526,8 @@ SPIN1_MATERIAL = material_from_dict({"name": "spin1", "family": "hyperfine",
 class TestPolarizationFunction:
     def test_dimension_mismatch_names_both(self):
         prop = PropagatorSpec(SPIN1_MATERIAL.hamiltonian_spec(b_field=0.0))
-        with pytest.raises(ValueError, match="initial state dimension 4 does not match "
-                                             "the propagator dimension 6"):
+        with pytest.raises(ValueError, match="density matrix dimension 4 != "
+                                             "propagator dimension = 6"):
             muon_polarization_function(initial_muonium_state(0.5), prop)
 
     def test_matches_direct_evolution(self, rng):

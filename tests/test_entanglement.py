@@ -226,6 +226,12 @@ class TestPositivityCoefficients:
         with pytest.raises(ValueError):
             positivity_coefficients(np.eye(3) / 3)
 
+    def test_rejects_a_non_finite_entry(self):
+        lam = np.eye(4) / 4
+        lam[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            positivity_coefficients(lam)
+
 
 class TestEntanglementMeasure:
     def test_free_muonium_law(self):

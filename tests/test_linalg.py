@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import musrtomo
 from conftest import propagator, random_density_matrix
 from musrtomo.dynamics import propagator_hyperfine
 from musrtomo.linalg import (
@@ -11,6 +15,7 @@ from musrtomo.linalg import (
     partial_trace,
     partial_transpose,
     require_density_matrix,
+    require_unitary,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -205,3 +210,40 @@ class TestDensityMatrixTolerances:
         else:
             with pytest.raises(ValueError, match="trace"):
                 self.checked(rho, stacked)
+
+
+class TestUnitaryTolerance:
+    """The check rejects |U U^dag - I|_F above 1e-10 d; pinned at 0.9 and 1.1
+    times the bound, for one matrix and for one slice of a stack."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    def test_defect_bound(self, stacked, d, factor, ok):
+        # U = sqrt(1 + e) I gives U U^dag - I = e I, of norm e sqrt(d)
+        u = np.sqrt(1 + factor * 1e-10 * np.sqrt(d)) * np.eye(d)
+        if stacked:
+            u = np.array([np.eye(d), u, np.eye(d)])
+        if ok:
+            assert require_unitary(u).shape == u.shape
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                require_unitary(u)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 4, 3)])
+    def test_rejects_a_non_square_shape(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            require_unitary(np.zeros(shape))
+
+
+def test_only_linalg_defines_input_checks():
+    """State, unitary and dimension checks live once, in linalg: no other
+    module of the package defines a require_* or _require_* function."""
+    package = Path(musrtomo.__file__).parent
+    others = [(path.name, node.name) for path in sorted(package.glob("*.py"))
+              if path.name != "linalg.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name.lstrip("_").startswith("require_")]
+    assert len(list(package.glob("*.py"))) > 1
+    assert others == []

@@ -104,6 +104,14 @@ class TestIndividualTomogramUnitary:
         with pytest.raises(ValueError):
             individual_tomogram_unitary(np.eye(4) / 4, np.diag([1.0, 1.0, 1.0, 0.5]))
 
+    def test_rejects_a_non_finite_unitary(self):
+        u = np.eye(4)
+        u[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            individual_tomogram_unitary(np.eye(4) / 4, u)
+        with pytest.raises(ValueError, match="finite"):
+            total_tomogram(np.eye(4) / 4, 0.5, 0.5, u)
+
     def test_rejects_non_square(self):
         # a 3x4 isometry passes u u^dag = I but is no unitary
         isometry = np.eye(4)[:3]
