@@ -54,14 +54,16 @@ class ConfigError(Exception):
     pass
 
 
-def _axis(name: str) -> Direction:
-    if name in AXES:
-        return AXES[name]
+def _axis(name) -> Direction:
+    """x|y|z, a 'vx,vy,vz' string or, in a plan, a [theta, phi] pair of numbers."""
+    if isinstance(name, list) and len(name) == 2 and {type(x) for x in name} <= {int, float}:
+        return Direction(*name)
     try:
-        parts = [float(x) for x in name.split(",")]
-        return Direction.from_vector(parts)
+        return AXES[name] if name in AXES else Direction.from_vector(
+            [float(x) for x in name.split(",")])
     except Exception as exc:
-        raise ConfigError(f"cannot parse axis {name!r}: use x|y|z or 'vx,vy,vz'") from exc
+        raise ConfigError(f"cannot parse axis {name!r}: use x|y|z or 'vx,vy,vz', "
+                          "or [theta, phi] in a plan") from exc
 
 
 def _load_init(path: str | None, j_e: float) -> np.ndarray:
@@ -214,8 +216,7 @@ def cmd_reconstruct(args) -> int:
     plan_data = json.loads(Path(args.plan).read_text())
     prop, _ = _propagator(plan_data["material"], plan_data.get("B", 0.0),
                           plan_data.get("B_axis", "z"), plan_data.get("aniso_axis"))
-    dirs = [Direction(*d) if isinstance(d, (list, tuple)) else _axis(d)
-            for d in plan_data.get("directions", ["x", "y", "z"])]
+    dirs = [_axis(d) for d in plan_data.get("directions", ["x", "y", "z"])]
     plan = MeasurementPlan(prop, directions=tuple(dirs),
                            times=tuple(plan_data["times_ns"]))
     design = build_design_matrix(plan)

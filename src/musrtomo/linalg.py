@@ -1,24 +1,21 @@
 """Dense complex-matrix primitives: the Pauli matrices and the two-qubit
 operator basis built from them, Kronecker products, partial trace and
 transpose over a bipartite split, Hermitian eigendecomposition, and the
-package's only input checks for states and unitaries.
+package's only input checks for states, unitaries and probability tables.
 
-All functions are pure and operate on plain ``numpy`` complex arrays. Matrices
+All functions are pure and operate on plain ``numpy`` arrays. Matrices
 stay small here (dimension <= ~16). The partial trace, the partial transpose
 and the checks also take a stack (..., d, d) of matrices, one per instant of
 a time trace, and act per matrix.
 
-Every other module validates states and unitaries with
-``require_density_matrix``, ``require_state`` and ``require_unitary`` instead
-of restating them. Each first requires finite entries, so NaN or infinity
-raises ``ValueError`` rather than passing a tolerance test.
+Every other module validates with ``require_density_matrix``,
+``require_state``, ``require_unitary`` and ``require_probabilities`` instead
+of restating them: a few numpy calls each, which reject NaN or infinity.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-HERMITIAN_RTOL = 1e-12
 
 # Pauli matrices (sigma_x, sigma_y, sigma_z), stacked along the first axis
 PAULI = np.array([
@@ -104,29 +101,24 @@ def partial_transpose(m: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     return r.swapaxes(-4, -2).reshape(m.shape)
 
 
-def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance; "
-                         "symmetrize (m + m^dag)/2 before calling")
-    return m
-
-
 def eig_hermitian(m: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a square matrix, Hermitian within 1e-12 max(|m|_F, 1).
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     eigenvector matrix ``v`` (columns are eigenvectors).
     """
-    return np.linalg.eigh(_require_hermitian(m))
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if np.linalg.norm(m - m.conj().T) > 1e-12 * max(np.linalg.norm(m), 1.0):
+        raise ValueError("matrix is not Hermitian within tolerance; "
+                         "symmetrize (m + m^dag)/2 before calling")
+    return np.linalg.eigh(m)
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
-    return np.einsum("...ij,...ij->...", m.conj(), m).real
+    return (m.conj() * m).real.sum(axis=(-2, -1))
 
 
 def require_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -136,16 +128,16 @@ def require_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = _as_stack(rho)
     if rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    # |defect|_F > 1e-10 max(|rho|_F, 1), on squared norms; the bound is at
-    # least 1e-10, so |rho|_F is needed only once a defect exceeds that
-    defects = _squared_norms(rho - rho.conj().swapaxes(-1, -2))
-    if (defects > 1e-20).any() and \
-            (defects > 1e-20 * np.maximum(_squared_norms(rho), 1.0)).any():
+    # errors within bounds of at least 1e-10 pass together while their squares
+    # sum to at most 1e-20, one np.vdot; only a larger sum is tested one by one
+    defect = rho - rho.conj().swapaxes(-1, -2)  # |defect|_F <= 1e-10 max(|rho|_F, 1)
+    if np.vdot(defect, defect).real > 1e-20 and \
+            (_squared_norms(defect) > 1e-20 * np.maximum(_squared_norms(rho), 1.0)).any():
         raise ValueError("density matrix is not Hermitian")
     traces = rho.diagonal(0, -2, -1).sum(-1)
-    errors = np.abs(traces - 1.0)
-    if (errors > 1e-10).any():
-        raise ValueError(f"density matrix trace {traces.flat[errors.argmax()]} != 1")
+    errors = traces - 1.0
+    if np.vdot(errors, errors).real > 1e-20 and (np.abs(errors) > 1e-10).any():
+        raise ValueError(f"density matrix trace {traces.flat[np.abs(errors).argmax()]} != 1")
     return rho
 
 
@@ -166,7 +158,20 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     if u.shape[-1] != u.shape[-2]:
         raise ValueError(f"unitary must be a square matrix, got shape {u.shape}")
     d = u.shape[-1]
-    defects = np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(d), axis=(-2, -1))
-    if np.any(defects > 1e-10 * d):
+    defects = _squared_norms(u @ u.conj().swapaxes(-1, -2) - np.eye(d))
+    if (defects > (1e-10 * d) ** 2).any():
         raise ValueError("evolution operator is not unitary")
     return u
+
+
+def require_probabilities(values, sum_axes, what: str) -> np.ndarray:
+    """Validate a table of probabilities, returned as floats: every value in
+    [-1e-12, 1 + 1e-12] (NaN fails) and every sum over ``sum_axes`` within
+    1e-10 of 1. ``what`` names the probabilities in the messages."""
+    values = np.asarray(values, dtype=float)
+    if not (values.min() >= -1e-12 and values.max() <= 1 + 1e-12):
+        raise ValueError(f"negative or missing {what}: tomogram values outside [0, 1]")
+    errors = values.sum(axis=sum_axes) - 1.0  # gated as in require_density_matrix
+    if np.vdot(errors, errors) > 1e-20 and np.abs(errors).max() > 1e-10:
+        raise ValueError(f"{what} must sum to 1 over axes {sum_axes}")
+    return values

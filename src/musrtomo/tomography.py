@@ -31,7 +31,7 @@ from math import lgamma
 
 import numpy as np
 
-from .linalg import PAULI, require_state
+from .linalg import PAULI, require_probabilities, require_state
 
 SUPPORTED_SPINS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -281,23 +281,18 @@ def quantizer(j: float, m: float, direction: Direction) -> np.ndarray:
 
 @dataclass
 class SpinTomogram:
-    """Tomogram sampled on a quadrature grid; values shape (2j+1, n_nodes)."""
+    """Tomogram on a grid: values (2j+1, n_nodes), checked by linalg.require_probabilities."""
 
     j: float
     grid: QuadratureGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         dim = int(round(2 * self.j)) + 1
-        if self.values.shape != (dim, self.grid.n_nodes):
-            raise ValueError(f"values shape {self.values.shape} != "
-                             f"({dim}, {self.grid.n_nodes})")
-        if not (self.values.min() >= -1e-12 and self.values.max() <= 1 + 1e-12):  # NaN fails
-            raise ValueError("tomogram values outside [0, 1]")
-        sums = self.values.sum(axis=0)
-        if np.abs(sums - 1.0).max() > 1e-10:
-            raise ValueError("tomogram columns must each sum to 1")
+        if values.shape != (dim, self.grid.n_nodes):
+            raise ValueError(f"values shape {values.shape} != ({dim}, {self.grid.n_nodes})")
+        self.values = require_probabilities(values, 0, "probabilities")
 
     @classmethod
     def from_state(cls, rho: np.ndarray, j: float,

@@ -17,13 +17,13 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import (SubsystemDims, kron, partial_trace, require_density_matrix,
-                     require_state, require_unitary)
+                     require_probabilities, require_state, require_unitary)
 from .tomography import (
     Direction,
     QuadratureGrid,
+    _grid_tables,
     clebsch_gordan,
     operator_from_symbol,
-    operator_symbol_on_grid,
     rotation_matrix,
     spin_projections,
     tomogram,
@@ -96,7 +96,7 @@ def individual_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
                         dir_mu: Direction, dir_e: Direction) -> np.ndarray:
     """Joint probabilities of muon projection along dir_mu and electron
     projection along dir_e, shape (2j_mu+1, 2j_e+1), projections descending."""
-    rho = require_density_matrix(rho)
+    rho = require_state(rho, TwoSpinBasis(j_mu, j_e).dim, "(2j_mu+1)(2j_e+1)")
     u = kron(rotation_matrix(j_mu, dir_mu), rotation_matrix(j_e, dir_e))
     diag = np.einsum("ai,ab,bi->i", u.conj(), rho, u).real
     return diag.reshape(int(round(2 * j_mu + 1)), int(round(2 * j_e + 1)))
@@ -199,7 +199,7 @@ class TwoSpinTomogram:
     """Individual two-spin tomogram on a product grid.
 
     ``values`` has shape (2j_mu+1, nodes_mu, 2j_e+1, nodes_e); the projection
-    axes are ordered descending.
+    axes are ordered descending; ``linalg.require_probabilities`` checks it.
     """
 
     j_mu: float
@@ -209,22 +209,19 @@ class TwoSpinTomogram:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         expect = (int(round(2 * self.j_mu + 1)), self.grid_mu.n_nodes,
                   int(round(2 * self.j_e + 1)), self.grid_e.n_nodes)
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape} != {expect}")
-        sums = self.values.sum(axis=(0, 2))
-        if np.abs(sums - 1.0).max() > 1e-10:
-            raise ValueError("joint probabilities must sum to 1 per direction pair")
-        if not self.values.min() >= -1e-12:  # NaN fails too
-            raise ValueError("negative or missing joint probabilities")
+        if values.shape != expect:
+            raise ValueError(f"values shape {values.shape} != {expect}")
+        self.values = require_probabilities(values, (0, 2), "joint probabilities")
 
     @classmethod
     def from_state(cls, rho: np.ndarray, j_mu: float, j_e: float,
                    grid_mu: QuadratureGrid | None = None,
                    grid_e: QuadratureGrid | None = None) -> "TwoSpinTomogram":
-        rho = require_state(rho, TwoSpinBasis(j_mu, j_e).dim, "(2j_mu+1)(2j_e+1)")
+        rho = require_state(rho, int(round(2 * j_mu + 1)) * int(round(2 * j_e + 1)),
+                            "(2j_mu+1)(2j_e+1)")
         grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
         grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
         return cls(j_mu, j_e, grid_mu, grid_e,
@@ -235,28 +232,30 @@ def individual_tomogram_on_grid(rho: np.ndarray, j_mu: float, j_e: float,
                                 grid_mu: QuadratureGrid, grid_e: QuadratureGrid) -> np.ndarray:
     """Individual tomogram of a state or a stack (..., D, D) of states, only
     shape-checked here, on all node pairs: shape (..., 2j_mu+1, n_mu, 2j_e+1, n_e).
-    The muon symbol of each electron matrix element, then the electron's."""
+    (T_mu^T X) T_e with X[(a, b), (c, d)] = rho[(a, c), (b, d)] and the symbol
+    tables T of ``_grid_tables``: muon symbols first, then the electron's."""
     d_mu, d_e = int(round(2 * j_mu + 1)), int(round(2 * j_e + 1))
     rho = np.asarray(rho)
     if rho.shape[-2:] != (d_mu * d_e,) * 2:
         raise ValueError(f"state shape {rho.shape} does not end in (D, D), "
                          f"D = (2j_mu+1)(2j_e+1) = {d_mu * d_e}")
-    rho_t = rho.reshape(-1, d_mu, d_e, d_mu, d_e)                       # (s, a, c, b, d)
-    per_mu = operator_symbol_on_grid(rho_t.transpose(0, 2, 4, 1, 3), j_mu, grid_mu)
-    values = operator_symbol_on_grid(per_mu.transpose(0, 3, 4, 1, 2), j_e, grid_e)
-    return values.reshape(rho.shape[:-2] + values.shape[1:]).real        # (..., m, i, e, k)
+    x = rho.reshape(-1, d_mu, d_e, d_mu, d_e).transpose(0, 1, 3, 2, 4).reshape(
+        -1, d_mu * d_mu, d_e * d_e)
+    values = _grid_tables(j_mu, grid_mu)[0].T @ x @ _grid_tables(j_e, grid_e)[0]
+    return values.reshape(rho.shape[:-2] + (d_mu, grid_mu.n_nodes, d_e, grid_e.n_nodes)).real
 
 
 def reconstruct_two_spin(w: TwoSpinTomogram) -> np.ndarray:
     """Density matrix from the individual tomogram by double sphere quadrature
-    against the product quantizers, electron first."""
+    against the product quantizers, electron first: X = Q_mu^T (V Q_e), as in
+    ``individual_tomogram_on_grid``, with V the values and Q quantizer tables."""
     for grid, j in ((w.grid_mu, w.j_mu), (w.grid_e, w.j_e)):
         if grid.degree < int(round(4 * j)):
             raise ValueError("grid degree insufficient for reconstruction")
-    per_mu = operator_from_symbol(w.values, w.j_e, w.grid_e)          # (m, i, c, d)
-    rho_t = operator_from_symbol(per_mu.transpose(2, 3, 0, 1), w.j_mu, w.grid_mu)  # (c, d, a, b)
-    dim = w.values.shape[0] * w.values.shape[2]
-    return rho_t.transpose(2, 0, 3, 1).reshape(dim, dim)
+    d_mu, n_mu, d_e, n_e = w.values.shape
+    x = _grid_tables(w.j_mu, w.grid_mu)[1].T @ (
+        w.values.reshape(d_mu * n_mu, d_e * n_e) @ _grid_tables(w.j_e, w.grid_e)[1])
+    return x.reshape(d_mu, d_mu, d_e, d_e).transpose(0, 2, 1, 3).reshape(d_mu * d_e, d_mu * d_e)
 
 
 def total_from_individual(w: TwoSpinTomogram, u: np.ndarray) -> np.ndarray:

@@ -417,6 +417,20 @@ class TestReconstruct:
         assert "direction (theta, phi) = (nan, 0.0) must be finite" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("entry", [[1.0], ["a", 0.0], [1, 2, 3]])
+    def test_malformed_plan_direction_is_a_configuration_error(self, tmp_path, capsys, entry):
+        # neither an axis name nor a [theta, phi] pair of numbers
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        plan = json.loads(plan_file.read_text())
+        plan["directions"][1] = entry
+        plan_file.write_text(json.dumps(plan))
+        rc = main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                   str(meas_file), "--allow-deficient", "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert f"cannot parse axis {entry!r}" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def measured_with_sigmas(self, tmp_path):
         # every plan row carries a sigma, of a different size each
         plan_file, meas_file = self.write_inputs(

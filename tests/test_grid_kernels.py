@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density_matrix, random_direction
-from musrtomo import tomography, twospin
+from musrtomo import linalg, tomography, twospin
 from musrtomo.dynamics import HamiltonianSpec, PropagatorSpec, evolve_density, evolve_tomogram
 from musrtomo.entanglement import _kernel_tensor
 from musrtomo.tomography import (
@@ -355,3 +355,33 @@ def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):
     assert [cache.cache_info().misses for cache in caches] == built
     tomography.quantizer(0.5, 0.5, Z_AXIS)  # the counters do count
     assert calls == {"quantizer": 1, "rotation_matrix": 1}
+
+
+def test_two_spin_round_trips_check_each_input_once(monkeypatch, rng):
+    """After one warm-up, a 1/2 x 1/2 and a 1/2 x 1 round trip each check the
+    state once (require_density_matrix) and the tomogram once
+    (require_probabilities), and build no rotation stack and no symbol or
+    quantizer table."""
+    checks = ("require_density_matrix", "require_probabilities")
+    calls = Counter()
+    for module in (linalg, tomography, twospin):
+        for name in checks:
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def wrapper(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+    states = {j_e: random_density_matrix(2 * int(2 * j_e + 1), rng) for j_e in (0.5, 1.0)}
+    for j_e, rho in states.items():
+        reconstruct_two_spin(TwoSpinTomogram.from_state(rho, 0.5, j_e))
+    caches = (tomography.rotations, tomography._grid_tables)
+    for j_e, rho in states.items():
+        calls.clear()
+        built = [cache.cache_info().misses for cache in caches]
+        out = reconstruct_two_spin(TwoSpinTomogram.from_state(rho, 0.5, j_e))
+        assert calls == {name: 1 for name in checks}
+        assert [cache.cache_info().misses for cache in caches] == built
+        assert np.abs(out - rho).max() <= 1e-12

@@ -247,3 +247,20 @@ def test_only_linalg_defines_input_checks():
               and node.name.lstrip("_").startswith("require_")]
     assert len(list(package.glob("*.py"))) > 1
     assert others == []
+
+
+def test_probability_rules_live_in_linalg():
+    """No __post_init__ in tomography.py or twospin.py compares against a
+    float literal: the bounds of a probability table live once, in
+    linalg.require_probabilities."""
+    package = Path(musrtomo.__file__).parent
+    inits, literals = 0, []
+    for name in ("tomography.py", "twospin.py"):
+        for fn in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                inits += 1
+                literals += [(name, node.lineno) for cmp in ast.walk(fn)
+                             if isinstance(cmp, ast.Compare) for node in ast.walk(cmp)
+                             if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert inits >= 2
+    assert literals == []

@@ -165,6 +165,17 @@ class TestIndividualTomogram:
         assert abs(w[0, 1] - 0.5) < 1e-13 and abs(w[1, 0] - 0.5) < 1e-13
 
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"expected one density matrix, got a stack "
+                                             r"of shape \(2, 4, 4\)"):
+            individual_tomogram(np.stack([np.eye(4) / 4] * 2), 0.5, 0.5, Z_AXIS, Z_AXIS)
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match=r"density matrix dimension 6 != "
+                                             r"\(2j_mu\+1\)\(2j_e\+1\) = 4"):
+            individual_tomogram(np.eye(6) / 6, 0.5, 0.5, Z_AXIS, Z_AXIS)
+
+
 class TestReducedTomogram:
     def test_fresh_muonium(self, rng):
         rho0 = initial_muonium_state()
