@@ -6,9 +6,9 @@ estimation), reconstruct (initial state from a measurement file), bell
 (Bell-number maximization along an evolution), report (entanglement report
 time series); simulate, bell and report take one --B value.
 
-Outputs are plot-ready long-format CSV plus JSON manifests; no plotting
-dependency. Exit codes: 0 ok, 2 configuration error (usage errors
-included), 3 numeric failure.
+Every output file format is decided here: plot-ready long-format CSV plus
+JSON manifests, no plotting dependency. Exit codes: 0 ok, 2 configuration
+error (usage errors included), 3 numeric failure.
 """
 
 import argparse
@@ -31,17 +31,17 @@ from .entanglement import entanglement_series, negativity
 from .linalg import PAULI, SubsystemDims, partial_trace, require_density_matrix
 from .materials import available_presets, load_material
 from .musr import (
+    AxisEstimate,
     DecayModel,
     DetectorGeometry,
-    ESTIMATE_SCHEMA,
+    HistogramSeries,
     decay_bin_integrals,
-    estimate_cells,
     estimate_tomogram,
     simulate_events,
 )
 from .reconstruction import (MeasurementPlan, build_design_matrix, reconstruct_initial,
                              time_generic_rank)
-from .tomography import AXES, Direction, csv_text, float_cells
+from .tomography import AXES, Direction
 
 DEFAULT_SWEEPS = {
     "quartz": [0.0, 790.0, 1580.0, 3160.0],
@@ -114,9 +114,56 @@ def _muon_bloch(rho: np.ndarray, j_e: float) -> np.ndarray:
     return np.einsum("...ab,kba->...k", rho_mu, PAULI).real
 
 
+def _float_cells(values, repeat: int = 1) -> list:
+    """CSV cells of a float column: the repr of each value (flattened),
+    formatted once and written ``repeat`` times in a row."""
+    cells = list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    return cells if repeat == 1 else [cell for cell in cells for _ in range(repeat)]
+
+
+def _csv_text(schema: str, columns: dict) -> str:
+    """A '# schema:' line, then the header (the names of ``columns``) and one
+    row per index of its equal-length columns of cell strings, as ``csv.writer``
+    lays them out (cells joined by ',', rows ended by CRLF); no cell may need
+    quoting. Columns of unequal length raise ValueError."""
+    rows = map(",".join, zip(*columns.values(), strict=True))
+    return f"# schema: {schema}\n" + "\r\n".join([",".join(columns), *rows]) + "\r\n"
+
+
+def _histograms_csv(hist: HistogramSeries, geometry: DetectorGeometry) -> str:
+    """histograms.csv: rows run over (detector, bin); the bin edges are
+    formatted once."""
+    axes, n_bins = [det.axis for det in geometry.detectors], hist.counts.shape[1]
+    edges, n_dets = _float_cells(hist.bin_edges), len(axes)
+    return _csv_text("musrtomo/histograms/v1", {
+        "detector_id": [d for d in map(str, range(n_dets)) for _ in range(n_bins)],
+        "axis_theta": _float_cells([axis.theta for axis in axes], n_bins),
+        "axis_phi": _float_cells([axis.phi for axis in axes], n_bins),
+        "bin_start_ns": edges[:-1] * n_dets, "bin_end_ns": edges[1:] * n_dets,
+        "counts": list(map(str, hist.counts.ravel().tolist()))})
+
+
+def _estimate_cells(estimates: list[AxisEstimate]) -> dict:
+    """The columns of tomogram_estimate.csv as cell strings by header name."""
+    columns = {name: [] for name in ("axis_theta", "axis_phi", "t_ns", "w_plus", "sigma",
+                                     "pair_counts", "low_confidence")}
+    times, time_cells = None, None  # estimate_tomogram gives every axis one times array
+    for est in estimates:
+        if est.times is not times:
+            times, time_cells = est.times, _float_cells(est.times)
+        for column, cells in zip(columns.values(), (
+                _float_cells(est.axis.theta, len(est.times)),
+                _float_cells(est.axis.phi, len(est.times)),
+                time_cells,
+                *map(_float_cells, (est.w_plus, est.sigma, est.pair_counts)),
+                list(map(str, np.asarray(est.low_confidence, dtype=int).tolist())))):
+            column += cells
+    return columns
+
+
 def _records_json(columns: dict) -> str:
     """json.dumps(records, indent=2) of one record per row of the equal-length
-    ``columns`` of cell strings (``float_cells``), keyed by the column names in
+    ``columns`` of cell strings (``_float_cells``), keyed by the column names in
     their order; a column of cell pairs gives each record a two-element list.
     No name and no finite repr holds 'nan' or 'inf', so the text takes JSON's
     NaN and Infinity in one pass. Columns of unequal length raise ValueError."""
@@ -155,12 +202,12 @@ def cmd_evolve(args) -> int:
         w = np.clip(0.5 + 0.5 * _muon_bloch(rho, j_e) @ axes.T, 0.0, 1.0)
         n_axes = w.shape[1]
         extra = {"E": e_val, "negativity": neg, **({"max_bell": mb} if args.bell else {})}
-        columns = {"t_ns": float_cells(times, n_axes), "axis": list(AXES) * len(times),
-                   "w_reduced": float_cells(w),
-                   **{name: [""] * w.size if values is None else float_cells(values, n_axes)
+        columns = {"t_ns": _float_cells(times, n_axes), "axis": list(AXES) * len(times),
+                   "w_reduced": _float_cells(w),
+                   **{name: [""] * w.size if values is None else _float_cells(values, n_axes)
                       for name, values in extra.items()}}
         fname = out_dir / f"evolve_{Path(args.material).stem}_B{b_field:g}.csv"
-        fname.write_text(csv_text("musrtomo/evolve-trace/v1", columns))
+        fname.write_text(_csv_text("musrtomo/evolve-trace/v1", columns))
         manifest["files"].append(fname.name)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"wrote {len(manifest['files'])} trace(s) to {out_dir}")
@@ -182,14 +229,18 @@ def cmd_simulate(args) -> int:
                            bin_edges, background_fraction=args.background)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "histograms.csv").write_text(hist.to_csv(geometry))
-    (out_dir / "histograms.meta.json").write_text(hist.metadata_json(model, args.seed))
+    (out_dir / "histograms.csv").write_text(_histograms_csv(hist, geometry))
+    (out_dir / "histograms.meta.json").write_text(json.dumps({
+        "n_muons": int(hist.n_muons), "seed": args.seed,
+        "background_fraction": hist.background_fraction, "asymmetry": model.asymmetry,
+        "lifetime_ns": model.lifetime_ns, "species": model.species}, indent=2))
     try:
         estimates = estimate_tomogram(hist, geometry, model)
     except ValueError as exc:
         raise ConfigError(f"{exc}; wrote {out_dir / 'histograms.csv'}") from exc
-    cells = estimate_cells(estimates)
-    (out_dir / "tomogram_estimate.csv").write_text(csv_text(ESTIMATE_SCHEMA, cells))
+    cells = _estimate_cells(estimates)
+    (out_dir / "tomogram_estimate.csv").write_text(
+        _csv_text("musrtomo/tomogram-estimate/v1", cells))
 
     # truth comparison: the exact decay-weighted mean polarization of every
     # bin that any axis keeps, Q_b / m_b in closed form; one record per
@@ -206,7 +257,7 @@ def cmd_simulate(args) -> int:
         "axis_theta", "axis_phi", "t_ns", "w_plus", "sigma"))
     (out_dir / "comparison.json").write_text(_records_json({
         "axis": list(zip(theta, phi)), "t_ns": t_ns, "w_estimate": w_est,
-        "w_truth": float_cells(truth), "sigma": sigma, "deviation_sigmas": float_cells(dev)}))
+        "w_truth": _float_cells(truth), "sigma": sigma, "deviation_sigmas": _float_cells(dev)}))
     within = np.count_nonzero(np.abs(dev) <= 3)
     print(f"simulated {args.n_muons} muons; {within}/{len(dev)} bins within 3 sigma")
     return 0
@@ -234,7 +285,14 @@ def cmd_reconstruct(args) -> int:
         return 2
     result = reconstruct_initial(values, plan, sigmas=sigmas,
                                  allow_deficient=args.allow_deficient, design=design)
-    Path(args.out).write_text(result.to_json(plan, time_generic_rank=generic))
+    Path(args.out).write_text(json.dumps({
+        "rank": result.rank, "condition_number": result.condition_number,
+        "residual_norm": result.residual_norm, "clipped": result.clipped,
+        "rho0_real": result.rho0.real.tolist(), "rho0_imag": result.rho0.imag.tolist(),
+        "null_space_dimension": len(result.null_space), "null_space": result.null_space.tolist(),
+        "plan": {"directions": [[d.theta, d.phi] for d in plan.directions],
+                 "times_ns": list(plan.times)},
+        "time_generic_rank": generic}, indent=2))
     print(f"wrote reconstruction report to {args.out} "
           f"(rank {result.rank}, residual {result.residual_norm:.3e})")
     return 0
@@ -279,9 +337,9 @@ def _two_qubit_series(args, what: str, include_max_bell: bool = True):
 
 def cmd_bell(args) -> int:
     times, series = _two_qubit_series(args, "bell maximization")
-    Path(args.out).write_text(csv_text("musrtomo/bell-trace/v1", {
-        "t_ns": float_cells(times),
-        **{name: float_cells(series[name]) for name in ("max_bell", "E", "negativity")}}))
+    Path(args.out).write_text(_csv_text("musrtomo/bell-trace/v1", {
+        "t_ns": _float_cells(times),
+        **{name: _float_cells(series[name]) for name in ("max_bell", "E", "negativity")}}))
     print(f"wrote bell trace to {args.out}")
     return 0
 
@@ -291,7 +349,7 @@ def cmd_report(args) -> int:
                                       include_max_bell=not args.no_bell)
     # one record per instant: t, then the series' keys in their order
     Path(args.out).write_text(_records_json({
-        "t": float_cells(times), **{name: float_cells(v) for name, v in series.items()}}))
+        "t": _float_cells(times), **{name: _float_cells(v) for name, v in series.items()}}))
     print(f"wrote {len(times)} entanglement reports to {args.out}")
     return 0
 

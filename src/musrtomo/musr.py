@@ -8,6 +8,7 @@ forward Monte Carlo (exponential lifetimes, anisotropic emission, cone
 detectors, flat background; drawn in count space from the exact law of the
 cells) and the inverse estimator that turns per-detector
 histograms back into a time-resolved muon tomogram with statistical errors.
+It writes no files: the histogram and estimate CSV formats live in ``cli``.
 
 Counting conventions: histograms are raw positron counts per detector per
 time bin; the estimator works on opposing detector pairs sharing an axis,
@@ -16,16 +17,16 @@ binomial errors through the count ratio.
 """
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .tomography import Direction, csv_text, float_cells
+from .tomography import Direction
 
 MUON_LIFETIME_NS = 2197.0
+SPECIES = ("mu_plus", "mu_minus")
 
 # bins per slice of the cell draw of simulate_events: its (regions, bins)
 # cell probabilities stay a few MB whatever the bin count
@@ -45,7 +46,7 @@ class DecayModel:
             raise ValueError("asymmetry must lie in [1/3, 1]")
         if not 0 < self.lifetime_ns < np.inf:
             raise ValueError("lifetime must be positive and finite")
-        if self.species not in ("mu_plus", "mu_minus"):
+        if self.species not in SPECIES:
             raise ValueError("species must be 'mu_plus' or 'mu_minus'")
 
     @property
@@ -234,6 +235,20 @@ def _region_table(cones):
     return out
 
 
+def _binning(bin_edges, background_fraction: float) -> np.ndarray:
+    """The bin edges as floats, after checking them (a finite, strictly
+    increasing 1-d array of at least 2 values) and the background fraction
+    (in [0, 1), NaN failing)."""
+    if not 0 <= background_fraction < 1:
+        raise ValueError("background fraction must lie in [0, 1)")
+    edges = np.asarray(bin_edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all():
+        raise ValueError("bin edges must be a finite 1-d array of at least 2 values")
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be strictly increasing")
+    return edges
+
+
 @dataclass
 class HistogramSeries:
     """Per-detector positron counts on a common time binning."""
@@ -244,10 +259,8 @@ class HistogramSeries:
     background_fraction: float
 
     def __post_init__(self):
-        self.bin_edges = np.asarray(self.bin_edges, dtype=float)
+        self.bin_edges = _binning(self.bin_edges, self.background_fraction)
         counts = np.asarray(self.counts)
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
         if counts.ndim != 2 or counts.shape[1] != len(self.bin_edges) - 1:
             raise ValueError("counts shape does not match bin edges")
         if np.any(counts < 0):
@@ -261,31 +274,13 @@ class HistogramSeries:
     def bin_centers(self) -> np.ndarray:
         return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2
 
-    def to_csv(self, geometry: DetectorGeometry) -> str:
-        # rows run over (detector, bin); the bin edges are formatted once
-        axes, n_bins = [det.axis for det in geometry.detectors], self.counts.shape[1]
-        edges, n_dets = float_cells(self.bin_edges), len(axes)
-        return csv_text("musrtomo/histograms/v1", {
-            "detector_id": [d for d in map(str, range(n_dets)) for _ in range(n_bins)],
-            "axis_theta": float_cells([axis.theta for axis in axes], n_bins),
-            "axis_phi": float_cells([axis.phi for axis in axes], n_bins),
-            "bin_start_ns": edges[:-1] * n_dets, "bin_end_ns": edges[1:] * n_dets,
-            "counts": list(map(str, self.counts.ravel().tolist()))})
-
-    def metadata_json(self, model: DecayModel, seed) -> str:
-        meta = {"n_muons": int(self.n_muons), "seed": seed,
-                "background_fraction": self.background_fraction,
-                "asymmetry": model.asymmetry, "lifetime_ns": model.lifetime_ns,
-                "species": model.species}
-        return json.dumps(meta, indent=2)
-
 
 def gamma_distribution(polarization, direction: Direction, asymmetry: float) -> float:
     """Angular emission density Gamma(n) = 1 + a (P . n), normalized so that
     its average over the sphere is 1."""
     p = np.asarray(polarization, dtype=float)
-    if np.linalg.norm(p) > 1 + 1e-12:
-        raise ValueError("polarization must have norm <= 1")
+    if not np.linalg.norm(p) <= 1 + 1e-12:  # NaN fails
+        raise ValueError("polarization must be finite with norm <= 1")
     return float(1.0 + asymmetry * np.dot(p, direction.vector))
 
 
@@ -299,6 +294,8 @@ def histogram_to_tomogram(gamma_value, asymmetry: float,
     """
     if asymmetry <= 0:
         raise ValueError("asymmetry must be positive")
+    if species not in SPECIES:
+        raise ValueError(f"species must be 'mu_plus' or 'mu_minus', got {species!r}")
     w_plus = 0.5 + (gamma_value - 1.0) / (2 * asymmetry)
     w_minus = 1.0 - w_plus
     if species == "mu_minus":
@@ -428,13 +425,7 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     """
     if n_muons < 1:
         raise ValueError("need at least one muon")
-    if not 0 <= background_fraction < 1:
-        raise ValueError("background fraction must lie in [0, 1)")
-    bin_edges = np.asarray(bin_edges, dtype=float)
-    if bin_edges.ndim != 1 or len(bin_edges) < 2 or not np.isfinite(bin_edges).all():
-        raise ValueError("bin edges must be a finite 1-d array of at least 2 values")
-    if np.any(np.diff(bin_edges) <= 0):
-        raise ValueError("bin edges must be strictly increasing")
+    bin_edges = _binning(bin_edges, background_fraction)
     mass, q = decay_bin_integrals(polarization_of_t, bin_edges, model.lifetime_ns)
     if not np.all(np.linalg.norm(q, axis=1) <= (1 + 1e-12) * mass):
         raise ValueError("the polarization source has a bin mean of norm above 1 "
@@ -532,24 +523,3 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
         out.append(AxisEstimate(axis=det.axis, times=centers, w_plus=w, sigma=sig,
                                 pair_counts=total, low_confidence=~ok))
     return out
-
-
-ESTIMATE_SCHEMA = "musrtomo/tomogram-estimate/v1"
-
-
-def estimate_cells(estimates: list[AxisEstimate]) -> dict:
-    """The columns of the tomogram-estimate CSV as cell strings by header name."""
-    columns = {name: [] for name in ("axis_theta", "axis_phi", "t_ns", "w_plus", "sigma",
-                                     "pair_counts", "low_confidence")}
-    times, time_cells = None, None  # estimate_tomogram gives every axis one times array
-    for est in estimates:
-        if est.times is not times:
-            times, time_cells = est.times, float_cells(est.times)
-        for column, cells in zip(columns.values(), (
-                float_cells(est.axis.theta, len(est.times)),
-                float_cells(est.axis.phi, len(est.times)),
-                time_cells,
-                *map(float_cells, (est.w_plus, est.sigma, est.pair_counts)),
-                list(map(str, np.asarray(est.low_confidence, dtype=int).tolist())))):
-            column += cells
-    return columns

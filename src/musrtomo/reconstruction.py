@@ -18,7 +18,6 @@ Bloch vectors are coplanar, and at most two of the three conserved
 makes such deficiencies explicit instead of guessing a closed-form criterion.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,21 +169,6 @@ class ReconstructionResult:
     clipped: bool
     null_space: np.ndarray
 
-    def to_json(self, plan: MeasurementPlan, time_generic_rank: int) -> str:
-        return json.dumps({
-            "rank": self.rank,
-            "condition_number": self.condition_number,
-            "residual_norm": self.residual_norm,
-            "clipped": self.clipped,
-            "rho0_real": np.real(self.rho0).tolist(),
-            "rho0_imag": np.imag(self.rho0).tolist(),
-            "null_space_dimension": int(self.null_space.shape[0]),
-            "null_space": self.null_space.tolist(),
-            "plan": {"directions": [[d.theta, d.phi] for d in plan.directions],
-                     "times_ns": list(plan.times)},
-            "time_generic_rank": time_generic_rank,
-        }, indent=2)
-
 
 def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,
                         allow_deficient: bool = False,
@@ -205,6 +189,8 @@ def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,
         design = build_design_matrix(plan)
     if values.shape != (design.matrix.shape[0],):
         raise ValueError(f"expected {design.matrix.shape[0]} measurement values")
+    if not np.isfinite(values).all():
+        raise ValueError("measurement values must be finite")
     if design.rank < 15 and not allow_deficient:
         raise ValueError(f"plan is rank deficient (rank {design.rank} < 15); "
                          "pass allow_deficient=True for a minimum-norm solution")
@@ -212,8 +198,8 @@ def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,
         weights = np.ones_like(values)
     else:
         sigmas = np.asarray(sigmas, dtype=float)
-        if np.any(sigmas <= 0):
-            raise ValueError("sigmas must be positive")
+        if not np.all((sigmas > 0) & (sigmas < np.inf)):  # NaN fails
+            raise ValueError("sigmas must be positive and finite")
         weights = 1.0 / sigmas
     a = design.matrix * weights[:, None]
     b = (values - 0.5) * weights

@@ -10,8 +10,7 @@ module provides
 - the forward map state -> tomogram and the quantizer operators that invert
   it by quadrature over the sphere; on a grid each is one matrix product
   against a cached, read-only symbol or quantizer table per spin and grid,
-- the three-direction inverse for qubits (dual-basis formula),
-- the column-wise CSV writer of the command-line outputs.
+- the three-direction inverse for qubits (dual-basis formula).
 
 Conventions
 -----------
@@ -300,22 +299,6 @@ class SpinTomogram:
         rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
         grid = grid if grid is not None else QuadratureGrid.for_spin(j)
         return cls(j, grid, operator_symbol_on_grid(rho, j, grid).real)
-
-
-def float_cells(values, repeat: int = 1) -> list:
-    """CSV cells of a float column: the repr of each value (flattened),
-    formatted once and written ``repeat`` times in a row."""
-    cells = list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
-    return cells if repeat == 1 else [cell for cell in cells for _ in range(repeat)]
-
-
-def csv_text(schema: str, columns: dict) -> str:
-    """A '# schema:' line, then the header (the names of ``columns``) and one
-    row per index of its equal-length columns of cell strings, as ``csv.writer``
-    lays them out (cells joined by ',', rows ended by CRLF); no cell may need
-    quoting. Columns of unequal length raise ValueError."""
-    rows = map(",".join, zip(*columns.values(), strict=True))
-    return f"# schema: {schema}\n" + "\r\n".join([",".join(columns), *rows]) + "\r\n"
 
 
 def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:

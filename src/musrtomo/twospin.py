@@ -16,8 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import (SubsystemDims, kron, partial_trace, require_density_matrix,
-                     require_probabilities, require_state, require_unitary)
+from .linalg import (SubsystemDims, kron, partial_trace, require_probabilities,
+                     require_state, require_unitary)
 from .tomography import (
     Direction,
     QuadratureGrid,
@@ -26,7 +26,6 @@ from .tomography import (
     operator_from_symbol,
     rotation_matrix,
     spin_projections,
-    tomogram,
 )
 
 
@@ -106,8 +105,11 @@ def reduced_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
                      dir_mu: Direction) -> np.ndarray:
     """Muon marginal of the individual tomogram: the single-spin tomogram of
     Tr_e[rho]. Independent of any electron direction (non-signalling)."""
-    rho = require_density_matrix(rho)
-    return tomogram(partial_trace(rho, TwoSpinBasis(j_mu, j_e).dims, keep="a"), j_mu, dir_mu)
+    basis = TwoSpinBasis(j_mu, j_e)
+    rho_mu = partial_trace(require_state(rho, basis.dim, "(2j_mu+1)(2j_e+1)"), basis.dims,
+                           keep="a")
+    r = rotation_matrix(j_mu, dir_mu)
+    return np.einsum("ai,ab,bi->i", r.conj(), rho_mu, r).real
 
 
 def _coupled(rho: np.ndarray, j_mu: float, j_e: float,

@@ -350,6 +350,44 @@ class TestReconstruct:
         rho = np.array(rep["rho0_real"]) + 1j * np.array(rep["rho0_imag"])
         assert np.abs(rho - initial_muonium_state()).max() < 1e-6
 
+    def test_report_json(self, tmp_path):
+        times = [10.0, 25.0, 47.0, 90.0, 130.0]
+        plan_file, meas_file = self.write_inputs(tmp_path, times)
+        out = tmp_path / "rep.json"
+        assert main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                     str(meas_file), "--allow-deficient", "--out", str(out)]) == 0
+        text = out.read_text()
+        rep = json.loads(text)
+        assert json.dumps(rep, indent=2) == text
+        assert list(rep) == ["rank", "condition_number", "residual_norm", "clipped",
+                             "rho0_real", "rho0_imag", "null_space_dimension", "null_space",
+                             "plan", "time_generic_rank"]
+        assert rep["null_space_dimension"] == len(rep["null_space"]) == 2
+        assert all(len(row) == 15 for row in rep["null_space"])
+        assert rep["clipped"] is False
+        assert rep["plan"] == {"directions": [[d.theta, d.phi] for d in (X_AXIS, Y_AXIS, Z_AXIS)],
+                               "times_ns": times}
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("sigma", "inf", "sigmas must be positive and finite"),
+        ("sigma", "-inf", "sigmas must be positive and finite"),
+        ("w_plus", "inf", "measurement values must be finite")])
+    def test_infinite_measurement_is_a_configuration_error(self, tmp_path, capsys,
+                                                           column, cell, message):
+        plan_file, meas_file = self.write_inputs(
+            tmp_path, [10.0, 25.0, 47.0, 90.0, 130.0])
+        header, *rows = [line.split(",") for line in meas_file.read_text().splitlines()]
+        for row in rows:
+            row[4] = "0.01"
+        rows[3][header.index(column)] = cell
+        meas_file.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+        rc = main(["reconstruct", "--plan", str(plan_file), "--measurements",
+                   str(meas_file), "--allow-deficient", "--out", str(tmp_path / "rep.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"configuration error: {message}\n"
+        assert not (tmp_path / "rep.json").exists()
+
     def test_report_ends_with_the_time_generic_rank(self, tmp_path, capsys):
         # rank 13 is all that any times give the 10a configuration
         plan_file, meas_file = self.write_inputs(

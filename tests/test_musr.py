@@ -6,24 +6,23 @@ import numpy as np
 import pytest
 
 from conftest import decay_weighted_gl, random_direction
+from musrtomo.cli import _csv_text, _estimate_cells, _histograms_csv, main
 from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
 from musrtomo.materials import load_material
 from musrtomo.musr import (
     AxisEstimate,
     DecayModel,
-    ESTIMATE_SCHEMA,
     Detector,
     DetectorGeometry,
     HistogramSeries,
     decay_bin_integrals,
-    estimate_cells,
     estimate_tomogram,
     gamma_distribution,
     _as_polarization,
     histogram_to_tomogram,
     simulate_events,
 )
-from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS, csv_text
+from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 # muons per block of the event oracle; each block draws from its own stream
 BLOCK_MUONS = 200_000
@@ -48,6 +47,13 @@ def turning(ts):
     ts = np.atleast_1d(ts)
     return np.stack([0.4 * np.cos(ts / 500), -0.4 * np.sin(ts / 500),
                      0.8 * np.cos(ts / 300)], axis=1)
+
+
+# bin edges that simulate_events and HistogramSeries both reject
+BAD_EDGES = {
+    "scalar": 5000.0, "2-d": [[0.0, 1000.0], [2000.0, 3000.0]], "empty": [], "one-edge": [1000.0],
+    "nan": [0.0, np.nan, 2000.0], "-inf": [-np.inf, 0.0, 1000.0], "inf": [0.0, 1000.0, np.inf],
+    "repeated": [0.0, 1000.0, 1000.0, 2000.0], "decreasing": [0.0, 2000.0, 1000.0]}
 
 
 def hemisphere_pair():
@@ -288,6 +294,11 @@ class TestGammaDistribution:
         with pytest.raises(ValueError):
             gamma_distribution([0, 0, 1.5], Z_AXIS, 1 / 3)
 
+    @pytest.mark.parametrize("p", [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]])
+    def test_non_finite_polarization_rejected(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_distribution(p, Z_AXIS, 1 / 3)
+
 
 class TestHistogramToTomogram:
     def test_forward_peak(self):
@@ -317,6 +328,11 @@ class TestHistogramToTomogram:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             histogram_to_tomogram(2.0, 1 / 3)
+
+    @pytest.mark.parametrize("species", ["mu-", "mu_plus ", ""])
+    def test_unknown_species_rejected(self, species):
+        with pytest.raises(ValueError, match="species must be"):
+            histogram_to_tomogram(1.2, 1 / 3, species)
 
     @pytest.mark.parametrize("species", ["mu_plus", "mu_minus"])
     def test_array_is_elementwise(self, species):
@@ -671,12 +687,7 @@ class TestSimulateEvents:
         assert np.abs(q[:, 2] / mass - exact).max() <= 1e-12
         assert not q[:, :2].any()
 
-    @pytest.mark.parametrize("edges", [
-        5000.0, [[0.0, 1000.0], [2000.0, 3000.0]], [], [1000.0],
-        [0.0, np.nan, 2000.0], [-np.inf, 0.0, 1000.0], [0.0, 1000.0, np.inf],
-        [0.0, 1000.0, 1000.0, 2000.0], [0.0, 2000.0, 1000.0]],
-        ids=["scalar", "2-d", "empty", "one-edge", "nan", "-inf", "inf", "repeated",
-             "decreasing"])
+    @pytest.mark.parametrize("edges", list(BAD_EDGES.values()), ids=list(BAD_EDGES))
     def test_bad_bin_edges_rejected_before_any_draw(self, edges):
         calls = []
 
@@ -865,18 +876,16 @@ class TestEstimateTomogram:
 
 
 class TestSerialization:
-    def test_histogram_csv_and_metadata(self):
-        model = DecayModel()
-        geom = hemisphere_pair()
-        edges = np.array([0.0, 1000.0, 2000.0])
-        hist = simulate_events(STATIC_UP, geom, model, 10_000, 3, edges)
-        text = hist.to_csv(geom)
+    def test_histogram_csv_and_metadata(self, tmp_path):
+        assert main(["simulate", "--n-muons", "10000", "--seed", "3", "--steps", "2",
+                     "--t-max-ns", "2000", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "histograms.csv").read_text()
         lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
         assert lines[0] == "detector_id,axis_theta,axis_phi,bin_start_ns,bin_end_ns,counts"
         assert len(lines) - 1 == 2 * 2
-        meta = json.loads(hist.metadata_json(model, seed=3))
+        meta = json.loads((tmp_path / "histograms.meta.json").read_text())
         assert meta["n_muons"] == 10_000
-        assert meta["lifetime_ns"] == model.lifetime_ns
+        assert meta["lifetime_ns"] == DecayModel().lifetime_ns
         assert meta["seed"] == 3
 
     def test_counts_must_be_whole_numbers(self):
@@ -884,11 +893,22 @@ class TestSerialization:
             HistogramSeries(np.array([0.0, 100.0]), np.array([[4.7]]),
                             n_muons=10, background_fraction=0.0)
 
+    @pytest.mark.parametrize("edges", list(BAD_EDGES.values()), ids=list(BAD_EDGES))
+    def test_bad_bin_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="bin edges"):
+            HistogramSeries(edges, np.zeros((1, 1)), n_muons=10, background_fraction=0.0)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, np.nan, np.inf])
+    def test_bad_background_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"background fraction must lie in \[0, 1\)"):
+            HistogramSeries(np.array([0.0, 100.0]), np.array([[3]]),
+                            n_muons=10, background_fraction=fraction)
+
     def test_whole_float_counts_round_trip(self):
         hist = HistogramSeries(np.array([0.0, 100.0]), np.array([[3.0]]),
                                n_muons=10, background_fraction=0.0)
         assert hist.counts.dtype == np.int64
-        text = hist.to_csv(DetectorGeometry([Detector(Z_AXIS, np.radians(40))]))
+        text = _histograms_csv(hist, DetectorGeometry([Detector(Z_AXIS, np.radians(40))]))
         rows = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
         assert [row.split(",")[-1] for row in rows] == ["counts", "3"]
 
@@ -897,5 +917,5 @@ class TestSerialization:
                            w_plus=np.array([0.9]), sigma=np.array([0.01]),
                            pair_counts=np.array([500.0]),
                            low_confidence=np.array([False]))
-        text = csv_text(ESTIMATE_SCHEMA, estimate_cells([est]))
+        text = _csv_text("musrtomo/tomogram-estimate/v1", _estimate_cells([est]))
         assert "w_plus" in text and "0.9" in text

@@ -394,14 +394,18 @@ class TestReconstructInitial:
         with pytest.raises(ValueError):
             reconstruct_initial(np.zeros(7), plan, allow_deficient=True)
 
-    def test_report_json(self):
-        plan = MeasurementPlan(generic_unitary_family(),
-                               times=golden_jitter_times(8.0, 5))
-        values = forward_model(initial_muonium_state(), plan)
-        result = reconstruct_initial(values, plan)
-        import json
-        payload = json.loads(result.to_json(plan, time_generic_rank=15))
-        assert payload["rank"] == 15
-        assert payload["null_space_dimension"] == 0
-        assert len(payload["plan"]["times_ns"]) == 5
-        assert payload["time_generic_rank"] == 15
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, message", [
+        ("values", "measurement values must be finite"),
+        ("sigmas", "sigmas must be positive and finite")])
+    def test_non_finite_input_rejected_before_solving(self, monkeypatch, bad, field, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a non-finite input")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+        plan = MeasurementPlan(generic_unitary_family(), times=golden_jitter_times(8.0, 5))
+        inputs = {"values": forward_model(initial_muonium_state(), plan),
+                  "sigmas": np.full(15, 0.01)}
+        inputs[field][4] = bad
+        with pytest.raises(ValueError, match=message):
+            reconstruct_initial(inputs["values"], plan, sigmas=inputs["sigmas"])

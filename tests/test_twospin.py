@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import random_density_matrix, random_direction
+from musrtomo import linalg, tomography, twospin
 from musrtomo.dynamics import initial_muonium_state, propagator_hyperfine
 from musrtomo.linalg import kron
 from musrtomo.tomography import (
@@ -177,6 +180,23 @@ class TestIndividualTomogram:
 
 
 class TestReducedTomogram:
+    def test_checks_the_state_once(self, monkeypatch, rng):
+        calls = Counter()
+        for module in (linalg, tomography, twospin):
+            if hasattr(module, "require_density_matrix"):
+                real = module.require_density_matrix
+
+                def wrapper(*args, _real=real, **kwargs):
+                    calls["require_density_matrix"] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, "require_density_matrix", wrapper)
+        rho, d_mu = random_density_matrix(6, rng), random_direction(rng)
+        w = reduced_tomogram(rho, 0.5, 1.0, d_mu)
+        assert calls == {"require_density_matrix": 1}
+        ref = individual_tomogram(rho, 0.5, 1.0, d_mu, Z_AXIS).sum(axis=1)
+        assert np.abs(w - ref).max() <= 1e-13
+
     def test_fresh_muonium(self, rng):
         rho0 = initial_muonium_state()
         d = random_direction(rng)

@@ -3,20 +3,45 @@ the standard library (csv.writer, json.dumps with indent=2) and must come
 back as the same text, with each number written as the shortest repr of the
 value it holds."""
 
+import ast
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from musrtomo.cli import _records_json, main
-from musrtomo.musr import (AxisEstimate, DetectorGeometry, ESTIMATE_SCHEMA, HistogramSeries,
-                           estimate_cells)
-from musrtomo.tomography import X_AXIS, Z_AXIS, Direction, csv_text, float_cells
+import musrtomo
+from musrtomo.cli import (_csv_text, _estimate_cells, _float_cells, _histograms_csv,
+                          _records_json, main)
+from musrtomo.musr import AxisEstimate, DetectorGeometry, HistogramSeries
+from musrtomo.tomography import X_AXIS, Z_AXIS, Direction
 
 SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
+
+
+def test_file_formats_live_in_cli():
+    """Every output format is decided in cli: no other module of the package
+    but materials (which reads material files) imports json or csv, and every
+    'musrtomo/<name>/v<n>' schema literal sits in cli."""
+    imports, schemas = set(), set()
+    for path in sorted(Path(musrtomo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            imports |= {path.name for name in modules if name.split(".")[0] in ("json", "csv")}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.search(r"musrtomo/[^/\s]+/v\d", node.value):
+                schemas.add((path.name, node.value))
+    assert imports == {"cli.py", "materials.py"}
+    assert {name for name, _ in schemas} == {"cli.py"}
+    assert {schema for _, schema in schemas} == {
+        f"musrtomo/{name}/v1" for name in ("evolve-trace", "histograms", "tomogram-estimate",
+                                           "bell-trace")}
 
 
 def restated(cell: str) -> str:
@@ -71,27 +96,27 @@ class TestHelpers:
         buf = io.StringIO()
         buf.write("# schema: musrtomo/test/v1\n")
         csv.writer(buf).writerows([["a", "b", "c"], *zip(*columns)])
-        assert csv_text("musrtomo/test/v1", dict(zip("abc", columns))) == buf.getvalue()
+        assert _csv_text("musrtomo/test/v1", dict(zip("abc", columns))) == buf.getvalue()
 
     def test_csv_text_without_rows(self):
-        text = csv_text("musrtomo/test/v1", {"a": [], "b": []})
+        text = _csv_text("musrtomo/test/v1", {"a": [], "b": []})
         assert text == "# schema: musrtomo/test/v1\na,b\r\n"
         assert csv_oracle(text) == [["a", "b"]]
 
     def test_csv_text_rejects_unequal_columns(self):
         with pytest.raises(ValueError):
-            csv_text("musrtomo/test/v1", {"a": ["1", "2"], "b": ["3"]})
+            _csv_text("musrtomo/test/v1", {"a": ["1", "2"], "b": ["3"]})
 
     def test_float_cells(self):
         values = np.array([[0.1, -0.0], [np.nan, 1e300]])
-        assert float_cells(values) == ["0.1", "-0.0", "nan", "1e+300"]
-        assert float_cells([1, 2], 3) == ["1.0"] * 3 + ["2.0"] * 3
-        assert float_cells(np.pi / 2, 2) == [repr(np.pi / 2)] * 2
+        assert _float_cells(values) == ["0.1", "-0.0", "nan", "1e+300"]
+        assert _float_cells([1, 2], 3) == ["1.0"] * 3 + ["2.0"] * 3
+        assert _float_cells(np.pi / 2, 2) == [repr(np.pi / 2)] * 2
 
 
 def estimates_csv(estimates) -> str:
     """The tomogram-estimate CSV as ``simulate`` writes it."""
-    return csv_text(ESTIMATE_SCHEMA, estimate_cells(estimates))
+    return _csv_text("musrtomo/tomogram-estimate/v1", _estimate_cells(estimates))
 
 
 class TestSimulateWriters:
@@ -106,7 +131,7 @@ class TestSimulateWriters:
             ([d, repr(det.axis.theta), repr(det.axis.phi), repr(float(edges[b])),
               repr(float(edges[b + 1])), int(counts[d, b])]
              for d, det in enumerate(geometry.detectors) for b in range(8)))
-        assert hist.to_csv(geometry) == want
+        assert _histograms_csv(hist, geometry) == want
         csv_oracle(want)
 
     def test_estimates_match_the_row_loop(self):
@@ -153,8 +178,8 @@ COMPARISON_KEYS = ("t_ns", "w_estimate", "w_truth", "sigma", "deviation_sigmas")
 def comparison_columns(records) -> dict:
     """``_records_json`` columns of comparison records: the axis as a column
     of cell pairs, every other field as a column of cells."""
-    return {"axis": [tuple(float_cells(r["axis"])) for r in records],
-            **{key: float_cells([r[key] for r in records]) for key in COMPARISON_KEYS}}
+    return {"axis": [tuple(_float_cells(r["axis"])) for r in records],
+            **{key: _float_cells([r[key] for r in records]) for key in COMPARISON_KEYS}}
 
 
 class TestComparisonJson:
