@@ -41,7 +41,7 @@ from .musr import (
 )
 from .reconstruction import (MeasurementPlan, build_design_matrix, reconstruct_initial,
                              time_generic_rank)
-from .tomography import AXES, Direction
+from .tomography import AXES, Direction, spin_dim
 
 DEFAULT_SWEEPS = {
     "quartz": [0.0, 790.0, 1580.0, 3160.0],
@@ -109,8 +109,7 @@ def _time_grid(prop: PropagatorSpec, args) -> np.ndarray:
 def _muon_bloch(rho: np.ndarray, j_e: float) -> np.ndarray:
     """P = Tr[rho_mu sigma] of each state of a stack, shape (n, 3); the
     reduced tomogram is w(+1/2, n) = 1/2 + P.n/2."""
-    d_e = int(round(2 * j_e + 1))
-    rho_mu = partial_trace(rho, SubsystemDims(2, d_e), keep="a")
+    rho_mu = partial_trace(rho, SubsystemDims(2, spin_dim(j_e)), keep="a")
     return np.einsum("...ab,kba->...k", rho_mu, PAULI).real
 
 

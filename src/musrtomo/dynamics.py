@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_state, require_unitary
-from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops
+from .tomography import AXES, Direction, QuadratureGrid, angular_momentum_ops, spin_dim
 from .twospin import TwoSpinTomogram, individual_tomogram_on_grid
 
 
@@ -94,7 +94,7 @@ class HamiltonianSpec:
 
     @property
     def dim(self) -> int:
-        return 2 * int(round(2 * self.j_e + 1))
+        return 2 * spin_dim(self.j_e)
 
 
 @functools.cache
@@ -377,7 +377,7 @@ def evolve_density(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
 def initial_muonium_state(j_e: float = 0.5) -> np.ndarray:
     """Fully polarized muon (spin up along z) times a maximally mixed
     electron shell: the standard state right after muonium formation."""
-    d_e = int(round(2 * j_e + 1))
+    d_e = spin_dim(j_e)
     return np.kron(np.diag([1.0, 0.0]), np.eye(d_e) / d_e)
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (TWO_QUBIT_BASIS, SubsystemDims, partial_transpose,
-                     require_density_matrix, require_state)
+                     require_density_matrix, require_probabilities, require_state)
 from .tomography import Direction, QuadratureGrid
 from .twospin import TwoSpinTomogram, individual_tomogram
 
@@ -66,13 +66,12 @@ def bell_cells(rho: np.ndarray, setting: BellSetting) -> np.ndarray:
 
 def bell_number(cells: np.ndarray) -> float:
     """Bell-like number from the 16 joint probabilities (see module docstring
-    for the contraction convention). Columns must each sum to 1."""
+    for the contraction convention), checked by linalg.require_probabilities:
+    each in [0, 1] and each setting column summing to 1."""
     cells = np.asarray(cells, dtype=float)
     if cells.shape != (4, 4):
         raise ValueError("expected a 4x4 probability table")
-    if np.max(np.abs(cells.sum(axis=0) - 1.0)) > 1e-8:
-        raise ValueError("each setting column must sum to 1")
-    return float(np.sum(CHSH_SIGNS * cells))
+    return float(np.sum(CHSH_SIGNS * require_probabilities(cells, 0, "Bell probabilities")))
 
 
 def bell_number_of_state(rho: np.ndarray, setting: BellSetting) -> float:

@@ -249,6 +249,13 @@ def _binning(bin_edges, background_fraction: float) -> np.ndarray:
     return edges
 
 
+def _muon_count(n_muons) -> int:
+    """The ensemble size as an int, after checking it: an integer >= 1, not a bool."""
+    if isinstance(n_muons, bool) or not isinstance(n_muons, (int, np.integer)) or n_muons < 1:
+        raise ValueError(f"n_muons must be an integer >= 1, got {n_muons!r}")
+    return int(n_muons)
+
+
 @dataclass
 class HistogramSeries:
     """Per-detector positron counts on a common time binning."""
@@ -260,6 +267,7 @@ class HistogramSeries:
 
     def __post_init__(self):
         self.bin_edges = _binning(self.bin_edges, self.background_fraction)
+        self.n_muons = _muon_count(self.n_muons)
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.shape[1] != len(self.bin_edges) - 1:
             raise ValueError("counts shape does not match bin edges")
@@ -423,8 +431,7 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
     Raises ValueError, before any draw, for invalid inputs and for a source
     whose mean polarization over a bin, Q_b / m_b, has norm above 1 + 1e-12.
     """
-    if n_muons < 1:
-        raise ValueError("need at least one muon")
+    n_muons = _muon_count(n_muons)
     bin_edges = _binning(bin_edges, background_fraction)
     mass, q = decay_bin_integrals(polarization_of_t, bin_edges, model.lifetime_ns)
     if not np.all(np.linalg.norm(q, axis=1) <= (1 + 1e-12) * mass):

@@ -198,6 +198,9 @@ def reconstruct_initial(values, plan: MeasurementPlan, sigmas=None,
         weights = np.ones_like(values)
     else:
         sigmas = np.asarray(sigmas, dtype=float)
+        if sigmas.shape != values.shape:
+            raise ValueError(f"expected {len(values)} sigmas, one per measurement value, "
+                             f"got shape {sigmas.shape}")
         if not np.all((sigmas > 0) & (sigmas < np.inf)):  # NaN fails
             raise ValueError("sigmas must be positive and finite")
         weights = 1.0 / sigmas

@@ -14,6 +14,9 @@ module provides
 
 Conventions
 -----------
+A spin j is a nonnegative multiple of 1/2: :func:`spin_dim` decides that and
+gives 2j+1 to every module, and ``_exact_degree`` states once that a grid of
+degree >= 4j makes the tomogram-quantizer quadrature exact.
 Projections m are ordered descending (+j first). ``rotation_matrix(j, n)``
 is exp(-i (n_perp . J) theta) with n_perp = (-sin phi, cos phi, 0), computed
 as e^{-i phi Jz} d^j(theta) e^{+i phi Jz} with d^j(theta) = e^{-i theta Jy}
@@ -27,6 +30,7 @@ be exact, which also makes the j=1/2 quantizer equal I/2 + 3m (n.sigma).
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lgamma
+from numbers import Real
 
 import numpy as np
 
@@ -117,7 +121,7 @@ class QuadratureGrid:
     @classmethod
     def for_spin(cls, j: float) -> "QuadratureGrid":
         """Grid exact to degree 4j, sufficient for tomogram-quantizer integrals."""
-        return cls.of_degree(int(round(4 * j)))
+        return cls.of_degree(_exact_degree(j))
 
     @classmethod
     @lru_cache(maxsize=32)
@@ -146,10 +150,26 @@ class QuadratureGrid:
 # --------------------------------------------------------------------------
 # angular-momentum algebra
 
+@lru_cache(maxsize=64, typed=True)  # typed: True is not read as 1
+def spin_dim(j: float) -> int:
+    """2j+1, the dimension of spin j, a nonnegative multiple of 1/2; any other
+    value (a bool, 0.7, -1/2, NaN, inf) raises ValueError."""
+    if isinstance(j, bool) or not (isinstance(j, Real) and j >= 0 and float(2 * j).is_integer()):
+        raise ValueError(f"spin must be a nonnegative multiple of 1/2, got {j!r}")
+    return int(2 * j) + 1
+
+
+def _exact_degree(j: float, grid: QuadratureGrid | None = None) -> int:
+    """The degree 4j that makes spin-j grid quadrature exact; ValueError if ``grid`` is below it."""
+    need = 2 * spin_dim(j) - 2
+    if grid is not None and grid.degree < need:
+        raise ValueError(f"grid degree {grid.degree} insufficient for j={j}; need >= {need}")
+    return need
+
+
 def spin_projections(j: float) -> np.ndarray:
     """Projections m = j, j-1, ..., -j (descending)."""
-    dim = int(round(2 * j)) + 1
-    return j - np.arange(dim)
+    return j - np.arange(spin_dim(j))
 
 
 def angular_momentum_ops(j: float):
@@ -244,7 +264,7 @@ def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
 
     Diagonal of R^dag rho R; nonnegative for positive rho and summing to 1.
     """
-    rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
+    rho = require_state(rho, spin_dim(j), "2j+1")
     r = rotation_matrix(j, direction)
     return np.einsum("ai,ab,bi->i", r.conj(), rho, r).real
 
@@ -271,7 +291,7 @@ def quantizer(j: float, m: float, direction: Direction) -> np.ndarray:
     for j = 1/2 this reduces to I/2 + 3m (n.sigma).
     """
     idx = int(round(j - m))
-    if not 0 <= idx <= int(round(2 * j)):
+    if not 0 <= idx < spin_dim(j):
         raise ValueError(f"projection m={m} invalid for j={j}")
     r = rotation_matrix(j, direction)
     kernel = _quantizer_kernels(j)[idx]
@@ -288,7 +308,7 @@ class SpinTomogram:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        dim = int(round(2 * self.j)) + 1
+        dim = spin_dim(self.j)
         if values.shape != (dim, self.grid.n_nodes):
             raise ValueError(f"values shape {values.shape} != ({dim}, {self.grid.n_nodes})")
         self.values = require_probabilities(values, 0, "probabilities")
@@ -296,7 +316,7 @@ class SpinTomogram:
     @classmethod
     def from_state(cls, rho: np.ndarray, j: float,
                    grid: QuadratureGrid | None = None) -> "SpinTomogram":
-        rho = require_state(rho, int(round(2 * j)) + 1, "2j+1")
+        rho = require_state(rho, spin_dim(j), "2j+1")
         grid = grid if grid is not None else QuadratureGrid.for_spin(j)
         return cls(j, grid, operator_symbol_on_grid(rho, j, grid).real)
 
@@ -304,9 +324,7 @@ class SpinTomogram:
 def reconstruct_from_sphere(tom: SpinTomogram) -> np.ndarray:
     """Density matrix from a sphere-sampled tomogram by quadrature against the
     quantizer operators. Requires grid degree >= 4j."""
-    if tom.grid.degree < int(round(4 * tom.j)):
-        raise ValueError(f"grid degree {tom.grid.degree} insufficient for j={tom.j}; "
-                         f"need >= {int(round(4 * tom.j))}")
+    _exact_degree(tom.j, tom.grid)
     return operator_from_symbol(tom.values, tom.j, tom.grid)
 
 
@@ -314,7 +332,7 @@ def operator_symbol_on_grid(op: np.ndarray, j: float, grid: QuadratureGrid) -> n
     """Tomographic symbol Tr[op R|j m><j m|R^dag] of an arbitrary operator, or
     of each of a stack (..., d, d) of them, shape (..., 2j+1, n_nodes): one
     product with the cached symbol table of ``_grid_tables``."""
-    d = int(round(2 * j)) + 1
+    d = spin_dim(j)
     op = np.asarray(op)
     if op.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {op.shape} does not end in (2j+1, 2j+1) = {(d, d)}")
@@ -326,7 +344,7 @@ def operator_from_symbol(symbol: np.ndarray, j: float, grid: QuadratureGrid) -> 
     """Inverse of ``operator_symbol_on_grid`` on grids of degree >= 4j: the
     quadrature sum of w_n symbol[..., m, n] times the quantizers R_n diag(k_m)
     R_n^dag, one product with the cached quantizer table of ``_grid_tables``."""
-    d = int(round(2 * j)) + 1
+    d = spin_dim(j)
     symbol = np.asarray(symbol)
     if symbol.shape[-2:] != (d, grid.n_nodes):
         raise ValueError(f"symbol shape {symbol.shape} does not end in "

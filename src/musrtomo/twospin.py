@@ -9,6 +9,8 @@ distribution f^(L)(M, N), plus reconstruction routines.
 
 Basis ordering is fixed globally: product labels are muon-major with both
 projections descending; coupled labels are (L descending, M descending).
+:class:`TwoSpinBasis` rejects a value that is not a spin through ``spin_dim``;
+the grid routes read ``spin_dim`` directly and build no basis.
 """
 
 from dataclasses import dataclass
@@ -21,10 +23,12 @@ from .linalg import (SubsystemDims, kron, partial_trace, require_probabilities,
 from .tomography import (
     Direction,
     QuadratureGrid,
+    _exact_degree,
     _grid_tables,
     clebsch_gordan,
     operator_from_symbol,
     rotation_matrix,
+    spin_dim,
     spin_projections,
 )
 
@@ -36,23 +40,21 @@ class TwoSpinBasis:
     j_mu: float
     j_e: float
 
+    def __post_init__(self):
+        for j in (self.j_mu, self.j_e):
+            spin_dim(j)
+
     @property
     def dim(self) -> int:
-        return int(round(2 * self.j_mu + 1)) * int(round(2 * self.j_e + 1))
+        return spin_dim(self.j_mu) * spin_dim(self.j_e)
 
     @property
     def dims(self) -> SubsystemDims:
-        return SubsystemDims(int(round(2 * self.j_mu + 1)), int(round(2 * self.j_e + 1)))
-
-    def product_labels(self) -> list[tuple[float, float]]:
-        return [(m_mu, m_e)
-                for m_mu in spin_projections(self.j_mu)
-                for m_e in spin_projections(self.j_e)]
+        return SubsystemDims(spin_dim(self.j_mu), spin_dim(self.j_e))
 
     def total_spins(self) -> list[float]:
-        lo, hi = abs(self.j_mu - self.j_e), self.j_mu + self.j_e
-        n = int(round(hi - lo)) + 1
-        return [hi - k for k in range(n)]
+        hi = self.j_mu + self.j_e  # down to |j_mu - j_e|: 2 min(j_mu, j_e) + 1 values
+        return [hi - k for k in range(spin_dim(min(self.j_mu, self.j_e)))]
 
     def coupled_labels(self) -> list[tuple[float, float]]:
         return [(ell, m) for ell in self.total_spins() for m in spin_projections(ell)]
@@ -61,7 +63,7 @@ class TwoSpinBasis:
         """(L, rows) of each diagonal block of the coupled basis, in coupled
         order: L descending, each block's rows following the previous's."""
         spins = self.total_spins()
-        sizes = [int(round(2 * ell)) + 1 for ell in spins]
+        sizes = [spin_dim(ell) for ell in spins]
         return [(ell, slice(at, at + d))
                 for ell, d, at in zip(spins, sizes, accumulate(sizes, initial=0))]
 
@@ -72,9 +74,8 @@ def cg_matrix(j_mu: float, j_e: float) -> np.ndarray:
     Rows run over (L desc, M desc), columns over the muon-major product basis;
     entries are real Clebsch-Gordan coefficients <m_mu, m_e | L M>.
     """
-    basis = TwoSpinBasis(j_mu, j_e)
-    coupled = basis.coupled_labels()
-    product = basis.product_labels()
+    coupled = TwoSpinBasis(j_mu, j_e).coupled_labels()
+    product = [(m_mu, m_e) for m_mu in spin_projections(j_mu) for m_e in spin_projections(j_e)]
     u = np.zeros((len(coupled), len(product)))
     for a, (ell, m) in enumerate(coupled):
         for b, (m_mu, m_e) in enumerate(product):
@@ -98,7 +99,7 @@ def individual_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
     rho = require_state(rho, TwoSpinBasis(j_mu, j_e).dim, "(2j_mu+1)(2j_e+1)")
     u = kron(rotation_matrix(j_mu, dir_mu), rotation_matrix(j_e, dir_e))
     diag = np.einsum("ai,ab,bi->i", u.conj(), rho, u).real
-    return diag.reshape(int(round(2 * j_mu + 1)), int(round(2 * j_e + 1)))
+    return diag.reshape(spin_dim(j_mu), spin_dim(j_e))
 
 
 def reduced_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
@@ -178,10 +179,7 @@ def reconstruct_blockdiag(f_samples: dict, grid: QuadratureGrid,
     """
     basis = TwoSpinBasis(j_mu, j_e)
     blocks = basis.blocks()
-    l_max = blocks[0][0]
-    if grid.degree < int(round(4 * l_max)):
-        raise ValueError(f"grid degree {grid.degree} insufficient; "
-                         f"need >= {int(round(4 * l_max))}")
+    _exact_degree(blocks[0][0], grid)
     spins = [ell for ell, _ in blocks]
     if set(f_samples) != set(spins):
         raise ValueError(f"f_samples holds L = {list(f_samples)}, "
@@ -212,8 +210,8 @@ class TwoSpinTomogram:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        expect = (int(round(2 * self.j_mu + 1)), self.grid_mu.n_nodes,
-                  int(round(2 * self.j_e + 1)), self.grid_e.n_nodes)
+        expect = (spin_dim(self.j_mu), self.grid_mu.n_nodes,
+                  spin_dim(self.j_e), self.grid_e.n_nodes)
         if values.shape != expect:
             raise ValueError(f"values shape {values.shape} != {expect}")
         self.values = require_probabilities(values, (0, 2), "joint probabilities")
@@ -222,8 +220,7 @@ class TwoSpinTomogram:
     def from_state(cls, rho: np.ndarray, j_mu: float, j_e: float,
                    grid_mu: QuadratureGrid | None = None,
                    grid_e: QuadratureGrid | None = None) -> "TwoSpinTomogram":
-        rho = require_state(rho, int(round(2 * j_mu + 1)) * int(round(2 * j_e + 1)),
-                            "(2j_mu+1)(2j_e+1)")
+        rho = require_state(rho, spin_dim(j_mu) * spin_dim(j_e), "(2j_mu+1)(2j_e+1)")
         grid_mu = grid_mu if grid_mu is not None else QuadratureGrid.for_spin(j_mu)
         grid_e = grid_e if grid_e is not None else QuadratureGrid.for_spin(j_e)
         return cls(j_mu, j_e, grid_mu, grid_e,
@@ -236,7 +233,7 @@ def individual_tomogram_on_grid(rho: np.ndarray, j_mu: float, j_e: float,
     shape-checked here, on all node pairs: shape (..., 2j_mu+1, n_mu, 2j_e+1, n_e).
     (T_mu^T X) T_e with X[(a, b), (c, d)] = rho[(a, c), (b, d)] and the symbol
     tables T of ``_grid_tables``: muon symbols first, then the electron's."""
-    d_mu, d_e = int(round(2 * j_mu + 1)), int(round(2 * j_e + 1))
+    d_mu, d_e = spin_dim(j_mu), spin_dim(j_e)
     rho = np.asarray(rho)
     if rho.shape[-2:] != (d_mu * d_e,) * 2:
         raise ValueError(f"state shape {rho.shape} does not end in (D, D), "
@@ -252,8 +249,7 @@ def reconstruct_two_spin(w: TwoSpinTomogram) -> np.ndarray:
     against the product quantizers, electron first: X = Q_mu^T (V Q_e), as in
     ``individual_tomogram_on_grid``, with V the values and Q quantizer tables."""
     for grid, j in ((w.grid_mu, w.j_mu), (w.grid_e, w.j_e)):
-        if grid.degree < int(round(4 * j)):
-            raise ValueError("grid degree insufficient for reconstruction")
+        _exact_degree(j, grid)
     d_mu, n_mu, d_e, n_e = w.values.shape
     x = _grid_tables(w.j_mu, w.grid_mu)[1].T @ (
         w.values.reshape(d_mu * n_mu, d_e * n_e) @ _grid_tables(w.j_e, w.grid_e)[1])

@@ -91,6 +91,14 @@ class TestBellNumber:
         with pytest.raises(ValueError):
             bell_number(cells)
 
+    @pytest.mark.parametrize("cell", [np.nan, -0.5, np.inf])
+    def test_cells_outside_zero_one_rejected(self, cell):
+        # the first column still sums to 1 for -0.5: (1.5, -0.5, 0, 0)
+        cells = np.full((4, 4), 0.25)
+        cells[:, 0] = [1 - cell, cell, 0.0, 0.0]
+        with pytest.raises(ValueError, match="Bell probabilities: tomogram values outside"):
+            bell_number(cells)
+
     def test_cells_layout(self, singlet, rng):
         d = random_direction(rng)
         setting = BellSetting(d, random_direction(rng), d, random_direction(rng))

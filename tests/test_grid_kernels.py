@@ -385,3 +385,24 @@ def test_two_spin_round_trips_check_each_input_once(monkeypatch, rng):
         assert calls == {name: 1 for name in checks}
         assert [cache.cache_info().misses for cache in caches] == built
         assert np.abs(out - rho).max() <= 1e-12
+
+
+def test_two_spin_round_trip_builds_no_basis(monkeypatch, rng):
+    """A 1/2 x 1/2 round trip on the default grids reads the dimensions from
+    tomography.spin_dim alone: it builds no TwoSpinBasis."""
+    built = []
+    real = twospin.TwoSpinBasis.__post_init__
+
+    def counted(self):
+        built.append((self.j_mu, self.j_e))
+        real(self)
+
+    monkeypatch.setattr(twospin.TwoSpinBasis, "__post_init__", counted)
+    rho = random_density_matrix(4, rng)
+    reconstruct_two_spin(TwoSpinTomogram.from_state(rho, 0.5, 0.5))  # warm-up
+    built.clear()
+    out = reconstruct_two_spin(TwoSpinTomogram.from_state(rho, 0.5, 0.5))
+    assert built == []
+    assert np.abs(out - rho).max() <= 1e-12
+    TwoSpinBasis(0.5, 0.5)  # the counter does count
+    assert built == [(0.5, 0.5)]

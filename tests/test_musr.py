@@ -54,6 +54,8 @@ BAD_EDGES = {
     "scalar": 5000.0, "2-d": [[0.0, 1000.0], [2000.0, 3000.0]], "empty": [], "one-edge": [1000.0],
     "nan": [0.0, np.nan, 2000.0], "-inf": [-np.inf, 0.0, 1000.0], "inf": [0.0, 1000.0, np.inf],
     "repeated": [0.0, 1000.0, 1000.0, 2000.0], "decreasing": [0.0, 2000.0, 1000.0]}
+# the one muon-count rule of simulate_events and HistogramSeries: a non-bool integer >= 1
+BAD_MUON_COUNTS = [0, -5, 2.5, 3.0, True, np.nan, "10"]
 
 
 def hemisphere_pair():
@@ -699,6 +701,18 @@ class TestSimulateEvents:
             simulate_events(source, hemisphere_pair(), DecayModel(), 1000, 1, edges)
         assert calls == []
 
+    @pytest.mark.parametrize("n_muons", BAD_MUON_COUNTS, ids=repr)
+    def test_bad_muon_count_rejected_before_any_draw(self, n_muons):
+        calls = []
+
+        def source(ts):
+            calls.append(len(ts))
+            return STATIC_UP(ts)
+
+        with pytest.raises(ValueError, match="n_muons must be an integer >= 1"):
+            simulate_events(source, hemisphere_pair(), DecayModel(), n_muons, 1, [0.0, 1000.0])
+        assert calls == []
+
     def test_memory_does_not_grow_with_the_muon_count(self):
         # quartz in an oblique field, three detector pairs, 512 bins; the
         # region table is built and cached by the first call
@@ -903,6 +917,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"background fraction must lie in \[0, 1\)"):
             HistogramSeries(np.array([0.0, 100.0]), np.array([[3]]),
                             n_muons=10, background_fraction=fraction)
+
+    @pytest.mark.parametrize("n_muons", BAD_MUON_COUNTS, ids=repr)
+    def test_bad_muon_count_rejected(self, n_muons):
+        with pytest.raises(ValueError, match="n_muons must be an integer >= 1"):
+            HistogramSeries(np.array([0.0, 100.0]), np.array([[3]]),
+                            n_muons=n_muons, background_fraction=0.0)
+
+    def test_numpy_integer_muon_count_is_kept_as_an_int(self):
+        hist = HistogramSeries(np.array([0.0, 100.0]), np.array([[3]]),
+                               n_muons=np.int64(10), background_fraction=0.0)
+        assert type(hist.n_muons) is int and hist.n_muons == 10
 
     def test_whole_float_counts_round_trip(self):
         hist = HistogramSeries(np.array([0.0, 100.0]), np.array([[3.0]]),

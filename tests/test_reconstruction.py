@@ -409,3 +409,15 @@ class TestReconstructInitial:
         inputs[field][4] = bad
         with pytest.raises(ValueError, match=message):
             reconstruct_initial(inputs["values"], plan, sigmas=inputs["sigmas"])
+
+    @pytest.mark.parametrize("sigmas", [np.full(3, 0.01), np.full(16, 0.01),
+                                        np.full((15, 1), 0.01), 0.01])
+    def test_sigma_count_rejected_before_solving(self, monkeypatch, sigmas):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with misshapen sigmas")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+        plan = MeasurementPlan(generic_unitary_family(), times=golden_jitter_times(8.0, 5))
+        values = forward_model(initial_muonium_state(), plan)
+        with pytest.raises(ValueError, match="expected 15 sigmas, one per measurement value"):
+            reconstruct_initial(values, plan, sigmas=sigmas)

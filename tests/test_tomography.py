@@ -1,11 +1,18 @@
+import ast
 import itertools
+import re
 from math import lgamma
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import musrtomo
 from conftest import propagator, random_density_matrix, random_direction
+from musrtomo.dynamics import initial_muonium_state
+from musrtomo.twospin import (TwoSpinBasis, TwoSpinTomogram, cg_matrix, reconstruct_blockdiag,
+                              reconstruct_two_spin, reduced_tomogram, total_tomogram)
 from musrtomo.tomography import (
     SUPPORTED_SPINS,
     Direction,
@@ -22,6 +29,8 @@ from musrtomo.tomography import (
     reconstruct_from_sphere,
     reconstruct_qubit_three_directions,
     rotation_matrix,
+    spin_dim,
+    spin_projections,
     three_j,
     tomogram,
 )
@@ -395,3 +404,94 @@ class TestSpinTomogramContainer:
         values[-1, -1] = np.nan
         with pytest.raises(ValueError, match="tomogram values outside"):
             SpinTomogram(0.5, tom.grid, values)
+
+
+SPIN_MESSAGE = r"spin must be a nonnegative multiple of 1/2, got "
+# every public entry that takes a spin, called with the spin under test
+SPIN_ENTRIES = {
+    "spin_projections": spin_projections,
+    "TwoSpinBasis(j, 1/2)": lambda j: TwoSpinBasis(j, 0.5),
+    "TwoSpinBasis(1/2, j)": lambda j: TwoSpinBasis(0.5, j),
+    "cg_matrix": lambda j: cg_matrix(0.5, j),
+    "total_tomogram": lambda j: total_tomogram(np.eye(4) / 4, 0.5, j, np.eye(4)),
+    "reduced_tomogram": lambda j: reduced_tomogram(np.eye(4) / 4, 0.5, j, Z_AXIS),
+    "SpinTomogram": lambda j: SpinTomogram(j, QuadratureGrid(2), np.full((2, 12), 0.5)),
+    "TwoSpinTomogram.from_state": lambda j: TwoSpinTomogram.from_state(np.eye(4) / 4, 0.5, j),
+    "QuadratureGrid.for_spin": QuadratureGrid.for_spin,
+    "initial_muonium_state": initial_muonium_state,
+}
+
+
+class TestSpinRule:
+    @pytest.mark.parametrize("j, dim", [(0, 1), (0.5, 2), (1, 3), (1.5, 4), (2.0, 5),
+                                        (np.float64(1.5), 4), (np.int64(1), 3), (7 / 2, 8)])
+    def test_dimension_of_a_spin(self, j, dim):
+        assert spin_dim(j) == dim and type(spin_dim(j)) is int
+
+    @pytest.mark.parametrize("j", [0.7, -0.5, -1, np.nan, np.inf, True, False, np.True_,
+                                   0.5 + 1e-12, "1", None, 1j], ids=repr)
+    def test_anything_else_is_rejected(self, j):
+        assert (spin_dim(1), spin_dim(0)) == (3, 1)  # cached, yet True is not read as 1
+        with pytest.raises(ValueError, match=SPIN_MESSAGE + re.escape(repr(j)) + "$"):
+            spin_dim(j)
+
+    @pytest.mark.parametrize("j", [0.7, -0.5, np.nan, True], ids=repr)
+    @pytest.mark.parametrize("entry", list(SPIN_ENTRIES.values()), ids=list(SPIN_ENTRIES))
+    def test_every_spin_entry_rejects_a_non_spin(self, entry, j):
+        with pytest.raises(ValueError, match=SPIN_MESSAGE):
+            entry(j)
+
+    @pytest.mark.parametrize("reconstruct, need", [
+        (lambda grid: reconstruct_from_sphere(
+            SpinTomogram.from_state(np.eye(3) / 3, 1.0, grid)), "j=1.0; need >= 4"),
+        (lambda grid: reconstruct_two_spin(
+            TwoSpinTomogram.from_state(np.eye(6) / 6, 0.5, 1.0, grid_e=grid)), "j=1.0; need >= 4"),
+        (lambda grid: reconstruct_blockdiag({}, grid, 0.5, 1.0), "j=1.5; need >= 6")],
+        ids=["sphere", "two-spin", "blockdiag"])
+    def test_one_degree_message(self, reconstruct, need):
+        with pytest.raises(ValueError, match=rf"^grid degree 2 insufficient for {need}$"):
+            reconstruct(QuadratureGrid(2))
+
+    def test_for_spin_is_degree_4j(self):
+        assert [QuadratureGrid.for_spin(j).degree for j in SUPPORTED_SPINS] == [0, 2, 4, 6, 8]
+
+
+def _times_2_or_4(expr) -> bool:
+    """Whether ``expr`` multiplies anything by the literal 2 or 4."""
+    return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+               and any(isinstance(side, ast.Constant) and side.value in (2, 4)
+                       for side in (sub.left, sub.right))
+               for sub in ast.walk(expr))
+
+
+def _spin_roundings(source: str, exempt=("spin_dim", "three_j")) -> list:
+    """(enclosing function, line) of every round(...), np.round(...) or
+    np.rint(...) of a product by 2 or 4, outside the ``exempt`` functions."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and node.args and fn not in exempt:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("round", "rint", "around") and _times_2_or_4(node.args[0]):
+                found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_spin_arithmetic_lives_in_spin_dim():
+    """No module of the package rounds 2j or 4j to a dimension or a degree:
+    2j+1 and 4j read tomography.spin_dim. three_j's parity test
+    round(2 * (j1 + j2 + j3)) is a selection rule and is exempt by name."""
+    package = Path(musrtomo.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert len(sources) > 1
+    assert [(name, hit) for name, text in sources.items() for hit in _spin_roundings(text)] == []
+    # the guard does see: three_j without its exemption, and the old forms
+    assert [fn for fn, _ in _spin_roundings(sources["tomography.py"], exempt=())] == ["three_j"]
+    old = "def f(j):\n    return int(round(2 * j + 1)), int(round(4 * j)), np.rint(j * 2)\n"
+    assert len(_spin_roundings(old)) == 3
