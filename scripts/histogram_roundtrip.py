@@ -25,18 +25,20 @@ def run(n_muons=1_000_000, seed=1):
     edges = np.linspace(0.0, 4400.0, 23)
     hist = simulate_events(polarization, geometry, model, n_muons, seed, edges,
                            background_fraction=0.01)
-    est = estimate_tomogram(hist, geometry, model, count_floor=1000)[0]
+    est = estimate_tomogram(hist, geometry, model, count_floor=1000)
     mass, q = decay_bin_integrals(polarization, edges, model.lifetime_ns)
 
     print(f"{'t_ns':>8} {'counts':>9} {'w_est':>8} {'w_true':>8} {'pull':>6}")
+    # the one pair is row 0 of the estimate
+    w, sigma, counts, low = (getattr(est, name)[0] for name in (
+        "w_plus", "sigma", "pair_counts", "low_confidence"))
     for i, t in enumerate(est.times):
-        if est.low_confidence[i]:
-            print(f"{t:8.0f} {est.pair_counts[i]:9.0f}  (low confidence)")
+        if low[i]:
+            print(f"{t:8.0f} {counts[i]:9.0f}  (low confidence)")
             continue
         truth = 0.5 + 0.5 * q[i, 2] / mass[i]
-        pull = (est.w_plus[i] - truth) / est.sigma[i]
-        print(f"{t:8.0f} {est.pair_counts[i]:9.0f} {est.w_plus[i]:8.4f} "
-              f"{truth:8.4f} {pull:+6.2f}")
+        pull = (w[i] - truth) / sigma[i]
+        print(f"{t:8.0f} {counts[i]:9.0f} {w[i]:8.4f} {truth:8.4f} {pull:+6.2f}")
     return 0
 
 

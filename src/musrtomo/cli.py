@@ -31,10 +31,10 @@ from .entanglement import entanglement_series, negativity
 from .linalg import PAULI, SubsystemDims, partial_trace, require_density_matrix
 from .materials import available_presets, load_material
 from .musr import (
-    AxisEstimate,
     DecayModel,
     DetectorGeometry,
     HistogramSeries,
+    TomogramEstimate,
     decay_bin_integrals,
     estimate_tomogram,
     simulate_events,
@@ -142,22 +142,15 @@ def _histograms_csv(hist: HistogramSeries, geometry: DetectorGeometry) -> str:
         "counts": list(map(str, hist.counts.ravel().tolist()))})
 
 
-def _estimate_cells(estimates: list[AxisEstimate]) -> dict:
-    """The columns of tomogram_estimate.csv as cell strings by header name."""
-    columns = {name: [] for name in ("axis_theta", "axis_phi", "t_ns", "w_plus", "sigma",
-                                     "pair_counts", "low_confidence")}
-    times, time_cells = None, None  # estimate_tomogram gives every axis one times array
-    for est in estimates:
-        if est.times is not times:
-            times, time_cells = est.times, _float_cells(est.times)
-        for column, cells in zip(columns.values(), (
-                _float_cells(est.axis.theta, len(est.times)),
-                _float_cells(est.axis.phi, len(est.times)),
-                time_cells,
-                *map(_float_cells, (est.w_plus, est.sigma, est.pair_counts)),
-                list(map(str, np.asarray(est.low_confidence, dtype=int).tolist())))):
-            column += cells
-    return columns
+def _estimate_cells(est: TomogramEstimate) -> dict:
+    """The columns of tomogram_estimate.csv as cell strings by header name:
+    rows run over (pair, bin); the times are formatted once."""
+    return {"axis_theta": _float_cells([axis.theta for axis in est.axes], len(est.times)),
+            "axis_phi": _float_cells([axis.phi for axis in est.axes], len(est.times)),
+            "t_ns": _float_cells(est.times) * len(est.axes),
+            **{name: _float_cells(getattr(est, name)) for name in ("w_plus", "sigma",
+                                                                    "pair_counts")},
+            "low_confidence": list(map(str, est.low_confidence.astype(int).ravel().tolist()))}
 
 
 def _records_json(columns: dict) -> str:
@@ -234,23 +227,23 @@ def cmd_simulate(args) -> int:
         "background_fraction": hist.background_fraction, "asymmetry": model.asymmetry,
         "lifetime_ns": model.lifetime_ns, "species": model.species}, indent=2))
     try:
-        estimates = estimate_tomogram(hist, geometry, model)
+        est = estimate_tomogram(hist, geometry, model)
     except ValueError as exc:
         raise ConfigError(f"{exc}; wrote {out_dir / 'histograms.csv'}") from exc
-    cells = _estimate_cells(estimates)
+    cells = _estimate_cells(est)
     (out_dir / "tomogram_estimate.csv").write_text(
         _csv_text("musrtomo/tomogram-estimate/v1", cells))
 
     # truth comparison: the exact decay-weighted mean polarization of every
     # bin that any axis keeps, Q_b / m_b in closed form; one record per
     # estimate CSV row that its axis keeps, in row order
-    on = ~np.array([est.low_confidence for est in estimates])
+    on = ~est.low_confidence
     kept = np.flatnonzero(on.any(axis=0))
     mass, q = decay_bin_integrals(polarization, bin_edges, model.lifetime_ns)
     bloch = q[kept] / mass[kept, None]
-    truth = np.array([0.5 + 0.5 * bloch @ est.axis.vector for est in estimates])[on[:, kept]]
-    dev = (np.array([est.w_plus for est in estimates])[on] - truth) \
-        / np.array([est.sigma for est in estimates])[on]
+    axes = np.array([axis.vector for axis in est.axes])
+    truth = (0.5 + 0.5 * bloch @ axes.T).T[on[:, kept]]
+    dev = (est.w_plus[on] - truth) / est.sigma[on]
     keep = on.ravel().tolist()
     theta, phi, t_ns, w_est, sigma = (list(compress(cells[name], keep)) for name in (
         "axis_theta", "axis_phi", "t_ns", "w_plus", "sigma"))

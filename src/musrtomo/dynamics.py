@@ -81,7 +81,8 @@ class HamiltonianSpec:
         for name in ("a", "delta_a", "b_field"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (2 * self.j_e >= 1 and float(2 * self.j_e).is_integer()):  # NaN fails too
+        if isinstance(self.j_e, bool) or not (  # True is not read as 1; NaN fails too
+                2 * self.j_e >= 1 and float(2 * self.j_e).is_integer()):
             raise ValueError(f"j_e must be a positive multiple of 1/2, got {self.j_e!r}")
         if self.delta_a != 0.0 and self.aniso_axis is None:
             raise ValueError("nonzero anisotropy requires an anisotropy axis")
@@ -337,7 +338,10 @@ class PropagatorSpec:
 
     @functools.cached_property
     def _eigensystem(self) -> tuple:
-        return np.linalg.eigh(self.matrix())
+        eigensystem = np.linalg.eigh(self.matrix())
+        for a in eigensystem:
+            a.flags.writeable = False  # shared by every unitary and the spectral table
+        return eigensystem
 
     def unitary(self, t) -> np.ndarray:
         try:

@@ -6,8 +6,9 @@ energies), which ties the measurable angular distribution linearly to the
 muon tomogram: w(+1/2, n) = 1/2 + (Gamma - 1)/(2a). This module provides the
 forward Monte Carlo (exponential lifetimes, anisotropic emission, cone
 detectors, flat background; drawn in count space from the exact law of the
-cells) and the inverse estimator that turns per-detector
-histograms back into a time-resolved muon tomogram with statistical errors.
+cells) and the inverse estimator that turns per-detector histograms back
+into a time-resolved muon tomogram with statistical errors: a
+``TomogramEstimate`` of (n_pairs, n_bins) tables, one row per detector pair.
 It writes no files: the histogram and estimate CSV formats live in ``cli``.
 
 Counting conventions: histograms are raw positron counts per detector per
@@ -292,15 +293,15 @@ def gamma_distribution(polarization, direction: Direction, asymmetry: float) -> 
     return float(1.0 + asymmetry * np.dot(p, direction.vector))
 
 
-def histogram_to_tomogram(gamma_value, asymmetry: float,
+def histogram_to_tomogram(gamma_value, asymmetry,
                           species: str = "mu_plus", tol: float = 1e-6):
-    """(w(+1/2), w(-1/2)) from an angular-distribution value, or elementwise
-    from an array of them.
+    """(w(+1/2), w(-1/2)) from an angular-distribution value and an
+    asymmetry, or elementwise from arrays of them.
 
     w(+1/2) = 1/2 + (Gamma - 1)/(2a); for a = 1/3 this is (3/2) Gamma - 1.
     Negative muons swap the two outputs. Values outside [-tol, 1+tol] raise.
     """
-    if asymmetry <= 0:
+    if not np.all(asymmetry > 0):  # NaN fails
         raise ValueError("asymmetry must be positive")
     if species not in SPECIES:
         raise ValueError(f"species must be 'mu_plus' or 'mu_minus', got {species!r}")
@@ -476,19 +477,20 @@ def simulate_events(polarization_of_t, geometry: DetectorGeometry, model: DecayM
 
 
 @dataclass
-class AxisEstimate:
-    """Time-resolved tomogram estimate along one detector-pair axis."""
+class TomogramEstimate:
+    """Time-resolved tomogram estimate: one row per opposing detector pair,
+    one column per time bin."""
 
-    axis: Direction
-    times: np.ndarray
-    w_plus: np.ndarray
+    axes: tuple  # the forward detector's Direction of each pair
+    times: np.ndarray  # the bin centers, (n_bins,)
+    w_plus: np.ndarray  # this and the rest: (n_pairs, n_bins)
     sigma: np.ndarray
     pair_counts: np.ndarray
     low_confidence: np.ndarray  # True where counts fall below the floor
 
 
 def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
-                      model: DecayModel, count_floor: int = 100) -> list[AxisEstimate]:
+                      model: DecayModel, count_floor: int = 100) -> TomogramEstimate:
     """Invert histograms into w(+1/2, axis, t) per opposing detector pair.
 
     The forward/backward count ratio within a pair estimates the angular
@@ -502,31 +504,27 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
     falls below ``count_floor`` are flagged low-confidence and reported as
     NaN.
     """
-    pairs = geometry.paired_indices()
-    if not pairs:
+    pairs = np.array(geometry.paired_indices(), dtype=int).reshape(-1, 2)
+    if not len(pairs):
         raise ValueError("geometry contains no opposing detector pairs")
-    out = []
-    centers = hist.bin_centers
+    forward = [geometry.detectors[i] for i in pairs[:, 0]]
     f = hist.background_fraction
     shares = f / (1 + f) * np.diff(hist.bin_edges) / (hist.bin_edges[-1] - hist.bin_edges[0])
-    for fw, bw in pairs:
-        det = geometry.detectors[fw]
-        a_eff = model.asymmetry * det.cos_average
-        bf, bb = shares * hist.counts[fw].sum(), shares * hist.counts[bw].sum()
-        nf, nb = hist.counts[fw] - bf, hist.counts[bw] - bb
-        total = nf + nb
-        raw_total = hist.counts[fw] + hist.counts[bw]
-        ok = (raw_total >= count_floor) & (total > 0)
-        if not np.any(ok):
-            raise ValueError("no bins above the count floor")
-        w = np.full_like(total, np.nan)
-        sig = np.full_like(total, np.nan)
-        gamma_hat = 1.0 + (nf[ok] - nb[ok]) / total[ok]
-        w[ok] = histogram_to_tomogram(gamma_hat, a_eff, model.species, tol=np.inf)[0]
-        p = np.clip(gamma_hat / 2, 1e-12, 1 - 1e-12)
-        # the pair's split, and the Poisson noise of the subtracted background
-        n = np.maximum(total[ok], 1.0)
-        sig[ok] = np.sqrt(p * (1 - p) / n + (bf[ok] + bb[ok]) / (4 * n * n)) / a_eff
-        out.append(AxisEstimate(axis=det.axis, times=centers, w_plus=w, sigma=sig,
-                                pair_counts=total, low_confidence=~ok))
-    return out
+    counts = hist.counts[pairs.T]  # (forward | backward, pair, bin)
+    background = shares * counts.sum(axis=2, keepdims=True)
+    nf, nb = counts - background
+    total = nf + nb
+    ok = (counts.sum(axis=0) >= count_floor) & (total > 0)
+    if not np.all(ok.any(axis=1)):
+        raise ValueError("no bins above the count floor")
+    # one value per kept cell, in row-major (pair, bin) order
+    a_eff = model.asymmetry * np.array([det.cos_average for det in forward])[ok.nonzero()[0]]
+    w, sig = np.full((2, *total.shape), np.nan)
+    gamma_hat = 1.0 + (nf[ok] - nb[ok]) / total[ok]
+    w[ok] = histogram_to_tomogram(gamma_hat, a_eff, model.species, tol=np.inf)[0]
+    p = np.clip(gamma_hat / 2, 1e-12, 1 - 1e-12)
+    # the pair's split, and the Poisson noise of the subtracted background
+    n = np.maximum(total[ok], 1.0)
+    sig[ok] = np.sqrt(p * (1 - p) / n + background.sum(axis=0)[ok] / (4 * n * n)) / a_eff
+    return TomogramEstimate(axes=tuple(det.axis for det in forward), times=hist.bin_centers,
+                            w_plus=w, sigma=sig, pair_counts=total, low_confidence=~ok)

@@ -253,10 +253,13 @@ def rotations(j: float, grid: QuadratureGrid) -> np.ndarray:
 
 @lru_cache(maxsize=len(SUPPORTED_SPINS))
 def _jy_eigensystem(j: float) -> tuple:
-    """Eigenvalues and eigenvectors of Jy for a supported spin j."""
+    """Read-only eigenvalues and eigenvectors of Jy for a supported spin j."""
     if j not in SUPPORTED_SPINS:
         raise ValueError(f"unsupported spin j={j}; supported: {SUPPORTED_SPINS}")
-    return np.linalg.eigh(angular_momentum_ops(j)[1])
+    eigensystem = np.linalg.eigh(angular_momentum_ops(j)[1])
+    for a in eigensystem:
+        a.flags.writeable = False  # shared by every rotation of spin j
+    return eigensystem
 
 
 def tomogram(rho: np.ndarray, j: float, direction: Direction) -> np.ndarray:
@@ -290,9 +293,9 @@ def quantizer(j: float, m: float, direction: Direction) -> np.ndarray:
     Built as R diag(k_m) R^dag with the diagonal kernel of ``_quantizer_kernels``;
     for j = 1/2 this reduces to I/2 + 3m (n.sigma).
     """
-    idx = int(round(j - m))
-    if not 0 <= idx < spin_dim(j):
+    if m not in spin_projections(j):  # 0.7 is not rounded to 1/2; NaN fails too
         raise ValueError(f"projection m={m} invalid for j={j}")
+    idx = int(j - m)
     r = rotation_matrix(j, direction)
     kernel = _quantizer_kernels(j)[idx]
     return (r * kernel) @ r.conj().T

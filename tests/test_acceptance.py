@@ -268,15 +268,16 @@ def test_criterion_09_histogram_bridge():
     edges = np.concatenate([[0.0, 1200.0], np.arange(1400.0, 4601.0, 200.0)])
     hist = simulate_events(polarization, geometry, model, 1_000_000, RNG_SEED,
                            edges, background_fraction=0.01)
-    est = estimate_tomogram(hist, geometry, model, count_floor=1000)[0]
-    assert est.sigma[0] < 5e-3, f"sigma(t~0) = {est.sigma[0]}"
+    est = estimate_tomogram(hist, geometry, model, count_floor=1000)
+    w, sigma = est.w_plus[0], est.sigma[0]  # the z pair is row 0
+    assert sigma[0] < 5e-3, f"sigma(t~0) = {sigma[0]}"
     checked, within = 0, 0
-    for i in np.nonzero(~est.low_confidence)[0]:
+    for i in np.nonzero(~est.low_confidence[0])[0]:
         ts = np.linspace(edges[i], edges[i + 1], 65)
         weight = np.exp(-ts / model.lifetime_ns)
         truth = np.sum((0.5 + 0.5 * polarization(ts)[:, 2]) * weight) / weight.sum()
         checked += 1
-        if abs(est.w_plus[i] - truth) <= 3 * est.sigma[i]:
+        if abs(w[i] - truth) <= 3 * sigma[i]:
             within += 1
     assert checked > 0
     assert within / checked >= 0.99, f"{within}/{checked} bins within 3 sigma"

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import re
 from pathlib import Path
 
@@ -145,7 +146,7 @@ class TestBuildHamiltonian:
                                        sum(n_vec[i] * j_e_ops[i] for i in range(3)))
             assert np.array_equal(build_hamiltonian(spec), want)
 
-    @pytest.mark.parametrize("j_e", [0.7, 0.0, -0.5, 0.25, np.nan, np.inf])
+    @pytest.mark.parametrize("j_e", [0.7, 0.0, -0.5, 0.25, np.nan, np.inf, True])
     def test_electron_spin_must_be_a_half_integer(self, j_e):
         with pytest.raises(ValueError, match="j_e must be a positive multiple of 1/2"):
             HamiltonianSpec.hyperfine(1.0, j_e=j_e)
@@ -630,12 +631,25 @@ class TestMaterials:
         assert spec.delta_a < 0
 
     def test_env_search_path(self, tmp_path, monkeypatch):
-        custom = tmp_path / "mymat.json"
-        custom.write_text('{"name": "mymat", "family": "hyperfine", '
-                          '"A_MHz": 10.0, "A_is_angular": true}')
-        monkeypatch.setenv("MUSRTOMO_MATERIALS", str(tmp_path))
+        # a directory on the path, between empty entries, which search nothing
+        # (not the working directory); a shipped name keeps the shipped file
+        extra, cwd = tmp_path / "extra", tmp_path / "cwd"
+        extra.mkdir()
+        cwd.mkdir()
+        for path, name in ((extra / "mymat.json", "mymat"), (extra / "vacuum.json", "vacuum"),
+                           (cwd / "cwdmat.json", "cwdmat")):
+            path.write_text(f'{{"name": "{name}", "family": "hyperfine", '
+                            '"A_MHz": 10.0, "A_is_angular": true}')
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("MUSRTOMO_MATERIALS", os.pathsep.join(["", str(extra), ""]))
         mat = load_material("mymat")
         assert abs(mat.a_rad_ns - 0.01) < 1e-15
+        assert "mymat" in available_presets() and "cwdmat" not in available_presets()
+        shipped = json.loads((_PRESET_DIR / "vacuum.json").read_text())
+        assert load_material("vacuum") == material_from_dict(shipped)
+        assert load_material("vacuum").a_mhz != 10.0
+        with pytest.raises(FileNotFoundError):
+            load_material("cwdmat")
 
     def test_missing_material(self):
         with pytest.raises(FileNotFoundError):

@@ -10,11 +10,11 @@ from musrtomo.cli import _csv_text, _estimate_cells, _histograms_csv, main
 from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
 from musrtomo.materials import load_material
 from musrtomo.musr import (
-    AxisEstimate,
     DecayModel,
     Detector,
     DetectorGeometry,
     HistogramSeries,
+    TomogramEstimate,
     decay_bin_integrals,
     estimate_tomogram,
     gamma_distribution,
@@ -330,6 +330,18 @@ class TestHistogramToTomogram:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             histogram_to_tomogram(2.0, 1 / 3)
+
+    @pytest.mark.parametrize("asymmetry", [0.0, -1 / 3, np.nan, np.array([1 / 3, np.nan])])
+    def test_asymmetry_must_be_positive(self, asymmetry):
+        # NaN too: it is not left to fail as a gamma value out of range
+        with pytest.raises(ValueError, match="asymmetry must be positive"):
+            histogram_to_tomogram(1.0, asymmetry)
+
+    def test_array_asymmetry_is_elementwise(self):
+        gammas, asymmetries = np.array([0.9, 1.0, 1.25]), np.array([1 / 3, 0.5, 1.0])
+        w_plus, w_minus = histogram_to_tomogram(gammas, asymmetries)
+        for g, a, wp, wm in zip(gammas, asymmetries, w_plus, w_minus):
+            assert (wp, wm) == histogram_to_tomogram(g, a)
 
     @pytest.mark.parametrize("species", ["mu-", "mu_plus ", ""])
     def test_unknown_species_rejected(self, species):
@@ -779,9 +791,10 @@ class TestEstimateTomogram:
         edges = np.array([0.0, 1500.0, 3000.0, 4500.0])
         hist = simulate_events(STATIC_UP, hemisphere_pair(), model, 1_000_000, 11,
                                edges, background_fraction=0.01)
-        est = estimate_tomogram(hist, hemisphere_pair(), model)[0]
-        assert est.sigma[0] < 5e-3
-        assert abs(est.w_plus[0] - 1.0) <= 3 * est.sigma[0]
+        est = estimate_tomogram(hist, hemisphere_pair(), model)
+        assert est.w_plus.shape == est.sigma.shape == (1, 3)
+        assert est.sigma[0, 0] < 5e-3
+        assert abs(est.w_plus[0, 0] - 1.0) <= 3 * est.sigma[0, 0]
 
     def test_pulls_with_background_are_standard(self):
         # a background of 30% of the signal, subtracted as the series states
@@ -796,9 +809,9 @@ class TestEstimateTomogram:
         for seed in range(200):
             hist = simulate_events(precessing, geom, model, 1_000_000, seed, edges,
                                    background_fraction=0.3)
-            est = estimate_tomogram(hist, geom, model)[0]
-            truth = 0.5 + 0.5 * q @ est.axis.vector / mass
-            pulls.append((est.w_plus - truth) / est.sigma)
+            est = estimate_tomogram(hist, geom, model)
+            truth = 0.5 + 0.5 * q @ est.axes[0].vector / mass
+            pulls.append((est.w_plus[0] - truth) / est.sigma[0])
         pulls = np.ravel(pulls)
         assert abs(pulls.mean()) <= 0.15
         assert 0.9 <= pulls.std() <= 1.1
@@ -808,9 +821,8 @@ class TestEstimateTomogram:
         edges = np.array([0.0, 2000.0, 4000.0])
         hist = simulate_events(UNPOLARIZED, hemisphere_pair(), model, 400_000, 21,
                                edges, background_fraction=0.0)
-        est = estimate_tomogram(hist, hemisphere_pair(), model)[0]
-        for i in range(2):
-            assert abs(est.w_plus[i] - 0.5) <= 3 * est.sigma[i]
+        est = estimate_tomogram(hist, hemisphere_pair(), model)
+        assert np.all(np.abs(est.w_plus - 0.5) <= 3 * est.sigma)
 
     def test_oscillating_evolution_within_errors(self):
         # slow coupling-style precession; truth is the decay-weighted bin
@@ -826,21 +838,21 @@ class TestEstimateTomogram:
         edges = np.linspace(0, 4400, 23)
         hist = simulate_events(pol, hemisphere_pair(), model, 1_000_000, 5,
                                edges, background_fraction=0.01)
-        est = estimate_tomogram(hist, hemisphere_pair(), model, count_floor=1000)[0]
-        for i in np.nonzero(~est.low_confidence)[0]:
+        est = estimate_tomogram(hist, hemisphere_pair(), model, count_floor=1000)
+        for i in np.nonzero(~est.low_confidence[0])[0]:
             ts = np.linspace(edges[i], edges[i + 1], 41)
             weight = np.exp(-ts / model.lifetime_ns)
             truth = np.sum((0.5 + 0.5 * pol(ts)[:, 2]) * weight) / weight.sum()
-            assert abs(est.w_plus[i] - truth) <= 3 * est.sigma[i]
+            assert abs(est.w_plus[0, i] - truth) <= 3 * est.sigma[0, i]
 
     def test_species_swap_inverts_estimates(self):
         model = DecayModel()
         edges = np.array([0.0, 1500.0, 3000.0])
         hist = simulate_events(STATIC_UP, hemisphere_pair(), model, 200_000, 13,
                                edges, background_fraction=0.0)
-        est_plus = estimate_tomogram(hist, hemisphere_pair(), model)[0]
+        est_plus = estimate_tomogram(hist, hemisphere_pair(), model)
         model_minus = DecayModel(species="mu_minus")
-        est_minus = estimate_tomogram(hist, hemisphere_pair(), model_minus)[0]
+        est_minus = estimate_tomogram(hist, hemisphere_pair(), model_minus)
         assert np.abs(est_minus.w_plus - (1 - est_plus.w_plus)).max() < 1e-12
 
     @pytest.mark.parametrize("species", ["mu_plus", "mu_minus"])
@@ -852,26 +864,27 @@ class TestEstimateTomogram:
         edges = np.linspace(0, 3 * model.lifetime_ns, 65)
         hist = simulate_events(STATIC_UP, geom, model, 200_000, 19, edges,
                                background_fraction=0.0)
-        for est, (fw, bw) in zip(estimate_tomogram(hist, geom, model),
-                                 geom.paired_indices()):
+        est = estimate_tomogram(hist, geom, model)
+        assert est.axes == (Z_AXIS, X_AXIS) and est.w_plus.shape == (2, 64)
+        for row, (fw, bw) in enumerate(geom.paired_indices()):
             nf, nb = hist.counts[fw].astype(float), hist.counts[bw].astype(float)
             a_eff = model.asymmetry * geom.detectors[fw].cos_average
-            kept = np.nonzero(~est.low_confidence)[0]
+            kept = np.nonzero(~est.low_confidence[row])[0]
             assert len(kept) > 32
             for i in kept:
                 gamma = 1.0 + (nf[i] - nb[i]) / (nf[i] + nb[i])
                 want = histogram_to_tomogram(gamma, a_eff, species, tol=np.inf)[0]
-                assert est.w_plus[i] == want
+                assert est.w_plus[row, i] == want
 
     def test_late_bins_flagged_low_confidence(self):
         model = DecayModel()
         edges = np.linspace(0, 30 * model.lifetime_ns, 31)
         hist = simulate_events(STATIC_UP, hemisphere_pair(), model, 100_000, 17,
                                edges, background_fraction=0.0)
-        est = estimate_tomogram(hist, hemisphere_pair(), model)[0]
-        assert est.low_confidence[-1]
-        assert np.isnan(est.w_plus[-1])
-        assert not est.low_confidence[0]
+        est = estimate_tomogram(hist, hemisphere_pair(), model)
+        assert est.low_confidence[0, -1]
+        assert np.isnan(est.w_plus[0, -1])
+        assert not est.low_confidence[0, 0]
 
     def test_all_bins_below_floor_raises(self):
         model = DecayModel()
@@ -938,9 +951,9 @@ class TestSerialization:
         assert [row.split(",")[-1] for row in rows] == ["counts", "3"]
 
     def test_estimates_csv(self):
-        est = AxisEstimate(axis=Z_AXIS, times=np.array([1.0]),
-                           w_plus=np.array([0.9]), sigma=np.array([0.01]),
-                           pair_counts=np.array([500.0]),
-                           low_confidence=np.array([False]))
-        text = _csv_text("musrtomo/tomogram-estimate/v1", _estimate_cells([est]))
+        est = TomogramEstimate(axes=(Z_AXIS,), times=np.array([1.0]),
+                               w_plus=np.array([[0.9]]), sigma=np.array([[0.01]]),
+                               pair_counts=np.array([[500.0]]),
+                               low_confidence=np.array([[False]]))
+        text = _csv_text("musrtomo/tomogram-estimate/v1", _estimate_cells(est))
         assert "w_plus" in text and "0.9" in text

@@ -287,6 +287,12 @@ class TestQuantizer:
             q = quantizer(j, j, d)
             assert np.abs(q - q.conj().T).max() < 1e-13
 
+    @pytest.mark.parametrize("m", [0.7, 0.25, np.nan, 1.5])
+    def test_projection_must_be_a_spin_projection(self, m):
+        # only m in j, j-1, ..., -j: 0.7 is not rounded to the m = +1/2 quantizer
+        with pytest.raises(ValueError, match=r"projection m=.* invalid for j=0.5"):
+            quantizer(0.5, m, Z_AXIS)
+
 
 class TestSphereReconstruction:
     def test_up_state(self, up_state):

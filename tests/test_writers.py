@@ -16,7 +16,7 @@ import pytest
 import musrtomo
 from musrtomo.cli import (_csv_text, _estimate_cells, _float_cells, _histograms_csv,
                           _records_json, main)
-from musrtomo.musr import AxisEstimate, DetectorGeometry, HistogramSeries
+from musrtomo.musr import DetectorGeometry, HistogramSeries, TomogramEstimate
 from musrtomo.tomography import X_AXIS, Z_AXIS, Direction
 
 SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
@@ -114,9 +114,9 @@ class TestHelpers:
         assert _float_cells(np.pi / 2, 2) == [repr(np.pi / 2)] * 2
 
 
-def estimates_csv(estimates) -> str:
+def estimates_csv(est) -> str:
     """The tomogram-estimate CSV as ``simulate`` writes it."""
-    return _csv_text("musrtomo/tomogram-estimate/v1", _estimate_cells(estimates))
+    return _csv_text("musrtomo/tomogram-estimate/v1", _estimate_cells(est))
 
 
 class TestSimulateWriters:
@@ -137,35 +137,26 @@ class TestSimulateWriters:
     def test_estimates_match_the_row_loop(self):
         rng = np.random.default_rng(4)
         times = np.linspace(10.0, 6000.0, 6)
-        ests = [AxisEstimate(axis=axis, times=times, w_plus=rng.random(6),
-                             sigma=rng.random(6) / 10, pair_counts=rng.integers(0, 999, 6),
-                             low_confidence=rng.random(6) < 0.3)
-                for axis in (Z_AXIS, X_AXIS, Direction.from_vector([0.6, 0.0, 0.8]))]
+        est = TomogramEstimate(
+            axes=(Z_AXIS, X_AXIS, Direction.from_vector([0.6, 0.0, 0.8])), times=times,
+            w_plus=rng.random((3, 6)), sigma=rng.random((3, 6)) / 10,
+            pair_counts=rng.integers(0, 999, (3, 6)), low_confidence=rng.random((3, 6)) < 0.3)
         want = row_loop_text(
             "musrtomo/tomogram-estimate/v1",
             ["axis_theta", "axis_phi", "t_ns", "w_plus", "sigma", "pair_counts",
              "low_confidence"],
-            ([repr(est.axis.theta), repr(est.axis.phi), repr(float(t)),
-              repr(float(est.w_plus[i])), repr(float(est.sigma[i])),
-              repr(float(est.pair_counts[i])), int(est.low_confidence[i])]
-             for est in ests for i, t in enumerate(est.times)))
-        assert estimates_csv(ests) == want
-
-    def test_estimates_with_their_own_times(self):
-        # each axis keeps its own times when they are separate arrays
-        ests = [AxisEstimate(axis=Z_AXIS, times=np.array(ts), w_plus=np.full(2, 0.5),
-                             sigma=np.full(2, 0.1), pair_counts=np.array([9, 9]),
-                             low_confidence=np.zeros(2, dtype=bool))
-                for ts in ([1.0, 2.0], [3.0, 4.5])]
-        rows = csv_oracle(estimates_csv(ests))
-        assert [row[2] for row in rows[1:]] == ["1.0", "2.0", "3.0", "4.5"]
+            ([repr(axis.theta), repr(axis.phi), repr(float(t)),
+              repr(float(est.w_plus[p, i])), repr(float(est.sigma[p, i])),
+              repr(float(est.pair_counts[p, i])), int(est.low_confidence[p, i])]
+             for p, axis in enumerate(est.axes) for i, t in enumerate(times)))
+        assert estimates_csv(est) == want
 
     def test_low_confidence_cells(self):
-        est = [AxisEstimate(axis=axis, times=np.array([1.0, 3.0]),
-                            w_plus=np.array([0.9, np.nan]), sigma=np.array([0.01, np.nan]),
-                            pair_counts=np.array([500, 7]),
-                            low_confidence=np.array([False, True]))
-               for axis in (Z_AXIS, X_AXIS)]
+        est = TomogramEstimate(axes=(Z_AXIS, X_AXIS), times=np.array([1.0, 3.0]),
+                               w_plus=np.array([[0.9, np.nan]] * 2),
+                               sigma=np.array([[0.01, np.nan]] * 2),
+                               pair_counts=np.array([[500, 7]] * 2),
+                               low_confidence=np.array([[False, True]] * 2))
         rows = csv_oracle(estimates_csv(est))
         assert rows[1] == ["0.0", "0.0", "1.0", "0.9", "0.01", "500.0", "0"]
         assert rows[2] == ["0.0", "0.0", "3.0", "nan", "nan", "7.0", "1"]
