@@ -66,12 +66,42 @@ def _axis(name) -> Direction:
                           "or [theta, phi] in a plan") from exc
 
 
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object that the file ``path`` holds; any other JSON value is
+    a ConfigError naming ``what``."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must hold a JSON object, got {data!r}")
+    return data
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    """Whether a parsed JSON value is a number or an array, nested or not, of numbers."""
+    return all(map(_is_numbers, value)) if isinstance(value, list) else _is_number(value)
+
+
+def _field(data: dict, name: str, kind: str, ok, default=None):
+    """``data[name]``, or ``default`` (when one is given) for an absent field,
+    if ``ok`` holds for it; a ConfigError naming the field and ``kind``
+    otherwise."""
+    value = data[name] if default is None else data.get(name, default)
+    if not ok(value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _load_init(path: str | None, j_e: float) -> np.ndarray:
     if path is None or path == "default":
         return initial_muonium_state(j_e)
-    data = json.loads(Path(path).read_text())
-    rho = np.array(data["real"], dtype=float) + 1j * np.array(data.get("imag", 0.0))
-    return require_density_matrix(rho)
+    data, kind = _json_object(path, "an --init file"), "a JSON number or nested arrays of numbers"
+    real = np.array(_field(data, "real", kind, _is_numbers), dtype=float)
+    imag = np.array(_field(data, "imag", kind, _is_numbers, 0.0), dtype=float)
+    return require_density_matrix(real + 1j * imag)
 
 
 def _propagator(material_name: str, b_field: float, b_axis: str,
@@ -256,12 +286,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    plan_data = json.loads(Path(args.plan).read_text())
-    prop, _ = _propagator(plan_data["material"], plan_data.get("B", 0.0),
-                          plan_data.get("B_axis", "z"), plan_data.get("aniso_axis"))
-    dirs = [_axis(d) for d in plan_data.get("directions", ["x", "y", "z"])]
-    plan = MeasurementPlan(prop, directions=tuple(dirs),
-                           times=tuple(plan_data["times_ns"]))
+    plan_data = _json_object(args.plan, "a plan")
+    material = _field(plan_data, "material", "a string", lambda v: isinstance(v, str))
+    b_field = _field(plan_data, "B", "a JSON number", _is_number, 0.0)
+    directions = _field(plan_data, "directions", "an array", lambda v: isinstance(v, list),
+                        ["x", "y", "z"])
+    times = _field(plan_data, "times_ns", "an array of JSON numbers",
+                   lambda v: isinstance(v, list) and all(map(_is_number, v)))
+    prop, _ = _propagator(material, b_field, plan_data.get("B_axis", "z"),
+                          plan_data.get("aniso_axis"))
+    plan = MeasurementPlan(prop, directions=tuple(map(_axis, directions)), times=tuple(times))
     design = build_design_matrix(plan)
     values, sigmas = _read_measurements(args.measurements, plan)
     generic = time_generic_rank(plan)

@@ -52,10 +52,6 @@ class PhysicalConstants:
         """g_e mu_e / hbar in rad/ns per Gauss."""
         return self.g_e * self.bohr_magneton / self.hbar * 1e-13
 
-    def critical_field(self, a_rad_ns: float) -> float:
-        """Field (Gauss) where B (g_e mu_e - g_mu mu_mu) equals the coupling."""
-        return a_rad_ns / (self.gamma_e - self.gamma_mu)
-
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -81,8 +77,11 @@ class HamiltonianSpec:
         for name in ("a", "delta_a", "b_field"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if isinstance(self.j_e, bool) or not (  # True is not read as 1; NaN fails too
-                2 * self.j_e >= 1 and float(2 * self.j_e).is_integer()):
+        try:
+            positive = spin_dim(self.j_e) > 1  # 2j+1 > 1: a spin, and not 0
+        except ValueError:
+            positive = False
+        if not positive:
             raise ValueError(f"j_e must be a positive multiple of 1/2, got {self.j_e!r}")
         if self.delta_a != 0.0 and self.aniso_axis is None:
             raise ValueError("nonzero anisotropy requires an anisotropy axis")

@@ -90,6 +90,8 @@ def _number(data: dict, field: str, default: float | None = None) -> float:
 def material_from_dict(data: dict) -> Material:
     """The material of a parsed file; ValueError where the checks of the
     module docstring fail."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a material file must hold a JSON object, got {data!r}")
     if not isinstance(data["A_is_angular"], bool):
         raise ValueError(f"A_is_angular must be true or false, got {data['A_is_angular']!r}")
     delta_a_mhz = _number(data, "deltaA_MHz", 0.0)
@@ -122,8 +124,7 @@ def load_material(name_or_path: str) -> Material:
 
 
 def available_presets() -> list[str]:
-    names = []
-    for d in _search_dirs():
-        if d.is_dir():
-            names += sorted(f.stem for f in d.glob("*.json"))
-    return names
+    """Preset names in the order that ``load_material`` searches them, each
+    once: a name in a later directory is shadowed by the first one's file."""
+    names = (f.stem for d in _search_dirs() if d.is_dir() for f in sorted(d.glob("*.json")))
+    return list(dict.fromkeys(names))

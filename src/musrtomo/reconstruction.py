@@ -148,18 +148,6 @@ def time_generic_rank(plan: MeasurementPlan) -> int:
     return DesignMatrix(coeffs.transpose(0, 2, 1).reshape(-1, 15)).rank
 
 
-def forward_model(rho0: np.ndarray, plan: MeasurementPlan) -> np.ndarray:
-    """Predicted w(+1/2, n_k, t_l), ordered like the design-matrix rows."""
-    return 0.5 + build_design_matrix(plan).matrix @ state_to_coefficients(rho0)
-
-
-def identifiability(plan: MeasurementPlan) -> tuple[int, float]:
-    """(rank, condition number) of the plan's design matrix; rank 15 means
-    the full initial state is reconstructible."""
-    design = build_design_matrix(plan)
-    return design.rank, design.condition_number
-
-
 @dataclass
 class ReconstructionResult:
     rho0: np.ndarray

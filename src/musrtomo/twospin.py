@@ -83,15 +83,6 @@ def cg_matrix(j_mu: float, j_e: float) -> np.ndarray:
     return u
 
 
-def individual_tomogram_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Diagonal of U rho U^dag in the product basis (joint probabilities)."""
-    u = require_unitary(u)
-    if u.shape != np.shape(rho):
-        raise ValueError(f"unitary shape {u.shape} != state shape {np.shape(rho)}")
-    rho = require_state(rho, len(u), "unitary dimension")
-    return np.einsum("ia,ab,ib->i", u, rho, u.conj()).real
-
-
 def individual_tomogram(rho: np.ndarray, j_mu: float, j_e: float,
                         dir_mu: Direction, dir_e: Direction) -> np.ndarray:
     """Joint probabilities of muon projection along dir_mu and electron

@@ -1,7 +1,16 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from musrtomo.linalg import eig_hermitian
+from musrtomo.dynamics import DEFAULT_CONSTANTS, PropagatorSpec
+from musrtomo.linalg import eig_hermitian, require_state, require_unitary
+from musrtomo.materials import load_material
+from musrtomo.reconstruction import build_design_matrix, state_to_coefficients
+
+# a material file of a muon coupled to an electron shell of spin 1
+SPIN1 = str(Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json")
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -16,6 +25,32 @@ def propagator(h: np.ndarray, t: float) -> np.ndarray:
     full eigensolve."""
     w, v = eig_hermitian(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def random_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Ginibre matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def generic_unitary_family(seed=3):
+    """U(t) of a structureless two-spin Hamiltonian; it reaches the full rank 15."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (g + g.conj().T) / 2
+    return lambda t: propagator(h, t)
+
+
+def material_propagator(material, b_field=0.0, b_axis=None, aniso_axis=None) -> PropagatorSpec:
+    """The propagator of a preset or material file in a field."""
+    return PropagatorSpec(load_material(material).hamiltonian_spec(
+        b_field=b_field, b_axis=b_axis, aniso_axis=aniso_axis))
+
+
+def read_csv(path) -> list:
+    """The rows of a written CSV file as dicts; '#' lines are skipped."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
 
 
 @pytest.fixture
@@ -71,3 +106,31 @@ def decay_weighted_gl(source, edges, lifetime_ns, panels, nodes=16):
         mass[a:a + per_call] = weight.sum(axis=(1, 2))
         q[a:a + per_call] = np.einsum("bpn,bpna->ba", weight, pol)
     return mass, q
+
+
+# oracles that only tests call, kept out of the library's public surface
+
+def critical_field(a_rad_ns: float) -> float:
+    """Field (Gauss) where B (g_e mu_e - g_mu mu_mu) equals the coupling."""
+    return a_rad_ns / (DEFAULT_CONSTANTS.gamma_e - DEFAULT_CONSTANTS.gamma_mu)
+
+
+def forward_model(rho0: np.ndarray, plan) -> np.ndarray:
+    """Predicted w(+1/2, n_k, t_l) of a plan, ordered like the design rows."""
+    return 0.5 + build_design_matrix(plan).matrix @ state_to_coefficients(rho0)
+
+
+def identifiability(plan) -> tuple[int, float]:
+    """(rank, condition number) of the plan's design matrix; rank 15 means
+    the full initial state is reconstructible."""
+    design = build_design_matrix(plan)
+    return design.rank, design.condition_number
+
+
+def individual_tomogram_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Diagonal of U rho U^dag in the product basis (joint probabilities)."""
+    u = require_unitary(u)
+    if u.shape != np.shape(rho):
+        raise ValueError(f"unitary shape {u.shape} != state shape {np.shape(rho)}")
+    rho = require_state(rho, len(u), "unitary dimension")
+    return np.einsum("ia,ab,ib->i", u, rho, u.conj()).real

@@ -15,16 +15,20 @@ import io
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 from musrtomo.cli import main
 from musrtomo.dynamics import PropagatorSpec, initial_muonium_state
 from musrtomo.materials import load_material
-from musrtomo.reconstruction import MeasurementPlan, forward_model
+from musrtomo.reconstruction import MeasurementPlan
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS
 
 GOLDEN = Path(__file__).resolve().parent
 TESTS = GOLDEN.parent
+sys.path.insert(0, str(TESTS))  # tests/ holds the test-side oracles, in conftest
+from conftest import forward_model  # noqa: E402
+
 PLAN = "golden/inputs/plan.json"
 MEASUREMENTS = "golden/inputs/measurements.csv"
 QUARTZ_X = ["--material", "quartz", "--B", "790", "--B-axis", "x"]

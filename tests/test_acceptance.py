@@ -21,53 +21,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_direction, random_product_mixture
-from musrtomo.dynamics import (
-    DEFAULT_CONSTANTS,
-    HamiltonianSpec,
-    PropagatorSpec,
-    evolve_density,
-    initial_muonium_state,
-)
-from musrtomo.entanglement import (
-    BellSetting,
-    bell_number_of_state,
-    entanglement_measure,
-    max_bell,
-    negativity,
-    positivity_coefficients,
-    tomographic_m34,
-)
-from musrtomo.linalg import (
-    SubsystemDims,
-    kron,
-    partial_transpose,
-)
+from conftest import (critical_field, forward_model, identifiability, random_density_matrix,
+                      random_direction, random_product_mixture)
+from musrtomo.dynamics import (HamiltonianSpec, PropagatorSpec, evolve_density,
+                               initial_muonium_state)
+from musrtomo.entanglement import (BellSetting, bell_number_of_state, entanglement_measure,
+                                   max_bell, negativity, positivity_coefficients, tomographic_m34)
+from musrtomo.linalg import SubsystemDims, kron, partial_transpose
 from musrtomo.materials import load_material
 from musrtomo.musr import DecayModel, DetectorGeometry, estimate_tomogram, simulate_events
-from musrtomo.reconstruction import (
-    MeasurementPlan,
-    forward_model,
-    identifiability,
-    reconstruct_initial,
-)
-from musrtomo.tomography import (
-    SpinTomogram,
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    reconstruct_from_sphere,
-    reconstruct_qubit_three_directions,
-    rotation_matrix,
-    tomogram,
-)
-from musrtomo.twospin import (
-    TwoSpinTomogram,
-    blockdiag_rotation,
-    cg_matrix,
-    reconstruct_two_spin,
-    reduced_tomogram,
-)
+from musrtomo.reconstruction import MeasurementPlan, reconstruct_initial
+from musrtomo.tomography import (SpinTomogram, X_AXIS, Y_AXIS, Z_AXIS, reconstruct_from_sphere,
+                                 reconstruct_qubit_three_directions, rotation_matrix, tomogram)
+from musrtomo.twospin import (TwoSpinTomogram, blockdiag_rotation, cg_matrix, reconstruct_two_spin,
+                              reduced_tomogram)
 
 OMEGA0 = load_material("vacuum").a_rad_ns  # rad/ns
 RNG_SEED = 20240801
@@ -173,9 +140,9 @@ def test_criterion_04_propagator_cross_validation():
 
 @criterion("05 critical fields")
 def test_criterion_05_critical_fields():
-    bc_quartz = DEFAULT_CONSTANTS.critical_field(load_material("quartz").a_rad_ns)
+    bc_quartz = critical_field(load_material("quartz").a_rad_ns)
     assert 1564 <= bc_quartz <= 1596, bc_quartz
-    bc_si = DEFAULT_CONSTANTS.critical_field(load_material("si-mustar").a_rad_ns)
+    bc_si = critical_field(load_material("si-mustar").a_rad_ns)
     assert 31.4 <= bc_si <= 34.7, bc_si
 
 

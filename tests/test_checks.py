@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_unitary
 from musrtomo.linalg import require_density_matrix, require_unitary
 from musrtomo.tomography import QuadratureGrid, SpinTomogram
 from musrtomo.twospin import TwoSpinTomogram
@@ -151,11 +151,6 @@ def test_density_matrix_check_matches_the_reference(case):
         assert (want is None) == (abs(factor) < 1)
 
 
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @given(case=perturbed_matrices(random_unitary, ["defect"]))
 @settings(deadline=None, max_examples=300)
 def test_unitary_check_matches_the_reference(case):
@@ -237,42 +232,73 @@ def test_probability_rules_match_the_reference(name, seed, kind, factor, data):
 
 
 # --------------------------------------------------------------------------
-# the two bounds of require_probabilities, pinned for both tomogram classes
+# every bound pinned: a defect of 0.9 times the bound is accepted here, one of
+# 1.1 times it is refused in tests/test_boundaries.py (BOUNDS)
+
+BASES = [np.diag([0.7, 0.3]).astype(complex), np.diag([3.0, -2.0]).astype(complex)]
 
 
-def flat_table(name):
-    """A valid table, 1/2 on the first and 1/2 on the last projection (pair)
-    of each node (pair), and the indices of both halves and of an empty entry
-    at one node (pair)."""
+def density_at(bound, base, stacked, factor):
+    """A unit-trace state (|rho|_F < 1) or a unit-trace Hermitian matrix
+    (|rho|_F = sqrt(13)) whose Hermitian defect is factor 1e-10 max(|rho|_F, 1)
+    (rho[0, 1] = i delta: norm sqrt(2) delta), or whose trace is off by
+    factor 1e-10; checked alone or between two clean states of a stack."""
+    rho = BASES[base].copy()
+    if bound == "hermitian":
+        rho[0, 1] = 1j * factor * 1e-10 * max(np.linalg.norm(rho), 1.0) / np.sqrt(2)
+    else:
+        rho[1, 1] += factor * 1e-10
+    return require_density_matrix(np.array([np.eye(2) / 2, rho, np.eye(2) / 2]) if stacked
+                                  else rho)
+
+
+def unitary_at(d, stacked, factor):
+    """sqrt(1 + e) I, so that U U^dag - I = e I has the norm factor 1e-10 d;
+    checked alone or between two identities of a stack."""
+    u = np.sqrt(1 + factor * 1e-10 * np.sqrt(d)) * np.eye(d)
+    return require_unitary(np.array([np.eye(d), u, np.eye(d)]) if stacked else u)
+
+
+def table_at(name, bound, factor):
+    """A valid table, 1/2 on the first and the last projection (pair) of
+    each node (pair), with one entry at factor times the lower or upper
+    bound, or one node's sum off by factor 1e-10."""
     if name == "spin":
         values = np.zeros((3, QuadratureGrid.for_spin(1.0).n_nodes))
         values[0] = values[-1] = 0.5
-        return values, (0, 5), (2, 5), (1, 5)
-    n = QuadratureGrid.for_spin(0.5).n_nodes
-    values = np.zeros((2, n, 2, n))
-    values[0, :, 0, :] = values[1, :, 1, :] = 0.5
-    return values, (0, 5, 0, 7), (1, 5, 1, 7), (0, 5, 1, 7)
-
-
-RANGE_FRAGMENT = {"spin": "tomogram values outside",
-                  "two-spin": "negative or missing joint probabilities"}
-
-
-@pytest.mark.parametrize("name", sorted(TABLES))
-@pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
-@pytest.mark.parametrize("bound", ["lower", "upper", "sum above", "sum below"])
-def test_probability_bounds(name, factor, ok, bound):
-    values, half, other_half, empty = flat_table(name)
+        half, other_half, empty = (0, 5), (2, 5), (1, 5)
+    else:
+        n = QuadratureGrid.for_spin(0.5).n_nodes
+        values = np.zeros((2, n, 2, n))
+        values[0, :, 0, :] = values[1, :, 1, :] = 0.5
+        half, other_half, empty = (0, 5, 0, 7), (1, 5, 1, 7), (0, 5, 1, 7)
     if bound == "lower":
         values[empty] = -factor * 1e-12
     elif bound == "upper":
         values[half], values[other_half] = 1 + factor * 1e-12, 0.0
     else:
         values[half] += (1 if bound == "sum above" else -1) * factor * 1e-10
-    build = TABLES[name][2]
-    if ok:
-        build(values)
-    else:
-        with pytest.raises(ValueError, match="sum to 1" if bound.startswith("sum")
-                           else RANGE_FRAGMENT[name]):
-            build(values)
+    return TABLES[name][2](values)
+
+
+RANGE_FRAGMENT = {"spin": "tomogram values outside",
+                  "two-spin": "negative or missing joint probabilities"}
+# (name, builder of the input at a factor of its bound, message of a refusal)
+BOUNDS = [
+    *[(f"density-{bound}/{base}/{'stack' if stacked else 'matrix'}/{sign}",
+       lambda f, b=bound, i=base, s=stacked, sign=sign: density_at(b, i, s, sign * f), message)
+      for bound, message, signs in (("hermitian", "not Hermitian", (1,)),
+                                    ("trace", "trace", (1, -1)))
+      for base in range(len(BASES)) for stacked in (False, True) for sign in signs],
+    *[(f"unitary/{d}/{'stack' if stacked else 'matrix'}",
+       lambda f, d=d, s=stacked: unitary_at(d, s, f), "not unitary")
+      for d in (2, 4, 6) for stacked in (False, True)],
+    *[(f"{name}-table/{bound}", lambda f, n=name, b=bound: table_at(n, b, f),
+       "sum to 1" if bound.startswith("sum") else RANGE_FRAGMENT[name])
+      for name in sorted(TABLES) for bound in ("lower", "upper", "sum above", "sum below")],
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b, _ in BOUNDS], ids=[n for n, _, _ in BOUNDS])
+def test_within_a_bound_is_accepted(build):
+    build(0.9)

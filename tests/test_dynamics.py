@@ -1,78 +1,30 @@
+import argparse
 import functools
 import json
 import os
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import decay_weighted_gl, random_density_matrix, random_direction
-from musrtomo.dynamics import (
-    DEFAULT_CONSTANTS,
-    _SLICE_TIMES,
-    DerivedScalars,
-    HamiltonianSpec,
-    MuonSpinTable,
-    OrientationNotTabulated,
-    PropagatorSpec,
-    _spin_operators,
-    analytic_free_mu,
-    analytic_free_mu_reduced,
-    build_hamiltonian,
-    closed_form,
-    evolve_density,
-    evolve_tomogram,
-    initial_muonium_state,
-    muon_polarization_function,
-    propagator_hyperfine,
-    propagator_hyperfine_spin1,
-    propagator_mu_transverse_x,
-    propagator_mu_transverse_y,
-    propagator_mustar_xz,
-    propagator_mustar_yz,
-    propagator_mustar_zz,
-)
+from conftest import (SPIN1, critical_field, decay_weighted_gl, individual_tomogram_unitary,
+                      random_density_matrix, random_direction)
+from musrtomo.cli import _common_physics_flags
+from musrtomo.dynamics import (DEFAULT_CONSTANTS, _SLICE_TIMES, DerivedScalars, HamiltonianSpec,
+                               MuonSpinTable, OrientationNotTabulated, PropagatorSpec,
+                               _spin_operators, analytic_free_mu, analytic_free_mu_reduced,
+                               build_hamiltonian, closed_form, evolve_density, evolve_tomogram,
+                               initial_muonium_state, muon_polarization_function,
+                               propagator_hyperfine, propagator_hyperfine_spin1,
+                               propagator_mu_transverse_x, propagator_mu_transverse_y,
+                               propagator_mustar_xz, propagator_mustar_yz, propagator_mustar_zz)
 from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace
-from musrtomo.materials import (_PRESET_DIR, available_presets, load_material,
-                                material_from_dict)
+from musrtomo.materials import _PRESET_DIR, available_presets, load_material, material_from_dict
 from musrtomo.musr import MUON_LIFETIME_NS
-from musrtomo.tomography import (
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    Direction,
-    angular_momentum_ops,
-    rotation_matrix,
-)
-from musrtomo.twospin import individual_tomogram_unitary, reduced_tomogram
-
-
-def phase_insensitive_error(u, v):
-    """max |e^{i chi} u - v| minimized over one global phase."""
-    inner = np.trace(u.conj().T @ v)
-    chi = inner / abs(inner) if abs(inner) > 1e-14 else 1.0
-    return np.abs(u * chi - v).max()
-
-
-def spec_for(variant, rng):
-    a = rng.uniform(0.5, 30.0)
-    da = rng.uniform(-20.0, 20.0)
-    b = rng.uniform(1.0, 4000.0)
-    if variant == "hf":
-        return HamiltonianSpec.hyperfine(a)
-    if variant == "hf_spin1":
-        return HamiltonianSpec.hyperfine(a, j_e=1.0)
-    axis = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}[variant[-1]]
-    if variant.startswith("mu_"):
-        return HamiltonianSpec(a=a, b_field=b, b_axis=axis)
-    n_axis = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}[variant[-2]]
-    return HamiltonianSpec(a=a, delta_a=da, b_field=b, b_axis=Z_AXIS, aniso_axis=n_axis)
-
-
-ALL_VARIANTS = ["hf", "mu_z", "mu_x", "mu_y", "mustar_zz", "mustar_xz",
-                "mustar_yz", "hf_spin1"]
+from musrtomo.tomography import (X_AXIS, Y_AXIS, Z_AXIS, Direction, angular_momentum_ops,
+                                 rotation_matrix)
+from musrtomo.twospin import reduced_tomogram
 
 
 class TestConstants:
@@ -85,12 +37,12 @@ class TestConstants:
 
     def test_quartz_critical_field(self):
         a = load_material("quartz").a_rad_ns
-        bc = DEFAULT_CONSTANTS.critical_field(a)
+        bc = critical_field(a)
         assert 1580 * 0.99 <= bc <= 1580 * 1.01
 
     def test_silicon_critical_field(self):
         a = load_material("si-mustar").a_rad_ns
-        bc = DEFAULT_CONSTANTS.critical_field(a)
+        bc = critical_field(a)
         assert 33 * 0.95 <= bc <= 33 * 1.05
 
 
@@ -122,10 +74,6 @@ class TestBuildHamiltonian:
         expect = np.diag([(-gm + ge) / 2, (-gm - ge) / 2, (gm + ge) / 2, (gm - ge) / 2])
         assert np.abs(h - expect).max() < 1e-12
 
-    def test_requires_axis_for_field(self):
-        with pytest.raises(ValueError):
-            HamiltonianSpec(a=1.0, b_field=10.0)
-
     @pytest.mark.parametrize("j_e", [0.5, 1.0, 1.5])
     def test_matches_kronecker_sums(self, j_e, rng):
         # one Kronecker product per component and term, summed in order
@@ -146,33 +94,8 @@ class TestBuildHamiltonian:
                                        sum(n_vec[i] * j_e_ops[i] for i in range(3)))
             assert np.array_equal(build_hamiltonian(spec), want)
 
-    @pytest.mark.parametrize("j_e", [0.7, 0.0, -0.5, 0.25, np.nan, np.inf, True])
-    def test_electron_spin_must_be_a_half_integer(self, j_e):
-        with pytest.raises(ValueError, match="j_e must be a positive multiple of 1/2"):
-            HamiltonianSpec.hyperfine(1.0, j_e=j_e)
-
 
 class TestClosedForms:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_matches_numeric_exponential(self, variant):
-        rng = np.random.default_rng(hash(variant) % 2 ** 32)
-        for _ in range(100):
-            spec = spec_for(variant, rng)
-            prop = PropagatorSpec(spec)
-            t = rng.uniform(0, 50.0)
-            u_cf = prop.closed_form_unitary(t)
-            u_num = prop.numeric_unitary(t)
-            assert phase_insensitive_error(u_cf, u_num) <= 1e-9
-
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_unitarity(self, variant):
-        rng = np.random.default_rng(hash(variant + "u") % 2 ** 32)
-        dim = 6 if variant == "hf_spin1" else 4
-        for _ in range(125):
-            spec = spec_for(variant, rng)
-            u = PropagatorSpec(spec).closed_form_unitary(rng.uniform(0, 100.0))
-            assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-12
-
     def test_hyperfine_full_period_phase(self):
         # one coupling period is a global phase e^{-i pi/2}
         omega0 = 2.0
@@ -234,20 +157,16 @@ class TestClosedForms:
         spec = HamiltonianSpec(a=1.1, delta_a=0.4, b_field=25.0, b_axis=Z_AXIS,
                                aniso_axis=X_AXIS, j_e=1.5)
         prop = PropagatorSpec(spec)
-        with pytest.raises(OrientationNotTabulated):
-            prop.closed_form_unitary(0.5)
         for t in rng.uniform(0, 20, 5):
             u = prop.unitary(t)
             assert u.shape == (8, 8)
             assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
-    def test_untabulated_orientation_raises_and_numeric_covers(self):
+    def test_untabulated_orientation_takes_the_numeric_path(self):
+        # closed_form_unitary refuses it (tests/test_boundaries.py)
         spec = HamiltonianSpec(a=1.0, delta_a=0.3, b_field=10.0, b_axis=X_AXIS,
                                aniso_axis=X_AXIS)
-        prop = PropagatorSpec(spec)
-        with pytest.raises(OrientationNotTabulated):
-            prop.closed_form_unitary(1.0)
-        u = prop.unitary(1.0)  # auto falls back to the numeric path
+        u = PropagatorSpec(spec).unitary(1.0)  # auto falls back to the numeric path
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
     def test_scalar_definitions(self):
@@ -410,26 +329,6 @@ class TestEvolveDensity:
             rho_t = evolve_density(rho, u)
             assert abs(np.trace(rho_t @ rho_t) - np.trace(rho @ rho)) < 1e-12
 
-    def test_rejects_non_unitary(self, rng):
-        with pytest.raises(ValueError):
-            evolve_density(random_density_matrix(4, rng), np.diag([1, 1, 1, 0.5]))
-
-    def test_rejects_a_non_finite_unitary(self, rng):
-        # NaN fails every tolerance test, so it must be refused, not evolved
-        with pytest.raises(ValueError, match="finite"):
-            evolve_density(random_density_matrix(4, rng), np.full((4, 4), np.nan))
-
-    def test_rejects_one_non_finite_matrix_of_a_stack(self, rng):
-        stack = propagator_hyperfine(4.453, np.linspace(0.0, 2.0, 8))
-        stack[5, 1, 2] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            evolve_density(random_density_matrix(4, rng), stack)
-
-    def test_dimension_mismatch_names_both(self, rng):
-        with pytest.raises(ValueError, match="density matrix dimension 4 != "
-                                             "propagator dimension = 6"):
-            evolve_density(random_density_matrix(4, rng), np.eye(6))
-
     def test_reduced_tomogram_after_coupling(self, rng):
         omega0 = 4.453
         rho0 = initial_muonium_state()
@@ -493,12 +392,6 @@ class TestEvolveTomogram:
         prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
         assert evolve_tomogram(singlet, prop.unitary, []) == []
 
-    def test_state_dimension_not_the_spins(self):
-        # a 1/2 x 1/2 propagator and state sampled as 1/2 x 1
-        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
-        with pytest.raises(ValueError, match=r"\(2j_mu\+1\)\(2j_e\+1\) = 6"):
-            evolve_tomogram(np.eye(4) / 4, prop.unitary, [0.1], 0.5, 1.0)
-
 
 class TestAnalyticFreeMu:
     def test_reduced_values(self):
@@ -525,12 +418,6 @@ SPIN1_MATERIAL = material_from_dict({"name": "spin1", "family": "hyperfine",
 
 
 class TestPolarizationFunction:
-    def test_dimension_mismatch_names_both(self):
-        prop = PropagatorSpec(SPIN1_MATERIAL.hamiltonian_spec(b_field=0.0))
-        with pytest.raises(ValueError, match="density matrix dimension 4 != "
-                                             "propagator dimension = 6"):
-            muon_polarization_function(initial_muonium_state(0.5), prop)
-
     def test_matches_direct_evolution(self, rng):
         mat = load_material("si-mustar")
         spec = mat.hamiltonian_spec(b_field=20.0, b_axis=Z_AXIS, aniso_axis=X_AXIS)
@@ -644,23 +531,24 @@ class TestMaterials:
         monkeypatch.setenv("MUSRTOMO_MATERIALS", os.pathsep.join(["", str(extra), ""]))
         mat = load_material("mymat")
         assert abs(mat.a_rad_ns - 0.01) < 1e-15
-        assert "mymat" in available_presets() and "cwdmat" not in available_presets()
+        # each name once, in search order: the shipped vacuum.json shadows extra's
+        assert available_presets() == ["quartz", "si-mustar", "vacuum", "mymat"]
+        parser = argparse.ArgumentParser()
+        _common_physics_flags(parser)
+        assert "(presets: quartz, si-mustar, vacuum, mymat)" in " ".join(
+            parser.format_help().split())
         shipped = json.loads((_PRESET_DIR / "vacuum.json").read_text())
         assert load_material("vacuum") == material_from_dict(shipped)
         assert load_material("vacuum").a_mhz != 10.0
         with pytest.raises(FileNotFoundError):
             load_material("cwdmat")
 
-    def test_missing_material(self):
-        with pytest.raises(FileNotFoundError):
-            load_material("unobtainium")
-
     @pytest.mark.parametrize("name", [*available_presets(), "spin1-file"])
     def test_files_load_to_the_family_hamiltonian(self, name):
         # the shipped presets and the j_e = 1 file give the Hamiltonian that
         # their family gave: the anisotropy (axis x by default) only for the
         # anisotropic family, whatever the field and the axes asked for
-        path = SPIN1_FILE if name == "spin1-file" else _PRESET_DIR / f"{name}.json"
+        path = Path(SPIN1) if name == "spin1-file" else _PRESET_DIR / f"{name}.json"
         data = json.loads(path.read_text())
         mat = material_from_dict(data)
         aniso = data["family"] == "anisotropic"
@@ -683,31 +571,6 @@ class TestMaterials:
         for family in ("hyperfine", "isotropic", "anisotropic"):
             assert material_from_dict({**flat, "family": family}) == material_from_dict(flat)
 
-    @pytest.mark.parametrize("family", ["hyperfine", "isotropic"])
-    def test_family_without_anisotropy_rejects_delta(self, family):
-        with pytest.raises(ValueError, match=f"family '{family}' has no anisotropy"):
-            material_from_dict({"name": "m", "family": family, "A_MHz": 92.595,
-                                "A_is_angular": False, "deltaA_MHz": -75.776})
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family 'isotropc'"):
-            material_from_dict({"name": "m", "family": "isotropc", "A_MHz": 4404.0,
-                                "A_is_angular": False})
-
-    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
-    def test_angular_flag_must_be_a_boolean(self, flag):
-        with pytest.raises(ValueError, match="A_is_angular must be true or false"):
-            material_from_dict({"name": "m", "A_MHz": 4463.0, "A_is_angular": flag})
-
-    @pytest.mark.parametrize("field", ["A_MHz", "deltaA_MHz", "j_e"])
-    @pytest.mark.parametrize("value", ["4463", True, False, None],
-                             ids=["string", "true", "false", "null"])
-    def test_numbers_must_be_json_numbers(self, field, value):
-        data = {"name": "m", "A_MHz": 4463.0, "A_is_angular": False, field: value}
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be a JSON number, "
-                                                       f"got {value!r}")):
-            material_from_dict(data)
-
     def test_integers_load_as_their_floats(self):
         ints = material_from_dict({"name": "m", "A_MHz": 4463, "A_is_angular": False,
                                    "deltaA_MHz": 0, "j_e": 1})
@@ -716,7 +579,6 @@ class TestMaterials:
         assert ints == floats
 
 
-SPIN1_FILE = Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json"
 
 
 class TestDecayIntegrals:
@@ -731,7 +593,7 @@ class TestDecayIntegrals:
         (176.0, Direction.from_vector([0.6, 0.0, 0.8]))],
         ids=["zero", "176-z", "3200-x", "176-oblique"])
     def test_closed_form_matches_gauss_legendre(self, material, b_field, b_axis):
-        mat = load_material(str(SPIN1_FILE) if material == "spin1-file" else material)
+        mat = load_material(SPIN1 if material == "spin1-file" else material)
         prop = PropagatorSpec(mat.hamiltonian_spec(b_field=b_field, b_axis=b_axis))
         # 16-node panels that each span at most 1 rad of the highest level gap
         panels = int(np.ceil(prop.eigenfrequency_gaps()[-1] * self.WIDTH)) + 1

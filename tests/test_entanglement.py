@@ -2,32 +2,16 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density_matrix, random_direction, random_product_mixture
 from musrtomo.dynamics import PropagatorSpec, HamiltonianSpec, evolve_density, \
     initial_muonium_state, propagator_hyperfine_spin1
-from musrtomo.entanglement import (
-    BellSetting,
-    bell_cells,
-    bell_number,
-    bell_number_of_state,
-    correlation_matrix,
-    entanglement_measure,
-    entanglement_series,
-    max_bell,
-    negativity,
-    positivity_coefficients,
-    ppt_tomogram,
-    star_kernel,
-    tomographic_m34,
-)
-from musrtomo.linalg import (
-    SubsystemDims,
-    kron,
-    partial_transpose,
-)
+from musrtomo.entanglement import (BellSetting, bell_cells, bell_number_of_state,
+                                   correlation_matrix, entanglement_measure, entanglement_series,
+                                   max_bell, negativity, positivity_coefficients, ppt_tomogram,
+                                   star_kernel, tomographic_m34)
+from musrtomo.linalg import SubsystemDims, kron, partial_transpose
 from musrtomo.tomography import Direction, Z_AXIS
 from musrtomo.twospin import TwoSpinTomogram, reconstruct_two_spin
 
@@ -85,19 +69,6 @@ class TestBellNumber:
             rho = random_density_matrix(4, rng)
             setting = BellSetting(*(random_direction(rng) for _ in range(4)))
             assert abs(bell_number_of_state(rho, setting)) <= 2 * np.sqrt(2)
-
-    def test_bad_columns_rejected(self):
-        cells = np.full((4, 4), 0.3)
-        with pytest.raises(ValueError):
-            bell_number(cells)
-
-    @pytest.mark.parametrize("cell", [np.nan, -0.5, np.inf])
-    def test_cells_outside_zero_one_rejected(self, cell):
-        # the first column still sums to 1 for -0.5: (1.5, -0.5, 0, 0)
-        cells = np.full((4, 4), 0.25)
-        cells[:, 0] = [1 - cell, cell, 0.0, 0.0]
-        with pytest.raises(ValueError, match="Bell probabilities: tomogram values outside"):
-            bell_number(cells)
 
     def test_cells_layout(self, singlet, rng):
         d = random_direction(rng)
@@ -228,30 +199,8 @@ class TestPositivityCoefficients:
             assert abs(positivity_coefficients(rho).m2
                        - positivity_coefficients(ppt).m2) < 1e-13
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            positivity_coefficients(np.eye(4))
-        with pytest.raises(ValueError):
-            positivity_coefficients(np.eye(3) / 3)
-
-    def test_rejects_a_non_finite_entry(self):
-        lam = np.eye(4) / 4
-        lam[1, 2] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            positivity_coefficients(lam)
-
 
 class TestEntanglementMeasure:
-    def test_free_muonium_law(self):
-        for wt in np.linspace(0.05, 4 * np.pi, 40):
-            e_val = entanglement_measure(free_mu_state(wt))
-            assert abs(e_val - np.sin(wt) ** 4 / 128) <= 1e-10
-
-    def test_product_states_vanish(self, rng):
-        for _ in range(20):
-            rho = kron(random_density_matrix(2, rng), random_density_matrix(2, rng))
-            assert entanglement_measure(rho) <= 1e-12
-
     def test_singlet_value(self, singlet):
         # e3 = -1/4 and e4 = -1/16 on the partial transpose, so
         # E = 2(1/4) + 2(1/16) = 5/8 (enumeration oracle above)
@@ -269,11 +218,6 @@ class TestEntanglementMeasure:
 
 
 class TestNegativity:
-    def test_separable_mixtures(self, rng):
-        for _ in range(50):
-            rho = random_product_mixture(rng)
-            assert negativity(rho, SubsystemDims(2, 2)) <= 1e-12
-
     def test_singlet(self, singlet):
         assert abs(negativity(singlet, SubsystemDims(2, 2)) - 0.5) < 1e-13
 
@@ -291,11 +235,6 @@ class TestNegativity:
             u = propagator_hyperfine_spin1(1.0, frac * 2 * np.pi / 3)
             rho_t = u @ rho0 @ u.conj().T
             assert negativity(rho_t, SubsystemDims(2, 3)) > 1e-3
-
-    def test_unsupported_dims(self, rng):
-        rho = random_density_matrix(8, rng)
-        with pytest.raises(ValueError):
-            negativity(rho, SubsystemDims(2, 4))
 
 
 class TestStarKernel:
@@ -342,26 +281,6 @@ class TestTomographicM34:
         m3, m4 = tomographic_m34(w)
         e_val = abs(m3) + abs(m4) - m3 - m4
         assert abs(e_val - 1 / 128) <= 1e-6
-
-    def test_random_states_match_trace_route(self, rng):
-        for _ in range(20):
-            rho = random_density_matrix(4, rng)
-            w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
-            m3, m4 = tomographic_m34(w)
-            c = positivity_coefficients(partial_transpose(rho, SubsystemDims(2, 2)))
-            assert abs(m3 - c.m3) <= 1e-6
-            assert abs(m4 - c.m4) <= 1e-6
-
-    def test_direction_independence(self, rng):
-        rho = random_density_matrix(4, rng)
-        w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
-        ref = tomographic_m34(w)
-        for _ in range(3):
-            got = tomographic_m34(w, eval_dirs=(random_direction(rng),
-                                                random_direction(rng)))
-            assert abs(got[0] - ref[0]) <= 1e-6
-            assert abs(got[1] - ref[1]) <= 1e-6
-
 
 class TestEntanglementSeries:
     def test_measure_invariants_per_state(self, rng, singlet):

@@ -1,22 +1,9 @@
-import ast
-from pathlib import Path
-
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-import musrtomo
 from conftest import propagator, random_density_matrix
 from musrtomo.dynamics import propagator_hyperfine
-from musrtomo.linalg import (
-    SubsystemDims,
-    eig_hermitian,
-    kron,
-    partial_trace,
-    partial_transpose,
-    require_density_matrix,
-    require_unitary,
-)
+from musrtomo.linalg import SubsystemDims, eig_hermitian, kron, partial_trace, partial_transpose
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,10 +63,6 @@ class TestPartialTrace:
         out = partial_trace(m, SubsystemDims(2, 3), keep="b")
         assert abs(np.trace(out) - np.trace(m)) < 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), SubsystemDims(2, 3), keep="a")
-
 
 class TestPartialTranspose:
     def test_product_state(self, rng):
@@ -129,10 +112,6 @@ class TestEigHermitian:
         w, _ = eig_hermitian(np.eye(5))
         assert np.allclose(w, 1.0)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
     def test_reconstruction_error(self, rng):
         for dim in (4, 6, 8):
             h = rand_hermitian(rng, dim)
@@ -161,106 +140,3 @@ class TestPropagator:
             u1, u2, u12 = propagator(h, t1), propagator(h, t2), propagator(h, t1 + t2)
             assert np.abs(u1 @ u2 - u12).max() <= 1e-11
             assert np.abs(u1 @ u1.conj().T - np.eye(dim)).max() <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            propagator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
-
-class TestDensityMatrixTolerances:
-    """The check rejects a Hermitian defect |rho - rho^dag|_F above
-    1e-10 max(|rho|_F, 1) and a trace error above 1e-10; pinned at 0.9 and
-    1.1 times each bound, for one matrix and for one slice of a stack."""
-
-    # unit trace and Hermitian: |rho|_F < 1 (scale 1) and |rho|_F = sqrt(13)
-    BASES = [np.diag([0.7, 0.3]).astype(complex), np.diag([3.0, -2.0]).astype(complex)]
-
-    @staticmethod
-    def checked(rho, stacked):
-        """require_density_matrix on rho, or on a stack holding it between
-        two clean states."""
-        if stacked:
-            clean = np.eye(len(rho)) / len(rho)
-            rho = np.array([clean, rho, clean])
-        return require_density_matrix(rho)
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("base", range(len(BASES)))
-    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
-    def test_hermitian_defect_bound(self, stacked, base, factor, ok):
-        rho = self.BASES[base].copy()
-        bound = 1e-10 * max(np.linalg.norm(rho), 1.0)
-        # rho[0, 1] = i delta gives rho - rho^dag = i delta (E01 + E10), norm sqrt(2) delta
-        rho[0, 1] = 1j * factor * bound / np.sqrt(2)
-        if ok:
-            self.checked(rho, stacked)
-        else:
-            with pytest.raises(ValueError, match="not Hermitian"):
-                self.checked(rho, stacked)
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("base", range(len(BASES)))
-    @pytest.mark.parametrize("error, ok", [(0.9e-10, True), (-0.9e-10, True),
-                                           (1.1e-10, False), (-1.1e-10, False)])
-    def test_trace_bound(self, stacked, base, error, ok):
-        rho = self.BASES[base].copy()
-        rho[1, 1] += error
-        if ok:
-            self.checked(rho, stacked)
-        else:
-            with pytest.raises(ValueError, match="trace"):
-                self.checked(rho, stacked)
-
-
-class TestUnitaryTolerance:
-    """The check rejects |U U^dag - I|_F above 1e-10 d; pinned at 0.9 and 1.1
-    times the bound, for one matrix and for one slice of a stack."""
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("d", [2, 4, 6])
-    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
-    def test_defect_bound(self, stacked, d, factor, ok):
-        # U = sqrt(1 + e) I gives U U^dag - I = e I, of norm e sqrt(d)
-        u = np.sqrt(1 + factor * 1e-10 * np.sqrt(d)) * np.eye(d)
-        if stacked:
-            u = np.array([np.eye(d), u, np.eye(d)])
-        if ok:
-            assert require_unitary(u).shape == u.shape
-        else:
-            with pytest.raises(ValueError, match="not unitary"):
-                require_unitary(u)
-
-    @pytest.mark.parametrize("shape", [(3, 4), (2, 4, 3)])
-    def test_rejects_a_non_square_shape(self, shape):
-        with pytest.raises(ValueError, match="square matrix"):
-            require_unitary(np.zeros(shape))
-
-
-def test_only_linalg_defines_input_checks():
-    """State, unitary and dimension checks live once, in linalg: no other
-    module of the package defines a require_* or _require_* function."""
-    package = Path(musrtomo.__file__).parent
-    others = [(path.name, node.name) for path in sorted(package.glob("*.py"))
-              if path.name != "linalg.py"
-              for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and node.name.lstrip("_").startswith("require_")]
-    assert len(list(package.glob("*.py"))) > 1
-    assert others == []
-
-
-def test_probability_rules_live_in_linalg():
-    """No __post_init__ in tomography.py or twospin.py compares against a
-    float literal: the bounds of a probability table live once, in
-    linalg.require_probabilities."""
-    package = Path(musrtomo.__file__).parent
-    inits, literals = 0, []
-    for name in ("tomography.py", "twospin.py"):
-        for fn in ast.walk(ast.parse((package / name).read_text())):
-            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
-                inits += 1
-                literals += [(name, node.lineno) for cmp in ast.walk(fn)
-                             if isinstance(cmp, ast.Compare) for node in ast.walk(cmp)
-                             if isinstance(node, ast.Constant) and isinstance(node.value, float)]
-    assert inits >= 2
-    assert literals == []

@@ -2,26 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import propagator, random_density_matrix
+from conftest import (forward_model, generic_unitary_family, identifiability, material_propagator,
+                      random_density_matrix)
 from musrtomo import entanglement
-from musrtomo.dynamics import (
-    HamiltonianSpec,
-    PropagatorSpec,
-    initial_muonium_state,
-)
+from musrtomo.dynamics import HamiltonianSpec, PropagatorSpec, initial_muonium_state
 from musrtomo.linalg import TWO_QUBIT_BASIS, kron
 from musrtomo.materials import available_presets, load_material
-from musrtomo.reconstruction import (
-    MeasurementPlan,
-    build_design_matrix,
-    coefficients_to_state,
-    default_times,
-    forward_model,
-    golden_jitter_times,
-    identifiability,
-    reconstruct_initial,
-    state_to_coefficients,
-)
+from musrtomo.reconstruction import (MeasurementPlan, build_design_matrix, coefficients_to_state,
+                                     default_times, golden_jitter_times, reconstruct_initial,
+                                     state_to_coefficients)
 from musrtomo.tomography import AXES, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 SIGMA = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -59,17 +48,7 @@ def null_projector(vt_null):
 
 
 def mustar_xz_prop(b_field=100.0):
-    mat = load_material("si-mustar")
-    return PropagatorSpec(mat.hamiltonian_spec(b_field=b_field, b_axis=Z_AXIS,
-                                               aniso_axis=X_AXIS))
-
-
-def generic_unitary_family(seed=3):
-    """A structureless two-spin Hamiltonian; reaches the full rank 15."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = (g + g.conj().T) / 2
-    return lambda t: propagator(h, t)
+    return material_propagator("si-mustar", b_field, Z_AXIS, X_AXIS)
 
 
 class TestOperatorBasis:
@@ -148,12 +127,6 @@ class TestIdentifiability:
         rank, cond = identifiability(plan)
         assert rank == 15
         assert cond < 1e6
-
-    def test_isotropic_coupling_is_deficient(self):
-        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
-        plan = MeasurementPlan(prop)
-        rank, _ = identifiability(plan)
-        assert rank < 15
 
     def test_zero_time_plan_sees_muon_only(self):
         plan = MeasurementPlan(mustar_xz_prop(), times=(0.0,))
@@ -237,11 +210,6 @@ class TestDesignMatrix:
         assert design.condition_number == pytest.approx(sv[0] / sv[rank - 1],
                                                         rel=1e-12 + wedin)
 
-    def test_rejects_a_larger_system(self):
-        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453, j_e=1.0))
-        with pytest.raises(ValueError, match="4x4"):
-            build_design_matrix(MeasurementPlan(prop, times=(0.1, 0.2)))
-
     def test_few_rows_keep_the_whole_null_space(self):
         # two times give six rows: the null space needs all 15 right
         # singular vectors, which only the full SVD holds
@@ -279,22 +247,6 @@ class TestMeasurementPlan:
         assert len(plan.times) == 5
         assert len(set(plan.times)) == 5
 
-    def test_single_level_has_no_default_times(self):
-        prop = PropagatorSpec(HamiltonianSpec.hyperfine(0.0))
-        with pytest.raises(ValueError, match="no nonzero eigenfrequency gaps"):
-            default_times(prop)
-        with pytest.raises(ValueError, match="no nonzero eigenfrequency gaps"):
-            MeasurementPlan(prop)
-
-    def test_duplicate_times_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementPlan(mustar_xz_prop(), times=(1.0, 1.0, 2.0))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
-    def test_non_finite_or_negative_time_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"time {bad!r} must be finite and nonnegative"):
-            MeasurementPlan(mustar_xz_prop(), times=(1.0, bad, 2.0))
-
 
 class TestReconstructInitial:
     def test_noiseless_roundtrip_full_rank(self, rng):
@@ -308,12 +260,6 @@ class TestReconstructInitial:
             assert result.rank == 15
             assert not result.clipped
             assert result.residual_norm < 1e-10
-
-    def test_rank_deficient_plan_rejected_by_default(self):
-        plan = MeasurementPlan(mustar_xz_prop())
-        values = forward_model(initial_muonium_state(), plan)
-        with pytest.raises(ValueError, match="rank deficient"):
-            reconstruct_initial(values, plan)
 
     def test_fresh_muonium_recovered_despite_deficiency(self):
         # the polarized-muon/mixed-electron state lies inside the
@@ -388,36 +334,3 @@ class TestReconstructInitial:
         result = reconstruct_initial(values, plan)
         assert result.clipped
         assert np.linalg.eigvalsh(result.rho0).min() >= -1e-12
-
-    def test_wrong_value_count(self):
-        plan = MeasurementPlan(mustar_xz_prop())
-        with pytest.raises(ValueError):
-            reconstruct_initial(np.zeros(7), plan, allow_deficient=True)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field, message", [
-        ("values", "measurement values must be finite"),
-        ("sigmas", "sigmas must be positive and finite")])
-    def test_non_finite_input_rejected_before_solving(self, monkeypatch, bad, field, message):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved a non-finite input")
-
-        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
-        plan = MeasurementPlan(generic_unitary_family(), times=golden_jitter_times(8.0, 5))
-        inputs = {"values": forward_model(initial_muonium_state(), plan),
-                  "sigmas": np.full(15, 0.01)}
-        inputs[field][4] = bad
-        with pytest.raises(ValueError, match=message):
-            reconstruct_initial(inputs["values"], plan, sigmas=inputs["sigmas"])
-
-    @pytest.mark.parametrize("sigmas", [np.full(3, 0.01), np.full(16, 0.01),
-                                        np.full((15, 1), 0.01), 0.01])
-    def test_sigma_count_rejected_before_solving(self, monkeypatch, sigmas):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved with misshapen sigmas")
-
-        monkeypatch.setattr(np.linalg, "lstsq", no_solve)
-        plan = MeasurementPlan(generic_unitary_family(), times=golden_jitter_times(8.0, 5))
-        values = forward_model(initial_muonium_state(), plan)
-        with pytest.raises(ValueError, match="expected 15 sigmas, one per measurement value"):
-            reconstruct_initial(values, plan, sigmas=sigmas)

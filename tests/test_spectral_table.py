@@ -3,25 +3,19 @@ replaced, kept here as oracles: the level-block polarization closure with its
 bin integrals, the per-time einsum design rows and the two-pass gap search."""
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density_matrix
-from musrtomo.dynamics import (
-    PropagatorSpec,
-    initial_muonium_state,
-    muon_polarization_function,
-)
+from conftest import SPIN1, material_propagator, random_density_matrix
+from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
 from musrtomo.linalg import PAULI, TWO_QUBIT_BASIS
-from musrtomo.materials import available_presets, load_material
+from musrtomo.materials import available_presets
 from musrtomo.musr import MUON_LIFETIME_NS
 from musrtomo.reconstruction import MeasurementPlan, build_design_matrix, time_generic_rank
 from musrtomo.tomography import AXES, Direction
 
-SPIN1_FILE = str(Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json")
 OBLIQUE = Direction.from_vector([0.6, 0.0, 0.8])
 
 
@@ -94,22 +88,16 @@ ORIENTATIONS = {"zero": (0.0, None), "z": (176.0, AXES["z"]), "x": (790.0, AXES[
                 "oblique": (176.0, OBLIQUE)}
 
 
-def propagator(material, b_field, b_axis, aniso_axis=None):
-    mat = load_material(material)
-    return PropagatorSpec(mat.hamiltonian_spec(b_field=b_field, b_axis=b_axis,
-                                               aniso_axis=aniso_axis))
-
-
 @st.composite
 def configurations(draw):
     """(propagator, initial state) over every preset and the j_e = 1 file:
     zero field or fields up to 3200 G along z, x, y or an oblique axis,
     every anisotropy axis, fresh muonium or a random state."""
-    material = draw(st.sampled_from([*available_presets(), SPIN1_FILE]))
+    material = draw(st.sampled_from([*available_presets(), SPIN1]))
     b_field = draw(st.one_of(st.just(0.0), st.floats(1.0, 3200.0)))
     b_axis = draw(st.sampled_from([*AXES.values(), OBLIQUE]))
     aniso = draw(st.sampled_from([*AXES.values(), OBLIQUE]))
-    prop = propagator(material, b_field, b_axis if b_field else None, aniso)
+    prop = material_propagator(material, b_field, b_axis if b_field else None, aniso)
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     d = prop.hamiltonian.dim
     rho0 = initial_muonium_state(prop.hamiltonian.j_e) if draw(st.booleans()) \
@@ -147,7 +135,7 @@ class TestAgainstOracles:
     def test_zero_field_muonium_has_one_gap(self):
         # zero-field muonium: the three triplet levels are one, and the two
         # pairs across the singlet gap give one cos and one sin term
-        table = propagator("vacuum", 0.0, None).spectral_table
+        table = material_propagator("vacuum", 0.0, None).spectral_table
         assert table.gaps.tolist() == pytest.approx([4.453], rel=1e-14)
         assert table.coefficients.shape == (3, 3, 4, 4)
         for c in table.coefficients.reshape(-1, 4, 4):
@@ -156,7 +144,7 @@ class TestAgainstOracles:
     def test_single_level_has_no_gaps(self):
         # no coupling and no field: H = 0, and the muon spin stays constant
         flat = PropagatorSpec(dataclasses.replace(
-            propagator("vacuum", 0.0, None).hamiltonian, a=0.0)).spectral_table
+            material_propagator("vacuum", 0.0, None).hamiltonian, a=0.0)).spectral_table
         assert flat.gaps.shape == (0,) and flat.coefficients.shape == (3, 1, 4, 4)
         assert np.abs(flat.coefficients[:, 0] - 2 * TWO_QUBIT_BASIS[:3]).max() <= 1e-15
 
@@ -170,7 +158,7 @@ class TestTimeGenericRank:
     @pytest.mark.parametrize("material, orientation, aniso", ALL_ORIENTATIONS)
     def test_is_the_best_rank_of_random_plans(self, material, orientation, aniso):
         b_field, b_axis = ORIENTATIONS[orientation]
-        prop = propagator(material, b_field, b_axis, AXES[aniso] if aniso else None)
+        prop = material_propagator(material, b_field, b_axis, AXES[aniso] if aniso else None)
         plan = MeasurementPlan(prop)
         generic = time_generic_rank(plan)
         rng = np.random.default_rng(len(material) + 7 * len(orientation))
@@ -188,30 +176,18 @@ class TestTimeGenericRank:
         ("vacuum", 0.0, None, None, 9),
     ])
     def test_stated_values(self, material, b_field, b_axis, aniso, want):
-        prop = propagator(material, b_field, b_axis, aniso)
+        prop = material_propagator(material, b_field, b_axis, aniso)
         assert time_generic_rank(MeasurementPlan(prop)) == want
 
     def test_fewer_directions_lower_it(self):
-        prop = propagator("si-mustar", 100.0, AXES["z"], AXES["x"])
+        prop = material_propagator("si-mustar", 100.0, AXES["z"], AXES["x"])
         plan = MeasurementPlan(prop, directions=(AXES["z"],))
         assert time_generic_rank(plan) < 13
-
-    def test_rejects_a_larger_system(self):
-        prop = propagator(SPIN1_FILE, 0.0, None)
-        with pytest.raises(ValueError, match="4x4"):
-            time_generic_rank(MeasurementPlan(prop, times=(0.1, 0.2)))
-
-    def test_rejects_a_plain_callable(self):
-        # a callable t -> U has no spectral table
-        levels = np.array([0.75, -0.25, 0.5, -1.0])
-        plan = MeasurementPlan(lambda t: np.diag(np.exp(-1j * levels * t)), times=(0.1, 0.2))
-        with pytest.raises(ValueError, match="needs a two-qubit .* PropagatorSpec"):
-            time_generic_rank(plan)
 
 
 class TestOneEigensystem:
     @pytest.mark.parametrize("b_axis", [AXES["z"], OBLIQUE], ids=["closed-form", "numeric"])
-    def test_one_eigh_per_propagator(self, b_axis, monkeypatch):
+    def test_one_eigh_per_material_propagator(self, b_axis, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
 
@@ -220,7 +196,7 @@ class TestOneEigensystem:
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        prop = propagator("quartz", 176.0, b_axis)
+        prop = material_propagator("quartz", 176.0, b_axis)
         polarization = muon_polarization_function(initial_muonium_state(), prop)
         polarization(np.linspace(0.0, 100.0, 11))
         polarization.decay_integrals(np.linspace(0.0, 6000.0, 9), MUON_LIFETIME_NS)
@@ -230,7 +206,7 @@ class TestOneEigensystem:
         assert calls == [(4, 4)]
 
     def test_table_is_cached_and_read_only(self):
-        prop = propagator("si-mustar", 100.0, AXES["z"], AXES["x"])
+        prop = material_propagator("si-mustar", 100.0, AXES["z"], AXES["x"])
         table = prop.spectral_table
         assert prop.spectral_table is table
         with pytest.raises(ValueError, match="read-only"):

@@ -3,7 +3,6 @@ batched diagnostics per field) against the per-instant library calls, and
 the per-instant checks that the stacked route keeps; and the parser, built
 once per process, with its per-call dispatch."""
 
-import csv
 import json
 import tempfile
 from pathlib import Path
@@ -12,29 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density_matrix
+from conftest import SPIN1, random_density_matrix, read_csv
 from musrtomo import cli
 from musrtomo.cli import build_parser, main
 from musrtomo.dynamics import PropagatorSpec, evolve_density, initial_muonium_state
-from musrtomo.entanglement import (
-    correlation_matrix,
-    entanglement_measure,
-    entanglement_series,
-    max_bell,
-    negativity,
-    positivity_coefficients,
-)
-from musrtomo.linalg import (
-    PAULI,
-    SubsystemDims,
-    partial_transpose,
-    require_density_matrix,
-)
+from musrtomo.entanglement import (correlation_matrix, entanglement_measure, entanglement_series,
+                                   max_bell, negativity, positivity_coefficients)
+from musrtomo.linalg import PAULI, SubsystemDims, partial_transpose
 from musrtomo.materials import load_material
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction
 from musrtomo.twospin import reduced_tomogram
 
-SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
 AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS,
         "0.6,0,0.8": Direction.from_vector([0.6, 0.0, 0.8])}
 
@@ -63,11 +50,6 @@ def per_instant(prop, t):
 def physics_flags(material, b_field, b_axis, aniso):
     flags = ["--material", material, "--B", repr(b_field), "--B-axis", b_axis]
     return flags + (["--aniso-axis", aniso] if aniso else [])
-
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
 
 
 def eigh_negativity(rho, dims):
@@ -217,19 +199,6 @@ class TestStackedChecks:
         monkeypatch.setattr(cli, "evolve_density", one_bad)
         assert run_verb(verb, tmp_path, material) == 2
         assert message in capsys.readouterr().err
-
-    def test_library_checks_each_matrix(self, rng):
-        prop, _ = propagator("quartz", 790.0, "x", None)
-        stack = prop.unitary(np.linspace(0.0, 2.0, 16))
-        stack[self.BAD] *= 1.001
-        with pytest.raises(ValueError, match="evolution operator is not unitary"):
-            evolve_density(initial_muonium_state(), stack)
-        rho = evolve_density(initial_muonium_state(), prop.unitary(np.linspace(0.0, 2.0, 16)))
-        rho[self.BAD, 0, 1] += 1e-6
-        with pytest.raises(ValueError, match="not Hermitian"):
-            require_density_matrix(rho)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            entanglement_series(rho)
 
 
 class TestParser:

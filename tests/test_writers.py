@@ -3,45 +3,20 @@ the standard library (csv.writer, json.dumps with indent=2) and must come
 back as the same text, with each number written as the shortest repr of the
 value it holds."""
 
-import ast
 import csv
 import io
 import json
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import musrtomo
+from conftest import SPIN1
 from musrtomo.cli import (_csv_text, _estimate_cells, _float_cells, _histograms_csv,
                           _records_json, main)
 from musrtomo.musr import DetectorGeometry, HistogramSeries, TomogramEstimate
 from musrtomo.tomography import X_AXIS, Z_AXIS, Direction
 
-SPIN1 = str(Path(__file__).parent / "fixtures" / "spin1-hyperfine.json")
-
-
-def test_file_formats_live_in_cli():
-    """Every output format is decided in cli: no other module of the package
-    but materials (which reads material files) imports json or csv, and every
-    'musrtomo/<name>/v<n>' schema literal sits in cli."""
-    imports, schemas = set(), set()
-    for path in sorted(Path(musrtomo.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            imports |= {path.name for name in modules if name.split(".")[0] in ("json", "csv")}
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and re.search(r"musrtomo/[^/\s]+/v\d", node.value):
-                schemas.add((path.name, node.value))
-    assert imports == {"cli.py", "materials.py"}
-    assert {name for name, _ in schemas} == {"cli.py"}
-    assert {schema for _, schema in schemas} == {
-        f"musrtomo/{name}/v1" for name in ("evolve-trace", "histograms", "tomogram-estimate",
-                                           "bell-trace")}
 
 
 def restated(cell: str) -> str:
@@ -102,10 +77,6 @@ class TestHelpers:
         text = _csv_text("musrtomo/test/v1", {"a": [], "b": []})
         assert text == "# schema: musrtomo/test/v1\na,b\r\n"
         assert csv_oracle(text) == [["a", "b"]]
-
-    def test_csv_text_rejects_unequal_columns(self):
-        with pytest.raises(ValueError):
-            _csv_text("musrtomo/test/v1", {"a": ["1", "2"], "b": ["3"]})
 
     def test_float_cells(self):
         values = np.array([[0.1, -0.0], [np.nan, 1e300]])
@@ -192,10 +163,6 @@ class TestComparisonJson:
 
     def test_empty_report(self):
         assert _records_json(comparison_columns([])) == json.dumps([], indent=2) == "[]"
-
-    def test_rejects_unequal_columns(self):
-        with pytest.raises(ValueError):
-            _records_json({"t": ["1.0", "2.0"], "E": ["0.5"]})
 
 
 SIMULATE_SETUPS = {
