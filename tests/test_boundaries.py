@@ -23,8 +23,9 @@ from musrtomo.cli import _csv_text, _records_json, main
 from musrtomo.dynamics import (HamiltonianSpec, OrientationNotTabulated, PropagatorSpec,
                                evolve_density, evolve_tomogram, initial_muonium_state,
                                muon_polarization_function, propagator_hyperfine)
-from musrtomo.entanglement import bell_number, entanglement_series, negativity, \
-    positivity_coefficients
+from musrtomo.entanglement import (bell_number, correlation_matrix, entanglement_measure,
+                                   entanglement_series, negativity, positivity_coefficients,
+                                   tomographic_m34)
 from musrtomo.linalg import (SubsystemDims, eig_hermitian, partial_trace, require_density_matrix,
                              require_unitary)
 from musrtomo.materials import load_material, material_from_dict
@@ -35,7 +36,8 @@ from musrtomo.reconstruction import (MeasurementPlan, build_design_matrix, defau
                                      golden_jitter_times, reconstruct_initial, time_generic_rank)
 from musrtomo.tomography import (X_AXIS, Y_AXIS, Z_AXIS, Direction, QuadratureGrid, SpinTomogram,
                                  dual_basis, operator_from_symbol, operator_symbol_on_grid,
-                                 quantizer, reconstruct_from_sphere, rotation_matrix, rotations,
+                                 quantizer, reconstruct_from_sphere,
+                                 reconstruct_qubit_three_directions, rotation_matrix, rotations,
                                  spin_dim, spin_projections, tomogram)
 from musrtomo.twospin import (TwoSpinBasis, TwoSpinTomogram, cg_matrix, individual_tomogram,
                               reconstruct_blockdiag, reconstruct_two_spin, reduced_tomogram,
@@ -145,6 +147,12 @@ TOMOGRAPHY = [
         "probabilities must sum to 1"),
     row("SpinTomogram/nan", lambda: spin_table(lambda v: with_entry(v, (-1, -1), NAN)),
         "tomogram values outside"),
+    row("SpinTomogram/shape", lambda: SpinTomogram(0.5, QuadratureGrid(2), np.full((3, 12), 1 / 3)),
+        r"values shape \(3, 12\) != \(2, 12\)"),
+    row("reconstruct_qubit_three_directions/two", lambda: reconstruct_qubit_three_directions(
+        [0.5, 0.5], [X_AXIS, Y_AXIS]), "need exactly three probabilities and directions"),
+    row("reconstruct_qubit_three_directions/w=1.5", lambda: reconstruct_qubit_three_directions(
+        [0.5, 0.5, 1.5], [X_AXIS, Y_AXIS, Z_AXIS]), r"probability 1.5 outside \[0, 1\]"),
     *[row(f"spin_dim/{j!r}", lambda j=j: [spin_dim(1), spin_dim(0), spin_dim(j)],
           SPIN_MESSAGE + re.escape(repr(j)) + "$") for j in NOT_SPINS],
     *[row(f"{name}/j={j!r}", lambda entry=entry, j=j: entry(j), SPIN_MESSAGE)
@@ -212,6 +220,8 @@ TWOSPIN = [
         lambda: TwoSpinTomogram.from_state(STACK, 0.5, 0.5), ONE_MATRIX),
     row("TwoSpinTomogram/nan", lambda: two_spin_table(lambda v: with_entry(v, (-1,) * 4, NAN)),
         "negative or missing joint probabilities"),
+    row("TwoSpinTomogram/shape", lambda: two_spin_table(lambda v: v[:, :-1]),
+        r"values shape \(2, 11, 2, 12\) != \(2, 12, 2, 12\)"),
 ]
 
 JSON_VALUES = {"string": "4463", "true": True, "false": False, "null": None}
@@ -219,6 +229,8 @@ MATERIAL = {"name": "m", "A_MHz": 4463.0, "A_is_angular": False}
 DYNAMICS = [
     row("HamiltonianSpec/field-axis", lambda: HamiltonianSpec(a=1.0, b_field=10.0),
         "nonzero field requires a field axis"),
+    row("HamiltonianSpec/aniso-axis", lambda: HamiltonianSpec(a=1.0, delta_a=0.3),
+        "nonzero anisotropy requires an anisotropy axis"),
     *[row(f"HamiltonianSpec/j_e={j!r}", lambda j=j: HamiltonianSpec.hyperfine(1.0, j_e=j),
           "j_e must be a positive multiple of 1/2") for j in (0.7, 0.0, -0.5, 0.25, NAN, INF,
                                                                True, "0.5")],
@@ -266,6 +278,14 @@ GRID_PROBS = np.full((4, 4), 0.25)
 ENTANGLEMENT = [
     row("bell_number/columns", lambda: bell_number(np.full((4, 4), 0.3)),
         "Bell probabilities must sum to 1"),
+    row("bell_number/shape", lambda: bell_number(np.full((2, 8), 0.5)), "expected a 4x4"),
+    *[row(f"{f.__name__}/dimension", lambda f=f: f(I6), f"{what} requires a two-qubit state")
+      for f, what in ((correlation_matrix, "correlation matrix"),
+                      (entanglement_measure, "the measure"),
+                      (entanglement_series, "entanglement series"))],
+    row("tomographic_m34/qubit-qutrit", lambda: tomographic_m34(
+        TwoSpinTomogram.from_state(I6, 0.5, 1.0)), "tomographic M3/M4 implemented for two qubits"),
+    row("SubsystemDims/0", lambda: SubsystemDims(0, 2), "subsystem dimensions must be >= 1"),
     *[row(f"bell_number/cell={c}", lambda c=c: bell_number(with_entry(
         GRID_PROBS, (slice(None), 0), [1 - c, c, 0.0, 0.0])),
         "Bell probabilities: tomogram values outside") for c in (NAN, -0.5, INF)],
@@ -282,6 +302,9 @@ ENTANGLEMENT = [
     *[row(f"{name}/not-hermitian", lambda f=f: f(np.array([[0, 1], [0, 0]], dtype=complex)),
           "not Hermitian") for name, f in (("eig_hermitian", eig_hermitian),
                                            ("propagator", lambda h: propagator(h, 1.0)))],
+    row("require_density_matrix/1-d", lambda: require_density_matrix(np.ones(4)), "2-d array"),
+    row("eig_hermitian/stack", lambda: eig_hermitian(STACK), "expected a 2-d array"),
+    row("eig_hermitian/2x3", lambda: eig_hermitian(np.ones((2, 3))), "matrix must be square"),
     *[row(f"require_unitary/{shape}", lambda s=shape: require_unitary(np.zeros(s)),
           "square matrix") for shape in [(3, 4), (2, 4, 3)]],
 ]
@@ -340,6 +363,7 @@ MUSR = [
           ("asymmetry", r"asymmetry must lie in \[1/3, 1\]", (0.2, 1.1, NAN, INF, -INF)),
           ("lifetime_ns", "lifetime must be positive and finite", (NAN, INF, 0.0)))
       for value in values],
+    row("DecayModel/species", lambda: DecayModel(species="mu"), "species must be 'mu_plus' or"),
     row("Detector/half_angle", lambda: Detector(Z_AXIS, half_angle=0.0),
         r"half angle must lie in \(0, pi\]"),
     row("Detector/efficiency", lambda: Detector(Z_AXIS, half_angle=1.0, efficiency=0.0),
@@ -363,6 +387,10 @@ MUSR = [
         series(counts=[[1000]]), DetectorGeometry([Detector(Z_AXIS, np.radians(40))]),
         DecayModel()), "no opposing detector pairs"),
     row("HistogramSeries/counts", lambda: series(counts=[[4.7]]), "whole numbers"),
+    *[row(f"HistogramSeries/counts={c}", lambda c=c: series(counts=c), message)
+      for c, message in (([[3, 4]], "counts shape does not match bin edges"),
+                         ([3], "counts shape does not match bin edges"),
+                         ([[-3]], "counts must be nonnegative"))],
     *[row(f"HistogramSeries/edges-{name}",
           lambda e=edges: series(edges=e, counts=np.zeros((1, 1))), "bin edges")
       for name, edges in BAD_EDGES.items()],
@@ -397,6 +425,8 @@ RECONSTRUCTION = [
         "no nonzero eigenfrequency gaps"),
     row("MeasurementPlan/single-level", lambda: MeasurementPlan(no_gaps()),
         "no nonzero eigenfrequency gaps"),
+    row("MeasurementPlan/callable-default-times", lambda: MeasurementPlan(lambda t: np.eye(4)),
+        "default times require a PropagatorSpec"),
     row("MeasurementPlan/repeated-time",
         lambda: MeasurementPlan(mustar_xz(), times=(1.0, 1.0, 2.0)), "pairwise distinct"),
     *[row(f"MeasurementPlan/time={t!r}",
