@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .entanglement import entanglement_series, negativity
 from .linalg import PAULI, SubsystemDims, partial_trace, require_density_matrix
-from .materials import available_presets, load_material
+from .materials import available_presets, is_json_number, json_field, json_object, load_material
 from .musr import (
     DecayModel,
     DetectorGeometry,
@@ -56,7 +56,7 @@ class ConfigError(Exception):
 
 def _axis(name) -> Direction:
     """x|y|z, a 'vx,vy,vz' string or, in a plan, a [theta, phi] pair of numbers."""
-    if isinstance(name, list) and len(name) == 2 and {type(x) for x in name} <= {int, float}:
+    if isinstance(name, list) and len(name) == 2 and all(map(is_json_number, name)):
         return Direction(*name)
     try:
         return AXES[name] if name in AXES else Direction.from_vector(
@@ -66,41 +66,18 @@ def _axis(name) -> Direction:
                           "or [theta, phi] in a plan") from exc
 
 
-def _json_object(path: str, what: str) -> dict:
-    """The JSON object that the file ``path`` holds; any other JSON value is
-    a ConfigError naming ``what``."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must hold a JSON object, got {data!r}")
-    return data
-
-
-def _is_number(value) -> bool:
-    """Whether a parsed JSON value is a number: an int or a float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_numbers(value) -> bool:
     """Whether a parsed JSON value is a number or an array, nested or not, of numbers."""
-    return all(map(_is_numbers, value)) if isinstance(value, list) else _is_number(value)
-
-
-def _field(data: dict, name: str, kind: str, ok, default=None):
-    """``data[name]``, or ``default`` (when one is given) for an absent field,
-    if ``ok`` holds for it; a ConfigError naming the field and ``kind``
-    otherwise."""
-    value = data[name] if default is None else data.get(name, default)
-    if not ok(value):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return value
+    return all(map(_is_numbers, value)) if isinstance(value, list) else is_json_number(value)
 
 
 def _load_init(path: str | None, j_e: float) -> np.ndarray:
     if path is None or path == "default":
         return initial_muonium_state(j_e)
-    data, kind = _json_object(path, "an --init file"), "a JSON number or nested arrays of numbers"
-    real = np.array(_field(data, "real", kind, _is_numbers), dtype=float)
-    imag = np.array(_field(data, "imag", kind, _is_numbers, 0.0), dtype=float)
+    data = json_object(json.loads(Path(path).read_text()), "an --init file")
+    kind = "a JSON number or nested arrays of numbers"
+    real = np.array(json_field(data, "real", kind=kind, ok=_is_numbers), dtype=float)
+    imag = np.array(json_field(data, "imag", 0.0, kind, _is_numbers), dtype=float)
     return require_density_matrix(real + 1j * imag)
 
 
@@ -286,13 +263,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    plan_data = _json_object(args.plan, "a plan")
-    material = _field(plan_data, "material", "a string", lambda v: isinstance(v, str))
-    b_field = _field(plan_data, "B", "a JSON number", _is_number, 0.0)
-    directions = _field(plan_data, "directions", "an array", lambda v: isinstance(v, list),
-                        ["x", "y", "z"])
-    times = _field(plan_data, "times_ns", "an array of JSON numbers",
-                   lambda v: isinstance(v, list) and all(map(_is_number, v)))
+    plan_data = json_object(json.loads(Path(args.plan).read_text()), "a plan")
+    material = json_field(plan_data, "material", kind="a string", ok=lambda v: isinstance(v, str))
+    b_field = json_field(plan_data, "B", 0.0)
+    directions = json_field(plan_data, "directions", ["x", "y", "z"], "an array",
+                            lambda v: isinstance(v, list))
+    times = json_field(plan_data, "times_ns", kind="an array of JSON numbers",
+                       ok=lambda v: isinstance(v, list) and all(map(is_json_number, v)))
     prop, _ = _propagator(material, b_field, plan_data.get("B_axis", "z"),
                           plan_data.get("aniso_axis"))
     plan = MeasurementPlan(prop, directions=tuple(map(_axis, directions)), times=tuple(times))

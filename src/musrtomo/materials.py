@@ -13,6 +13,10 @@ muonium), ``quartz`` and ``si-mustar`` (anomalous muonium in silicon).
 
 Extra search directories can be supplied through the ``MUSRTOMO_MATERIALS``
 environment variable (path-separator separated).
+
+``json_object`` and ``json_field`` read every JSON input of the package:
+material files here, and plans and ``--init`` files in ``cli``. A value of
+the wrong JSON type is a ValueError naming its field.
 """
 
 import json
@@ -78,23 +82,36 @@ def _search_dirs() -> list[Path]:
     return dirs
 
 
-def _number(data: dict, field: str, default: float | None = None) -> float:
-    """The JSON number (int or float, not a boolean) ``data[field]``, or
-    ``default`` when one is given and the field is absent."""
+def is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_object(data, what: str) -> dict:
+    """``data``, a parsed JSON value, if it is an object; a ValueError naming
+    ``what`` otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {data!r}")
+    return data
+
+
+def json_field(data: dict, field: str, default=None, kind: str = "a JSON number",
+               ok=is_json_number):
+    """``data[field]``, or ``default`` when one is given and the field is
+    absent, if ``ok`` holds for it (a JSON number unless told otherwise); a
+    ValueError naming the field and ``kind`` otherwise."""
     value = data[field] if default is None else data.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} must be a JSON number, got {value!r}")
-    return float(value)
+    if not ok(value):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return value
 
 
 def material_from_dict(data: dict) -> Material:
     """The material of a parsed file; ValueError where the checks of the
     module docstring fail."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a material file must hold a JSON object, got {data!r}")
-    if not isinstance(data["A_is_angular"], bool):
-        raise ValueError(f"A_is_angular must be true or false, got {data['A_is_angular']!r}")
-    delta_a_mhz = _number(data, "deltaA_MHz", 0.0)
+    json_object(data, "a material file")
+    json_field(data, "A_is_angular", kind="true or false", ok=lambda v: isinstance(v, bool))
+    delta_a_mhz = float(json_field(data, "deltaA_MHz", 0.0))
     family = data.get("family")
     if family not in (None, *_FAMILIES):
         raise ValueError(f"unknown family {family!r}: use one of {', '.join(_FAMILIES)}")
@@ -103,10 +120,10 @@ def material_from_dict(data: dict) -> Material:
                          f"{delta_a_mhz!r}")
     return Material(
         name=data["name"],
-        a_mhz=_number(data, "A_MHz"),
+        a_mhz=float(json_field(data, "A_MHz")),
         a_is_angular=data["A_is_angular"],
         delta_a_mhz=delta_a_mhz,
-        j_e=_number(data, "j_e", 0.5),
+        j_e=float(json_field(data, "j_e", 0.5)),
         notes=data.get("notes", ""),
     )
 

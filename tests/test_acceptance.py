@@ -23,18 +23,49 @@ import pytest
 
 from conftest import (critical_field, forward_model, identifiability, random_density_matrix,
                       random_direction, random_product_mixture)
-from musrtomo.dynamics import (HamiltonianSpec, PropagatorSpec, evolve_density,
-                               initial_muonium_state)
-from musrtomo.entanglement import (BellSetting, bell_number_of_state, entanglement_measure,
-                                   max_bell, negativity, positivity_coefficients, tomographic_m34)
-from musrtomo.linalg import SubsystemDims, kron, partial_transpose
+from musrtomo.dynamics import (
+    HamiltonianSpec,
+    PropagatorSpec,
+    evolve_density,
+    initial_muonium_state,
+)
+from musrtomo.entanglement import (
+    BellSetting,
+    bell_number_of_state,
+    entanglement_measure,
+    max_bell,
+    negativity,
+    positivity_coefficients,
+    tomographic_m34,
+)
+from musrtomo.linalg import (
+    SubsystemDims,
+    kron,
+    partial_transpose,
+)
 from musrtomo.materials import load_material
 from musrtomo.musr import DecayModel, DetectorGeometry, estimate_tomogram, simulate_events
-from musrtomo.reconstruction import MeasurementPlan, reconstruct_initial
-from musrtomo.tomography import (SpinTomogram, X_AXIS, Y_AXIS, Z_AXIS, reconstruct_from_sphere,
-                                 reconstruct_qubit_three_directions, rotation_matrix, tomogram)
-from musrtomo.twospin import (TwoSpinTomogram, blockdiag_rotation, cg_matrix, reconstruct_two_spin,
-                              reduced_tomogram)
+from musrtomo.reconstruction import (
+    MeasurementPlan,
+    reconstruct_initial,
+)
+from musrtomo.tomography import (
+    SpinTomogram,
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    reconstruct_from_sphere,
+    reconstruct_qubit_three_directions,
+    rotation_matrix,
+    tomogram,
+)
+from musrtomo.twospin import (
+    TwoSpinTomogram,
+    blockdiag_rotation,
+    cg_matrix,
+    reconstruct_two_spin,
+    reduced_tomogram,
+)
 
 OMEGA0 = load_material("vacuum").a_rad_ns  # rad/ns
 RNG_SEED = 20240801

@@ -5,6 +5,7 @@ exemptions by name, and has a self-test that feeds it the forms it must catch.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import musrtomo
@@ -210,17 +211,31 @@ def surface(modules) -> list:
 
 
 def callers(trees) -> set:
-    """Every name that the parsed trees load, read as an attribute or import."""
-    return {getattr(node, attr) for tree in trees for node in ast.walk(tree)
-            for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
-            if isinstance(node, kind)}
+    """Every name that the parsed trees load, read as an attribute or import,
+    and 'Owner.attr' for every attribute read off a name or an attribute
+    ``Owner`` (``Class.method`` and ``module.Class.method`` alike)."""
+    found = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.alias)):
+            found.add(getattr(node, "id", getattr(node, "name", None)))
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            found |= {node.attr, f"{owner}.{node.attr}"}
+    return found
 
 
 def uncalled(modules, others) -> list:
-    """Public names with no caller in the package (but __init__) or ``others``."""
+    """Public names with no caller in the package (but __init__) or ``others``.
+    Names are matched by spelling, not by binding: a top-level name counts as
+    called wherever that identifier is read, and a method wherever an
+    attribute of that name is read, except that a method which more than one
+    public class defines counts only where it is read as 'Class.method'."""
     used = callers([tree for name, tree in modules.items() if name != "__init__.py"]
                    + list(others))
-    return [name for name in surface(modules) if name.rsplit(".", 1)[-1] not in used]
+    names = surface(modules)
+    shared = Counter(name.split(".")[1] for name in names if "." in name)
+    return [name for name in names if name not in used and (
+        "." not in name or shared[name.split(".")[1]] > 1 or name.split(".")[1] not in used)]
 
 
 CALLERS_OUTSIDE = [*parse(ROOT / "scripts").values(), *parse(ROOT / "perfbench").values()]
@@ -242,6 +257,12 @@ def test_every_public_name_has_a_caller_or_is_paper_content():
                                           "        pass\ndef forward_model(rho0, plan):\n"
                                           "    return MeasurementPlan\n")}
     assert uncalled(old, []) == ["forward_model", "MeasurementPlan.rows"]
+    # a method that two public classes share is called only as 'Class.method'
+    pair = {"__init__.py": ast.parse("from .tomography import A, B"),
+            "tomography.py": ast.parse("class A:\n    def from_state(self):\n        pass\n"
+                                       "class B:\n    def from_state(self):\n        pass\n"
+                                       "def use(m):\n    return m.B.from_state(), A\n")}
+    assert uncalled(pair, []) == ["A.from_state"]
 
 
 def test_readme_api_list_matches_all():

@@ -7,9 +7,15 @@ from conftest import SPIN1, decay_weighted_gl, read_csv
 from test_boundaries import HEADER, SIGMAS, TIMES, material_text, measured, plan_text
 from musrtomo.cli import main
 from musrtomo.materials import load_material
-from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
+from musrtomo.dynamics import (
+    PropagatorSpec,
+    evolve_density,
+    initial_muonium_state,
+    muon_polarization_function,
+)
 from musrtomo.musr import DecayModel
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction
+from musrtomo.twospin import reduced_tomogram
 
 
 class TestEvolve:
@@ -30,6 +36,20 @@ class TestEvolve:
             assert 0.0 <= w <= 1.0
             assert float(row["E"]) >= 0.0
 
+    def test_reduced_values_match_rotation_route(self, tmp_path):
+        # the CLI reads w(+1/2, n) off the Bloch vector; the reference rotates
+        out = tmp_path / "ev"
+        rc = main(["evolve", "--material", "quartz", "--B", "790", "--B-axis", "x",
+                   "--t-max-ns", "1.0", "--steps", "8", "--out", str(out)])
+        assert rc == 0
+        prop = PropagatorSpec(load_material("quartz").hamiltonian_spec(
+            b_field=790.0, b_axis=X_AXIS))
+        axes = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
+        for row in read_csv(out / "evolve_quartz_B790.csv"):
+            rho_t = evolve_density(initial_muonium_state(), prop.unitary(float(row["t_ns"])))
+            ref = reduced_tomogram(rho_t, 0.5, 0.5, axes[row["axis"]])[0]
+            assert abs(float(row["w_reduced"]) - ref) <= 1e-12
+
     @pytest.mark.parametrize("flags, fields", [
         (["quartz", "--t-max-ns", "0.5", "--steps", "8"], [0.0, 790.0, 1580.0, 3160.0]),
         (["si-mustar", "--aniso-axis", "x", "--t-max-ns", "50", "--steps", "16"],
@@ -48,7 +68,11 @@ class TestEvolve:
 
 
 class TestExitCodes:
-    """The refusals, exit 2 or 3, are rows of tests/test_boundaries.py."""
+    """The refusals of bad input, exit 2, are rows of tests/test_boundaries.py."""
+
+    def test_ok_is_zero(self, tmp_path):
+        assert main(["evolve", "--B", "0", "--t-max-ns", "1.0", "--steps", "2",
+                     "--out", str(tmp_path)]) == 0
 
     def test_linalg_failure_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
         def fail(self, t):
@@ -68,6 +92,17 @@ class TestExitCodes:
 
 
 class TestSimulate:
+    def test_deterministic_outputs(self, tmp_path):
+        args = ["simulate", "--material", "vacuum", "--n-muons", "20000",
+                "--seed", "9", "--steps", "3", "--t-max-ns", "4500"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert (out1 / "histograms.csv").read_text() == \
+            (out2 / "histograms.csv").read_text()
+        assert (out1 / "tomogram_estimate.csv").read_text() == \
+            (out2 / "tomogram_estimate.csv").read_text()
+
     def test_outputs_exist_and_parse(self, tmp_path):
         assert main(["simulate", "--material", "vacuum", "--n-muons", "50000", "--seed", "3",
                      "--steps", "3", "--t-max-ns", "4500", "--out", str(tmp_path)]) == 0
@@ -187,3 +222,33 @@ class TestReconstruct:
         unweighted = self.run(tmp_path, measured(), name="a.json")
         assert self.run(tmp_path, [row[:4] for row in measured()], header=HEADER[:4],
                         name="b.json") == unweighted
+
+
+class TestBellAndReport:
+    def test_bell_trace(self, tmp_path):
+        out = tmp_path / "bell.csv"
+        rc = main(["bell", "--material", "vacuum", "--t-max-ns", "1.0",
+                   "--steps", "4", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert 0 <= float(row["max_bell"]) <= 1 + 1e-6
+            assert float(row["E"]) >= 0
+
+    def test_report_json(self, tmp_path):
+        out = tmp_path / "rep.json"
+        rc = main(["report", "--material", "vacuum", "--t-max-ns", "1.0",
+                   "--steps", "3", "--no-bell", "--out", str(out)])
+        assert rc == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) == 3
+        assert {"t", "E", "M2", "M3", "M4", "max_bell", "negativity"} == set(reports[0])
+
+    def test_report_without_bell_writes_nan(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["report", "--material", "quartz", "--B", "790", "--t-max-ns", "2.0",
+                     "--steps", "17", "--no-bell", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"max_bell": NaN' in text
+        assert text == json.dumps(json.loads(text), indent=2)

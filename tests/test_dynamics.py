@@ -11,20 +11,70 @@ from hypothesis import given, settings, strategies as st
 from conftest import (SPIN1, critical_field, decay_weighted_gl, individual_tomogram_unitary,
                       random_density_matrix, random_direction)
 from musrtomo.cli import _common_physics_flags
-from musrtomo.dynamics import (DEFAULT_CONSTANTS, _SLICE_TIMES, DerivedScalars, HamiltonianSpec,
-                               MuonSpinTable, OrientationNotTabulated, PropagatorSpec,
-                               _spin_operators, analytic_free_mu, analytic_free_mu_reduced,
-                               build_hamiltonian, closed_form, evolve_density, evolve_tomogram,
-                               initial_muonium_state, muon_polarization_function,
-                               propagator_hyperfine, propagator_hyperfine_spin1,
-                               propagator_mu_transverse_x, propagator_mu_transverse_y,
-                               propagator_mustar_xz, propagator_mustar_yz, propagator_mustar_zz)
+from musrtomo.dynamics import (
+    DEFAULT_CONSTANTS,
+    _SLICE_TIMES,
+    DerivedScalars,
+    HamiltonianSpec,
+    MuonSpinTable,
+    OrientationNotTabulated,
+    PropagatorSpec,
+    _spin_operators,
+    analytic_free_mu,
+    analytic_free_mu_reduced,
+    build_hamiltonian,
+    closed_form,
+    evolve_density,
+    evolve_tomogram,
+    initial_muonium_state,
+    muon_polarization_function,
+    propagator_hyperfine,
+    propagator_hyperfine_spin1,
+    propagator_mu_transverse_x,
+    propagator_mu_transverse_y,
+    propagator_mustar_xz,
+    propagator_mustar_yz,
+    propagator_mustar_zz,
+)
 from musrtomo.linalg import PAULI, SubsystemDims, kron, partial_trace
-from musrtomo.materials import _PRESET_DIR, available_presets, load_material, material_from_dict
+from musrtomo.materials import (_PRESET_DIR, available_presets, load_material,
+                                material_from_dict)
 from musrtomo.musr import MUON_LIFETIME_NS
-from musrtomo.tomography import (X_AXIS, Y_AXIS, Z_AXIS, Direction, angular_momentum_ops,
-                                 rotation_matrix)
+from musrtomo.tomography import (
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    Direction,
+    angular_momentum_ops,
+    rotation_matrix,
+)
 from musrtomo.twospin import reduced_tomogram
+
+
+def phase_insensitive_error(u, v):
+    """max |e^{i chi} u - v| minimized over one global phase."""
+    inner = np.trace(u.conj().T @ v)
+    chi = inner / abs(inner) if abs(inner) > 1e-14 else 1.0
+    return np.abs(u * chi - v).max()
+
+
+def spec_for(variant, rng):
+    a = rng.uniform(0.5, 30.0)
+    da = rng.uniform(-20.0, 20.0)
+    b = rng.uniform(1.0, 4000.0)
+    if variant == "hf":
+        return HamiltonianSpec.hyperfine(a)
+    if variant == "hf_spin1":
+        return HamiltonianSpec.hyperfine(a, j_e=1.0)
+    axis = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}[variant[-1]]
+    if variant.startswith("mu_"):
+        return HamiltonianSpec(a=a, b_field=b, b_axis=axis)
+    n_axis = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}[variant[-2]]
+    return HamiltonianSpec(a=a, delta_a=da, b_field=b, b_axis=Z_AXIS, aniso_axis=n_axis)
+
+
+ALL_VARIANTS = ["hf", "mu_z", "mu_x", "mu_y", "mustar_zz", "mustar_xz",
+                "mustar_yz", "hf_spin1"]
 
 
 class TestConstants:
@@ -96,6 +146,26 @@ class TestBuildHamiltonian:
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_matches_numeric_exponential(self, variant):
+        rng = np.random.default_rng(hash(variant) % 2 ** 32)
+        for _ in range(100):
+            spec = spec_for(variant, rng)
+            prop = PropagatorSpec(spec)
+            t = rng.uniform(0, 50.0)
+            u_cf = prop.closed_form_unitary(t)
+            u_num = prop.numeric_unitary(t)
+            assert phase_insensitive_error(u_cf, u_num) <= 1e-9
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_unitarity(self, variant):
+        rng = np.random.default_rng(hash(variant + "u") % 2 ** 32)
+        dim = 6 if variant == "hf_spin1" else 4
+        for _ in range(125):
+            spec = spec_for(variant, rng)
+            u = PropagatorSpec(spec).closed_form_unitary(rng.uniform(0, 100.0))
+            assert np.abs(u @ u.conj().T - np.eye(dim)).max() <= 1e-12
+
     def test_hyperfine_full_period_phase(self):
         # one coupling period is a global phase e^{-i pi/2}
         omega0 = 2.0

@@ -7,11 +7,25 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_density_matrix, random_direction, random_product_mixture
 from musrtomo.dynamics import PropagatorSpec, HamiltonianSpec, evolve_density, \
     initial_muonium_state, propagator_hyperfine_spin1
-from musrtomo.entanglement import (BellSetting, bell_cells, bell_number_of_state,
-                                   correlation_matrix, entanglement_measure, entanglement_series,
-                                   max_bell, negativity, positivity_coefficients, ppt_tomogram,
-                                   star_kernel, tomographic_m34)
-from musrtomo.linalg import SubsystemDims, kron, partial_transpose
+from musrtomo.entanglement import (
+    BellSetting,
+    bell_cells,
+    bell_number_of_state,
+    correlation_matrix,
+    entanglement_measure,
+    entanglement_series,
+    max_bell,
+    negativity,
+    positivity_coefficients,
+    ppt_tomogram,
+    star_kernel,
+    tomographic_m34,
+)
+from musrtomo.linalg import (
+    SubsystemDims,
+    kron,
+    partial_transpose,
+)
 from musrtomo.tomography import Direction, Z_AXIS
 from musrtomo.twospin import TwoSpinTomogram, reconstruct_two_spin
 
@@ -201,6 +215,16 @@ class TestPositivityCoefficients:
 
 
 class TestEntanglementMeasure:
+    def test_free_muonium_law(self):
+        for wt in np.linspace(0.05, 4 * np.pi, 40):
+            e_val = entanglement_measure(free_mu_state(wt))
+            assert abs(e_val - np.sin(wt) ** 4 / 128) <= 1e-10
+
+    def test_product_states_vanish(self, rng):
+        for _ in range(20):
+            rho = kron(random_density_matrix(2, rng), random_density_matrix(2, rng))
+            assert entanglement_measure(rho) <= 1e-12
+
     def test_singlet_value(self, singlet):
         # e3 = -1/4 and e4 = -1/16 on the partial transpose, so
         # E = 2(1/4) + 2(1/16) = 5/8 (enumeration oracle above)
@@ -218,6 +242,11 @@ class TestEntanglementMeasure:
 
 
 class TestNegativity:
+    def test_separable_mixtures(self, rng):
+        for _ in range(50):
+            rho = random_product_mixture(rng)
+            assert negativity(rho, SubsystemDims(2, 2)) <= 1e-12
+
     def test_singlet(self, singlet):
         assert abs(negativity(singlet, SubsystemDims(2, 2)) - 0.5) < 1e-13
 
@@ -281,6 +310,25 @@ class TestTomographicM34:
         m3, m4 = tomographic_m34(w)
         e_val = abs(m3) + abs(m4) - m3 - m4
         assert abs(e_val - 1 / 128) <= 1e-6
+
+    def test_random_states_match_trace_route(self, rng):
+        for _ in range(20):
+            rho = random_density_matrix(4, rng)
+            w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
+            m3, m4 = tomographic_m34(w)
+            c = positivity_coefficients(partial_transpose(rho, SubsystemDims(2, 2)))
+            assert abs(m3 - c.m3) <= 1e-6
+            assert abs(m4 - c.m4) <= 1e-6
+
+    def test_direction_independence(self, rng):
+        rho = random_density_matrix(4, rng)
+        w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
+        ref = tomographic_m34(w)
+        for _ in range(3):
+            got = tomographic_m34(w, eval_dirs=(random_direction(rng),
+                                                random_direction(rng)))
+            assert abs(got[0] - ref[0]) <= 1e-6
+            assert abs(got[1] - ref[1]) <= 1e-6
 
 class TestEntanglementSeries:
     def test_measure_invariants_per_state(self, rng, singlet):

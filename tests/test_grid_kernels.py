@@ -12,13 +12,30 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_density_matrix, random_direction
 from musrtomo import linalg, tomography, twospin
 from musrtomo.dynamics import HamiltonianSpec, PropagatorSpec, evolve_density, evolve_tomogram
-from musrtomo.tomography import (SUPPORTED_SPINS, QuadratureGrid, SpinTomogram, Z_AXIS,
-                                 clebsch_gordan, operator_symbol_on_grid, quantizer,
-                                 reconstruct_from_sphere, rotation_matrix, rotations,
-                                 spin_projections)
+from musrtomo.entanglement import _kernel_tensor
+from musrtomo.tomography import (
+    SUPPORTED_SPINS,
+    QuadratureGrid,
+    SpinTomogram,
+    Z_AXIS,
+    clebsch_gordan,
+    operator_symbol_on_grid,
+    quantizer,
+    reconstruct_from_sphere,
+    rotation_matrix,
+    rotations,
+    spin_projections,
+)
 from musrtomo.linalg import kron
-from musrtomo.twospin import (TwoSpinBasis, TwoSpinTomogram, cg_matrix, reconstruct_blockdiag,
-                              reconstruct_two_spin, total_pdf, total_pdf_on_grid)
+from musrtomo.twospin import (
+    TwoSpinBasis,
+    TwoSpinTomogram,
+    cg_matrix,
+    reconstruct_blockdiag,
+    reconstruct_two_spin,
+    total_pdf,
+    total_pdf_on_grid,
+)
 
 TWO_SPIN_SHAPES = ((0.5, 0.5), (0.5, 1.0))
 COUPLED_SHAPES = ((0.5, 0.5), (0.5, 1.0), (0.5, 1.5), (1.0, 1.0))
@@ -259,6 +276,14 @@ class TestCachedTables:
     def test_integer_degrees_build_grids(self, degree):
         grid = QuadratureGrid(degree)
         assert grid.degree == degree and grid.weights.sum() == pytest.approx(1.0)
+
+    def test_cached_arrays_are_read_only(self):
+        grid = QuadratureGrid.for_spin(1.5)
+        for table in (grid.thetas, grid.theta_weights, grid.phis, rotations(1.5, grid),
+                      *tomography._grid_tables(1.5, grid),
+                      _kernel_tensor(QuadratureGrid.for_spin(0.5))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
 
 def test_round_trips_build_no_per_node_matrices_after_warm_up(monkeypatch, rng):

@@ -3,7 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import propagator, random_density_matrix
 from musrtomo.dynamics import propagator_hyperfine
-from musrtomo.linalg import SubsystemDims, eig_hermitian, kron, partial_trace, partial_transpose
+from musrtomo.linalg import (
+    SubsystemDims,
+    eig_hermitian,
+    kron,
+    partial_trace,
+    partial_transpose,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -8,10 +8,19 @@ from conftest import decay_weighted_gl, random_direction
 from musrtomo.cli import _csv_text, _estimate_cells, _histograms_csv
 from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
 from musrtomo.materials import load_material
-from musrtomo.musr import (DecayModel, Detector, DetectorGeometry, HistogramSeries,
-                           TomogramEstimate, decay_bin_integrals, estimate_tomogram,
-                           gamma_distribution, _as_polarization, histogram_to_tomogram,
-                           simulate_events)
+from musrtomo.musr import (
+    DecayModel,
+    Detector,
+    DetectorGeometry,
+    HistogramSeries,
+    TomogramEstimate,
+    decay_bin_integrals,
+    estimate_tomogram,
+    gamma_distribution,
+    _as_polarization,
+    histogram_to_tomogram,
+    simulate_events,
+)
 from musrtomo.tomography import QuadratureGrid, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 # muons per block of the event oracle; each block draws from its own stream
@@ -118,6 +127,34 @@ def simulate_whole_blocks(polarization_of_t, geometry, model, n_muons, seed, bin
             t_bg = rng_bg.uniform(bin_edges[0], t_max, n_bg)
             counts[d] += np.histogram(t_bg, bins=bin_edges)[0]
     return counts
+
+
+def sample_emission_rows(rng, polar, k_signed):
+    """Row-layout oracle of musr._sample_emission: the same draws, CDF
+    inversion and frame rule on (n, 3) arrays with boolean-mask scatter;
+    returns (n, 3) directions."""
+    n = polar.shape[0]
+    norms = np.linalg.norm(polar, axis=1)
+    k = k_signed * norms
+    u = rng.random(n)
+    x = np.empty(n)
+    small = np.abs(k) < 1e-12
+    x[small] = 2 * u[small] - 1
+    kb = k[~small]
+    x[~small] = (-1 + np.sqrt((1 - kb) ** 2 + 4 * kb * u[~small])) / kb
+    np.clip(x, -1.0, 1.0, out=x)
+    psi = rng.uniform(0, 2 * np.pi, n)
+    p_hat = np.where(norms[:, None] > 1e-12, polar / np.maximum(norms, 1e-300)[:, None],
+                     np.array([0.0, 0.0, 1.0]))
+    px, py, pz = p_hat.T
+    near_z = np.abs(pz) >= 0.9
+    e1 = np.stack([np.where(near_z, 0.0, py), np.where(near_z, pz, -px),
+                   np.where(near_z, -py, 0.0)], axis=1)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(p_hat, e1)
+    sin_t = np.sqrt(np.maximum(0.0, 1 - x ** 2))
+    return (x[:, None] * p_hat
+            + sin_t[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2))
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -293,6 +330,38 @@ class TestDecayModelAndGeometry:
         assert pairs == [(0, 1), (2, 3)]
 
 
+class TestSampleEmission:
+    @pytest.mark.parametrize("k_signed", [1 / 3, -1.0])
+    def test_matches_row_layout_oracle(self, rng, k_signed):
+        # random polarizations of every length, with unpolarized rows, rows
+        # at and near +-z (the frame switches at |P_hat_z| = 0.9) and tiny |P|
+        polar = rng.normal(size=(4000, 3))
+        polar /= np.linalg.norm(polar, axis=1)[:, None]
+        polar *= rng.uniform(0, 1, (4000, 1))
+        polar[:50] = 0.0
+        polar[50:60] = [0.0, 0.0, 1.0]
+        polar[60:70] = [0.0, 0.0, -0.4]
+        polar[70:80] = [np.sqrt(1 - 0.9 ** 2), 0.0, 0.9]
+        polar[80:90] = [1e-3, -1e-3, -1.0] / np.linalg.norm([1e-3, -1e-3, -1.0])
+        polar[90:100] = 1e-13
+        state = rng.bit_generator.state
+        want = sample_emission_rows(rng, polar, k_signed)
+        rng.bit_generator.state = state
+        u, psi = rng.random(len(polar)), rng.uniform(0, 2 * np.pi, len(polar))
+        got = _sample_emission(polar, u, psi, k_signed)
+        assert got.shape == (3, len(polar))
+        assert np.abs(got.T - want).max() <= 1e-15
+        assert np.allclose(np.linalg.norm(got, axis=0), 1.0)
+
+    def test_column_layout_input(self, rng):
+        # the polarization closure hands over (n, 3) views of (3, n) rows
+        polar = rng.uniform(-0.5, 0.5, (3, 1000)).T
+        u, psi = rng.random(1000), rng.uniform(0, 2 * np.pi, 1000)
+        a = _sample_emission(polar, u, psi, 1 / 3)
+        b = _sample_emission(np.ascontiguousarray(polar), u, psi, 1 / 3)
+        assert np.array_equal(a, b)
+
+
 def lens_by_quadrature(alpha1, alpha2, beta, n=400_000):
     """Area and first moment of the intersection of the caps (z, alpha1) and
     (b, alpha2), b at angle beta from z in the xz plane. At polar angle theta
@@ -421,6 +490,50 @@ class TestSimulateEvents:
                                background_fraction=0.0)
         # hemispheres with half angle pi double-count every event
         assert hist.counts.sum() == 2 * n_muons
+
+    def test_lifetime_recovered(self):
+        # Poisson/exponential oracle: the mean decay time over a window
+        # [0, T] is tau - T/(e^{T/tau} - 1); compare the binned mean within
+        # three standard errors
+        model = DecayModel()
+        tau = model.lifetime_ns
+        t_max = 10 * tau
+        edges = np.linspace(0, t_max, 2001)
+        hist = simulate_events(STATIC_UP, hemisphere_pair(), model, 400_000, 7,
+                               edges, background_fraction=0.0)
+        counts = hist.counts.sum(axis=0)
+        n = counts.sum()
+        mean_t = np.dot(hist.bin_centers, counts) / n
+        expect = tau - t_max / np.expm1(t_max / tau)
+        sigma = tau / np.sqrt(n)
+        assert abs(mean_t - expect) <= 3 * sigma
+
+    def test_unpolarized_source_is_isotropic(self):
+        # opposite detectors receive statistically equal counts
+        model = DecayModel()
+        edges = np.array([0.0, 3000.0])
+        hist = simulate_events(UNPOLARIZED, hemisphere_pair(), model, 200_000, 3,
+                               edges, background_fraction=0.0)
+        n_f, n_b = hist.counts[0, 0], hist.counts[1, 0]
+        diff_sigma = abs(n_f - n_b) / np.sqrt(n_f + n_b)
+        assert diff_sigma <= 3
+
+    def test_polarized_asymmetry_direction(self):
+        model = DecayModel()
+        edges = np.array([0.0, 3000.0])
+        hist = simulate_events(STATIC_UP, hemisphere_pair(), model, 100_000, 9,
+                               edges, background_fraction=0.0)
+        assert hist.counts[0, 0] > hist.counts[1, 0]
+
+    def test_background_floor_at_late_times(self):
+        # with a pure exponential the last bins are empty; the flat
+        # background fills them at a visible level
+        model = DecayModel()
+        edges = np.linspace(0, 40 * model.lifetime_ns, 41)
+        hist = simulate_events(STATIC_UP, hemisphere_pair(), model, 100_000, 5,
+                               edges, background_fraction=0.05)
+        late = hist.counts[:, -10:]
+        assert late.sum() > 0
 
     def test_efficiency_thins_the_same_events(self):
         # the same seed draws the same events; an efficiency below 1 only

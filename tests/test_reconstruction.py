@@ -5,12 +5,22 @@ from hypothesis import given, settings, strategies as st
 from conftest import (forward_model, generic_unitary_family, identifiability, material_propagator,
                       random_density_matrix)
 from musrtomo import entanglement
-from musrtomo.dynamics import HamiltonianSpec, PropagatorSpec, initial_muonium_state
+from musrtomo.dynamics import (
+    HamiltonianSpec,
+    PropagatorSpec,
+    initial_muonium_state,
+)
 from musrtomo.linalg import TWO_QUBIT_BASIS, kron
 from musrtomo.materials import available_presets, load_material
-from musrtomo.reconstruction import (MeasurementPlan, build_design_matrix, coefficients_to_state,
-                                     default_times, golden_jitter_times, reconstruct_initial,
-                                     state_to_coefficients)
+from musrtomo.reconstruction import (
+    MeasurementPlan,
+    build_design_matrix,
+    coefficients_to_state,
+    default_times,
+    golden_jitter_times,
+    reconstruct_initial,
+    state_to_coefficients,
+)
 from musrtomo.tomography import AXES, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 SIGMA = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -127,6 +137,12 @@ class TestIdentifiability:
         rank, cond = identifiability(plan)
         assert rank == 15
         assert cond < 1e6
+
+    def test_isotropic_coupling_is_deficient(self):
+        prop = PropagatorSpec(HamiltonianSpec.hyperfine(4.453))
+        plan = MeasurementPlan(prop)
+        rank, _ = identifiability(plan)
+        assert rank < 15
 
     def test_zero_time_plan_sees_muon_only(self):
         plan = MeasurementPlan(mustar_xz_prop(), times=(0.0,))

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SPIN1, material_propagator, random_density_matrix
-from musrtomo.dynamics import PropagatorSpec, initial_muonium_state, muon_polarization_function
+from musrtomo.dynamics import (
+    PropagatorSpec,
+    initial_muonium_state,
+    muon_polarization_function,
+)
 from musrtomo.linalg import PAULI, TWO_QUBIT_BASIS
 from musrtomo.materials import available_presets
 from musrtomo.musr import MUON_LIFETIME_NS
@@ -187,7 +191,7 @@ class TestTimeGenericRank:
 
 class TestOneEigensystem:
     @pytest.mark.parametrize("b_axis", [AXES["z"], OBLIQUE], ids=["closed-form", "numeric"])
-    def test_one_eigh_per_material_propagator(self, b_axis, monkeypatch):
+    def test_one_eigh_per_propagator(self, b_axis, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
 

@@ -6,11 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import propagator, random_density_matrix, random_direction
-from musrtomo.tomography import (SUPPORTED_SPINS, X_AXIS, Y_AXIS, Z_AXIS, Direction,
-                                 QuadratureGrid, SpinTomogram, angular_momentum_ops,
-                                 clebsch_gordan, dual_basis, operator_symbol_on_grid, quantizer,
-                                 reconstruct_from_sphere, reconstruct_qubit_three_directions,
-                                 rotation_matrix, spin_dim, three_j, tomogram)
+from musrtomo.tomography import (
+    SUPPORTED_SPINS,
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    Direction,
+    QuadratureGrid,
+    SpinTomogram,
+    angular_momentum_ops,
+    clebsch_gordan,
+    dual_basis,
+    operator_symbol_on_grid,
+    quantizer,
+    reconstruct_from_sphere,
+    reconstruct_qubit_three_directions,
+    rotation_matrix,
+    spin_dim,
+    three_j,
+    tomogram,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,6 +111,9 @@ class TestQuadratureGrid:
 
 
 class TestRotationMatrix:
+    def test_identity_at_north_pole(self):
+        assert np.allclose(rotation_matrix(0.5, Z_AXIS), np.eye(2))
+
     def test_qubit_closed_form(self, rng):
         # 2x2 rotation: [[c, -s e^{-i phi}], [s e^{i phi}, c]]
         for _ in range(10):
@@ -116,6 +134,10 @@ class TestRotationMatrix:
 
 
 class TestWignerSmallD:
+    def test_half_spin_diagonal(self, rng):
+        for beta in rng.uniform(0, np.pi, 5):
+            assert abs(small_d(0.5, beta)[0, 0] - np.cos(beta / 2)) < 1e-14
+
     def test_identity_at_zero(self):
         for j in (0.5, 1.0, 1.5, 2.0):
             dim = int(2 * j) + 1
@@ -240,6 +262,14 @@ class TestSphereReconstruction:
     def test_maximally_mixed(self):
         tom = SpinTomogram.from_state(np.eye(2) / 2, 0.5)
         assert np.abs(reconstruct_from_sphere(tom) - np.eye(2) / 2).max() <= 1e-12
+
+    def test_random_roundtrips(self, rng):
+        for j in (0.5, 1.0):
+            dim = int(2 * j) + 1
+            for _ in range(100):
+                rho = random_density_matrix(dim, rng)
+                tom = SpinTomogram.from_state(rho, j)
+                assert np.abs(reconstruct_from_sphere(tom) - rho).max() <= 1e-9
 
     def test_biorthogonality_on_operators(self, rng):
         # symbol -> quantizer quadrature reproduces arbitrary Hermitian ops

@@ -15,9 +15,19 @@ from conftest import SPIN1, random_density_matrix, read_csv
 from musrtomo import cli
 from musrtomo.cli import build_parser, main
 from musrtomo.dynamics import PropagatorSpec, evolve_density, initial_muonium_state
-from musrtomo.entanglement import (correlation_matrix, entanglement_measure, entanglement_series,
-                                   max_bell, negativity, positivity_coefficients)
-from musrtomo.linalg import PAULI, SubsystemDims, partial_transpose
+from musrtomo.entanglement import (
+    correlation_matrix,
+    entanglement_measure,
+    entanglement_series,
+    max_bell,
+    negativity,
+    positivity_coefficients,
+)
+from musrtomo.linalg import (
+    PAULI,
+    SubsystemDims,
+    partial_transpose,
+)
 from musrtomo.materials import load_material
 from musrtomo.tomography import X_AXIS, Y_AXIS, Z_AXIS, Direction
 from musrtomo.twospin import reduced_tomogram

@@ -8,12 +8,27 @@ from conftest import (individual_tomogram_unitary, random_density_matrix, random
 from musrtomo import linalg, tomography, twospin
 from musrtomo.dynamics import initial_muonium_state, propagator_hyperfine
 from musrtomo.linalg import kron
-from musrtomo.tomography import (QuadratureGrid, Z_AXIS, angular_momentum_ops, rotation_matrix,
-                                 tomogram)
-from musrtomo.twospin import (TwoSpinBasis, TwoSpinTomogram, blockdiag_rotation, cg_matrix,
-                              individual_tomogram, reconstruct_blockdiag, reconstruct_two_spin,
-                              reduced_tomogram, total_from_individual, total_pdf,
-                              total_pdf_on_grid, total_tomogram)
+from musrtomo.tomography import (
+    QuadratureGrid,
+    Z_AXIS,
+    angular_momentum_ops,
+    rotation_matrix,
+    tomogram,
+)
+from musrtomo.twospin import (
+    TwoSpinBasis,
+    TwoSpinTomogram,
+    blockdiag_rotation,
+    cg_matrix,
+    individual_tomogram,
+    reconstruct_blockdiag,
+    reconstruct_two_spin,
+    reduced_tomogram,
+    total_from_individual,
+    total_pdf,
+    total_pdf_on_grid,
+    total_tomogram,
+)
 
 EQ14_MATRIX = np.array([
     [1, 0, 0, 0],
@@ -165,6 +180,13 @@ class TestReducedTomogram:
                 w = individual_tomogram(rho, 0.5, 0.5, d_mu, random_direction(rng))
                 assert np.abs(w.sum(axis=1) - ref).max() <= 1e-13
 
+    def test_resolution_of_identity(self, rng):
+        for j in (0.5, 1.0):
+            d = random_direction(rng)
+            r = rotation_matrix(j, d)
+            total = sum(np.outer(r[:, k].conj(), r[:, k]).T for k in range(r.shape[0]))
+            assert np.abs(total - np.eye(r.shape[0])).max() <= 1e-13
+
 
 class TestTotalTomogram:
     def test_singlet_sits_in_l0(self, singlet):
@@ -193,6 +215,16 @@ class TestTotalTomogram:
 class TestBlockdiagRotation:
     def test_identity_at_north_pole(self):
         assert np.allclose(blockdiag_rotation(0.5, 0.5, Z_AXIS), np.eye(4), atol=1e-14)
+
+    def test_equals_cg_conjugated_product(self, rng):
+        # both sides computed independently, spins (1/2,1/2) and (1/2,1)
+        for j_e in (0.5, 1.0):
+            ucg = cg_matrix(0.5, j_e)
+            for _ in range(50):
+                d = random_direction(rng)
+                lhs = blockdiag_rotation(0.5, j_e, d)
+                rhs = ucg @ kron(rotation_matrix(0.5, d), rotation_matrix(j_e, d)) @ ucg.T
+                assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_block_structure(self, rng):
         u = blockdiag_rotation(0.5, 1.0, random_direction(rng))
@@ -239,6 +271,18 @@ class TestReconstructBlockdiag:
         expect = np.diag([0, 0, 0, 1.0])
         assert np.abs(rec - expect).max() <= 1e-10
 
+    def test_random_blockdiagonal_roundtrip(self, rng):
+        ucg = cg_matrix(0.5, 0.5)
+        for _ in range(10):
+            block3 = random_density_matrix(3, rng) * 0.7
+            rho_coupled = np.zeros((4, 4), dtype=complex)
+            rho_coupled[:3, :3] = block3
+            rho_coupled[3, 3] = 0.3
+            rho = ucg.T @ rho_coupled @ ucg
+            f = total_pdf_on_grid(rho, 0.5, 0.5, self.grid())
+            rec = reconstruct_blockdiag(f, self.grid(), 0.5, 0.5)
+            assert np.abs(rec - rho_coupled).max() <= 1e-9
+
     def test_werner_state(self, singlet, rng):
         p = 0.6
         rho = p * singlet + (1 - p) * np.eye(4) / 4
@@ -249,10 +293,22 @@ class TestReconstructBlockdiag:
 
 
 class TestReconstructTwoSpin:
+    def test_random_two_qubit(self, rng):
+        for _ in range(50):
+            rho = random_density_matrix(4, rng)
+            w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
+            assert np.abs(reconstruct_two_spin(w) - rho).max() <= 1e-9
+
     def test_product_state(self, rng):
         rho = kron(random_density_matrix(2, rng), random_density_matrix(2, rng))
         w = TwoSpinTomogram.from_state(rho, 0.5, 0.5)
         assert np.abs(reconstruct_two_spin(w) - rho).max() <= 1e-10
+
+    def test_qubit_qutrit(self, rng):
+        for _ in range(10):
+            rho = random_density_matrix(6, rng)
+            w = TwoSpinTomogram.from_state(rho, 0.5, 1.0)
+            assert np.abs(reconstruct_two_spin(w) - rho).max() <= 1e-9
 
 class TestTotalFromIndividual:
     def test_agrees_with_direct_path(self, rng):
