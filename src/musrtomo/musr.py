@@ -502,12 +502,15 @@ def estimate_tomogram(hist: HistogramSeries, geometry: DetectorGeometry,
     estimates. sigma is the binomial error of the pair's split with the
     Poisson noise of the subtracted background added. Bins whose pair count
     falls below ``count_floor`` are flagged low-confidence and reported as
-    NaN.
+    NaN. A pair of half angle pi (cone-averaged asymmetry 0) raises ValueError.
     """
     pairs = np.array(geometry.paired_indices(), dtype=int).reshape(-1, 2)
     if not len(pairs):
         raise ValueError("geometry contains no opposing detector pairs")
     forward = [geometry.detectors[i] for i in pairs[:, 0]]
+    for (i, k), det in zip(pairs, forward):
+        if det.cos_average == 0.0:
+            raise ValueError(f"detector pair ({i}, {k}) has half angle pi and sees no asymmetry")
     f = hist.background_fraction
     shares = f / (1 + f) * np.diff(hist.bin_edges) / (hist.bin_edges[-1] - hist.bin_edges[0])
     counts = hist.counts[pairs.T]  # (forward | backward, pair, bin)

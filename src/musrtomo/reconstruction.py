@@ -23,14 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PropagatorSpec
-from .linalg import TWO_QUBIT_BASIS, eig_hermitian, require_density_matrix
+from .linalg import TWO_QUBIT_BASIS, eig_hermitian
 from .tomography import X_AXIS, Y_AXIS, Z_AXIS
-
-
-def state_to_coefficients(rho: np.ndarray) -> np.ndarray:
-    """x_i = Tr[G_i rho] over the 15 basis operators."""
-    rho = require_density_matrix(rho)
-    return np.einsum("iab,ba->i", TWO_QUBIT_BASIS, rho).real
 
 
 def coefficients_to_state(x: np.ndarray) -> np.ndarray:
@@ -55,34 +49,36 @@ def default_times(propagator: PropagatorSpec, n: int = 5) -> list[float]:
     return golden_jitter_times(2 * np.pi / beat, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementPlan:
-    """Directions, times and the known evolution behind a reduced-tomogram
-    measurement campaign.
+    """Directions, times and the known two-qubit evolution behind a
+    reduced-tomogram measurement campaign; times default to
+    ``default_times`` of the propagator."""
 
-    ``propagator`` may be a PropagatorSpec or any callable t -> 4x4 unitary.
-    """
-
-    propagator: object
+    propagator: PropagatorSpec
     directions: tuple = (X_AXIS, Y_AXIS, Z_AXIS)
     times: tuple = ()
 
     def __post_init__(self):
-        self.directions = tuple(self.directions)
+        if not isinstance(self.propagator, PropagatorSpec):
+            raise TypeError("propagator must be a PropagatorSpec, "
+                            f"got {type(self.propagator).__name__}")
+        dim = self.propagator.hamiltonian.dim
+        if dim != 4:
+            raise ValueError("reconstruction needs a two-qubit (4x4) propagator, "
+                             f"got a {dim}x{dim} Hamiltonian")
+        object.__setattr__(self, "directions", tuple(self.directions))
         for d in self.directions:
             if not np.isfinite([d.theta, d.phi]).all():
                 raise ValueError(f"direction (theta, phi) = ({d.theta!r}, {d.phi!r}) "
                                  "must be finite")
-        if not self.times:
-            if not isinstance(self.propagator, PropagatorSpec):
-                raise ValueError("default times require a PropagatorSpec")
-            self.times = tuple(default_times(self.propagator))
-        self.times = tuple(float(t) for t in self.times)
-        for t in self.times:
+        times = tuple(float(t) for t in self.times or default_times(self.propagator))
+        for t in times:
             if not 0.0 <= t < np.inf:
                 raise ValueError(f"time {t!r} must be finite and nonnegative")
-        if len(set(self.times)) != len(self.times):
+        if len(set(times)) != len(times):
             raise ValueError("times must be pairwise distinct")
+        object.__setattr__(self, "times", times)
 
 
 @dataclass
@@ -118,16 +114,9 @@ class DesignMatrix:
 def build_design_matrix(plan: MeasurementPlan) -> DesignMatrix:
     """Rows indexed by (time-major, direction-minor) measurement order:
     row (t, k) = (1/2) Tr[G_i U_t^dag (n_k . sigma x I) U_t]. The identity
-    part of each projector drops out against the traceless G_i. A
-    PropagatorSpec gives the stack of U_t in one call; a plain callable is
-    called once per time."""
-    if isinstance(plan.propagator, PropagatorSpec):
-        u = plan.propagator.unitary(np.array(plan.times))
-    else:
-        u = np.array([plan.propagator(t) for t in plan.times], dtype=complex)
-    if u.shape[1:] != (4, 4):
-        raise ValueError(f"reconstruction needs a two-qubit (4x4) propagator, "
-                         f"got unitaries of shape {u.shape[1:]}")
+    part of each projector drops out against the traceless G_i. The
+    propagator gives the stack of U_t in one call."""
+    u = plan.propagator.unitary(np.array(plan.times))
     n = np.array([d.vector for d in plan.directions])
     spin = np.tensordot(n, TWO_QUBIT_BASIS[:3], axes=1)  # (n_k . sigma x I) / 2
     heisenberg = u.conj().swapaxes(-1, -2)[:, None] @ spin @ u[:, None]  # (t, k, 4, 4)
@@ -137,11 +126,9 @@ def build_design_matrix(plan: MeasurementPlan) -> DesignMatrix:
 
 def time_generic_rank(plan: MeasurementPlan) -> int:
     """The largest rank that any choice of times gives the directions of a
-    plan with a two-qubit PropagatorSpec: one SVD of its spectral table
-    contracted with the directions, no times involved. A plan rank below it
-    is lost to the chosen times, not to the Hamiltonian."""
-    if not isinstance(plan.propagator, PropagatorSpec) or plan.propagator.hamiltonian.dim != 4:
-        raise ValueError("the time-generic rank needs a two-qubit (4x4) PropagatorSpec")
+    plan: one SVD of its propagator's spectral table contracted with the
+    directions, no times involved. A plan rank below it is lost to the
+    chosen times, not to the Hamiltonian."""
     traces = plan.propagator.spectral_table.traces(TWO_QUBIT_BASIS)  # (15, 3, p)
     n = np.array([d.vector for d in plan.directions])
     coeffs = np.tensordot(n, traces, axes=([1], [1]))

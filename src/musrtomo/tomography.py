@@ -150,10 +150,17 @@ class QuadratureGrid:
 # --------------------------------------------------------------------------
 # angular-momentum algebra
 
-@lru_cache(maxsize=64, typed=True)  # typed: True is not read as 1
 def spin_dim(j: float) -> int:
     """2j+1, the dimension of spin j, a nonnegative multiple of 1/2; any other
-    value (a bool, 0.7, -1/2, NaN, inf) raises ValueError."""
+    value (a bool, 0.7, -1/2, NaN, inf, a list or an array) raises ValueError."""
+    try:
+        return _spin_dim(j)
+    except TypeError:  # unhashable, so no spin: the uncached check names it
+        return _spin_dim.__wrapped__(j)
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: True is not read as 1
+def _spin_dim(j: float) -> int:
     if isinstance(j, bool) or not (isinstance(j, Real) and j >= 0 and float(2 * j).is_integer()):
         raise ValueError(f"spin must be a nonnegative multiple of 1/2, got {j!r}")
     return int(2 * j) + 1

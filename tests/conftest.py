@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from musrtomo.dynamics import DEFAULT_CONSTANTS, PropagatorSpec
-from musrtomo.linalg import eig_hermitian, require_state, require_unitary
+from musrtomo.dynamics import DEFAULT_CONSTANTS, HamiltonianSpec, PropagatorSpec
+from musrtomo.linalg import (TWO_QUBIT_BASIS, eig_hermitian, require_density_matrix,
+                             require_state, require_unitary)
 from musrtomo.materials import load_material
-from musrtomo.reconstruction import build_design_matrix, state_to_coefficients
+from musrtomo.reconstruction import build_design_matrix
 
 # a material file of a muon coupled to an electron shell of spin 1
 SPIN1 = str(Path(__file__).resolve().parent / "fixtures" / "spin1-hyperfine.json")
@@ -33,12 +34,27 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def generic_unitary_family(seed=3):
-    """U(t) of a structureless two-spin Hamiltonian; it reaches the full rank 15."""
+class HermitianPropagator(PropagatorSpec):
+    """A two-qubit PropagatorSpec of any Hermitian 4x4 H/hbar, outside the
+    muonium family: ``unitary`` is the eigensolve of H, and ``hamiltonian``
+    only sets the dimension 4."""
+
+    def __init__(self, h: np.ndarray):
+        super().__init__(HamiltonianSpec(a=0.0))
+        self.h = h
+
+    def matrix(self) -> np.ndarray:
+        return self.h
+
+    def unitary(self, t) -> np.ndarray:
+        return self.numeric_unitary(t)
+
+
+def generic_propagator(seed=3) -> HermitianPropagator:
+    """A structureless two-spin Hamiltonian; its plans reach the full rank 15."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = (g + g.conj().T) / 2
-    return lambda t: propagator(h, t)
+    return HermitianPropagator((g + g.conj().T) / 2)
 
 
 def material_propagator(material, b_field=0.0, b_axis=None, aniso_axis=None) -> PropagatorSpec:
@@ -113,6 +129,13 @@ def decay_weighted_gl(source, edges, lifetime_ns, panels, nodes=16):
 def critical_field(a_rad_ns: float) -> float:
     """Field (Gauss) where B (g_e mu_e - g_mu mu_mu) equals the coupling."""
     return a_rad_ns / (DEFAULT_CONSTANTS.gamma_e - DEFAULT_CONSTANTS.gamma_mu)
+
+
+def state_to_coefficients(rho: np.ndarray) -> np.ndarray:
+    """x_i = Tr[G_i rho] over the 15 basis operators, the inverse of
+    ``reconstruction.coefficients_to_state``."""
+    rho = require_density_matrix(rho)
+    return np.einsum("iab,ba->i", TWO_QUBIT_BASIS, rho).real
 
 
 def forward_model(rho0: np.ndarray, plan) -> np.ndarray:

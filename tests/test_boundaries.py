@@ -7,16 +7,17 @@ called its polarization source), or solved.
 
 CLI: each row runs ``musrtomo`` on an argv and its input files and expects an
 exit code (0 ok, 2 configuration error, 3 numeric failure), a stderr matching
-a pattern, and no output written.
+a pattern, and no output written but the partial output that the row names.
 """
 
 import json
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from conftest import (SPIN1, forward_model, generic_unitary_family, individual_tomogram_unitary,
+from conftest import (SPIN1, forward_model, generic_propagator, individual_tomogram_unitary,
                       material_propagator, propagator, random_density_matrix)
 from test_checks import BOUNDS
 from musrtomo.cli import _csv_text, _records_json, main
@@ -32,8 +33,8 @@ from musrtomo.materials import load_material, material_from_dict
 from musrtomo.musr import (DecayModel, Detector, DetectorGeometry, HistogramSeries,
                            estimate_tomogram, gamma_distribution, histogram_to_tomogram,
                            simulate_events)
-from musrtomo.reconstruction import (MeasurementPlan, build_design_matrix, default_times,
-                                     golden_jitter_times, reconstruct_initial, time_generic_rank)
+from musrtomo.reconstruction import (MeasurementPlan, default_times, golden_jitter_times,
+                                     reconstruct_initial)
 from musrtomo.tomography import (X_AXIS, Y_AXIS, Z_AXIS, Direction, QuadratureGrid, SpinTomogram,
                                  dual_basis, operator_from_symbol, operator_symbol_on_grid,
                                  quantizer, reconstruct_from_sphere,
@@ -67,7 +68,7 @@ def mustar_xz():
 
 def generic_plan():
     """A rank-15 plan: a structureless two-spin Hamiltonian at 5 golden times."""
-    return MeasurementPlan(generic_unitary_family(), times=golden_jitter_times(8.0, 5))
+    return MeasurementPlan(generic_propagator(), times=golden_jitter_times(8.0, 5))
 
 
 def untouched(ts):
@@ -99,7 +100,8 @@ SPIN_ENTRIES = {
     "QuadratureGrid.for_spin": QuadratureGrid.for_spin,
     "initial_muonium_state": initial_muonium_state,
 }
-NOT_SPINS = [0.7, -0.5, -1, NAN, INF, True, False, np.True_, 0.5 + 1e-12, "1", None, 1j]
+NOT_SPINS = [0.7, -0.5, -1, NAN, INF, True, False, np.True_, 0.5 + 1e-12, "1", None, 1j, [0.5],
+             np.array(0.5)]
 WRONG_DIM = r"density matrix dimension 3 != \(2j_mu\+1\)\(2j_e\+1\) = 4"
 ONE_MATRIX = r"expected one density matrix, got a stack of shape \(2, 4, 4\)"
 TOTAL_ROUTES = {
@@ -233,7 +235,7 @@ DYNAMICS = [
         "nonzero anisotropy requires an anisotropy axis"),
     *[row(f"HamiltonianSpec/j_e={j!r}", lambda j=j: HamiltonianSpec.hyperfine(1.0, j_e=j),
           "j_e must be a positive multiple of 1/2") for j in (0.7, 0.0, -0.5, 0.25, NAN, INF,
-                                                               True, "0.5")],
+                                                               True, "0.5", [0.5])],
     row("closed_form_unitary/j_e=3/2", lambda: PropagatorSpec(HamiltonianSpec(
         a=1.1, delta_a=0.4, b_field=25.0, b_axis=Z_AXIS, aniso_axis=X_AXIS, j_e=1.5))
         .closed_form_unitary(0.5), "no closed form for j_e=1.5", OrientationNotTabulated),
@@ -386,6 +388,9 @@ MUSR = [
     row("estimate_tomogram/unpaired", lambda: estimate_tomogram(
         series(counts=[[1000]]), DetectorGeometry([Detector(Z_AXIS, np.radians(40))]),
         DecayModel()), "no opposing detector pairs"),
+    row("estimate_tomogram/half-angle-pi", lambda: estimate_tomogram(
+        series(counts=[[1000], [900]]), DetectorGeometry.opposing_pairs([Z_AXIS], np.pi),
+        DecayModel()), r"detector pair \(0, 1\) has half angle pi"),
     row("HistogramSeries/counts", lambda: series(counts=[[4.7]]), "whole numbers"),
     *[row(f"HistogramSeries/counts={c}", lambda c=c: series(counts=c), message)
       for c, message in (([[3, 4]], "counts shape does not match bin edges"),
@@ -414,19 +419,21 @@ def solve(values=lambda v: v, sigmas=np.full(15, 0.01)):
 
 
 RECONSTRUCTION = [
-    row("build_design_matrix/j_e=1", lambda: build_design_matrix(MeasurementPlan(
-        PropagatorSpec(HamiltonianSpec.hyperfine(4.453, j_e=1.0)), times=(0.1, 0.2))), "4x4"),
-    row("time_generic_rank/j_e=1", lambda: time_generic_rank(MeasurementPlan(
-        material_propagator(SPIN1), times=(0.1, 0.2))), "4x4"),
-    row("time_generic_rank/callable", lambda: time_generic_rank(MeasurementPlan(
+    row("MeasurementPlan/j_e=1", lambda: MeasurementPlan(
+        PropagatorSpec(HamiltonianSpec.hyperfine(4.453, j_e=1.0)), times=(0.1, 0.2)),
+        r"needs a two-qubit \(4x4\) propagator, got a 6x6 Hamiltonian"),
+    row("MeasurementPlan/j_e=1-file", lambda: MeasurementPlan(
+        material_propagator(SPIN1), times=(0.1, 0.2)), "4x4"),
+    row("MeasurementPlan/callable", lambda: MeasurementPlan(
         lambda t: np.diag(np.exp(-1j * np.array([0.75, -0.25, 0.5, -1.0]) * t)),
-        times=(0.1, 0.2))), "needs a two-qubit .* PropagatorSpec"),
+        times=(0.1, 0.2)), "propagator must be a PropagatorSpec, got function", TypeError),
     row("default_times/single-level", lambda: default_times(no_gaps()),
         "no nonzero eigenfrequency gaps"),
     row("MeasurementPlan/single-level", lambda: MeasurementPlan(no_gaps()),
         "no nonzero eigenfrequency gaps"),
-    row("MeasurementPlan/callable-default-times", lambda: MeasurementPlan(lambda t: np.eye(4)),
-        "default times require a PropagatorSpec"),
+    *[row(f"MeasurementPlan/set-{name}", lambda name=name: setattr(
+        MeasurementPlan(mustar_xz()), name, ()), f"cannot assign to field '{name}'",
+        FrozenInstanceError) for name in ("propagator", "directions", "times")],
     row("MeasurementPlan/repeated-time",
         lambda: MeasurementPlan(mustar_xz(), times=(1.0, 1.0, 2.0)), "pairwise distinct"),
     *[row(f"MeasurementPlan/time={t!r}",
@@ -505,8 +512,9 @@ def edited(rows, *changes) -> list:
     return rows
 
 
-def cli(name, argv, err, files=(), code=2):
-    return pytest.param(argv, dict(files), code, err, id=name)
+def cli(name, argv, err, files=(), code=2, leaves=()):
+    """A row; ``leaves`` names the files a documented partial output keeps."""
+    return pytest.param(argv, dict(files), code, err, sorted(leaves), id=name)
 
 
 def run_reconstruct(name, err, plan=None, rows=None, flags=("--allow-deficient",), header=HEADER):
@@ -578,6 +586,10 @@ CLI = [
       for name, fields, message in (("none", [], "expected one argument"),
                                     ("two", ["100", "200"], "unrecognized arguments: 200"))],
     cli("evolve/B-none", ["evolve", "--B", "--out", "{out}"], "expected at least one argument"),
+    cli("simulate/half-angle=180", ["simulate", "--half-angle-deg", "180", "--n-muons", "1000",
+                                    "--steps", "4", "--out", "{out}"],
+        r"detector pair \(0, 1\) has half angle pi.*; wrote .*histograms\.csv",
+        leaves=("histograms.csv", "histograms.meta.json")),
     *[cli(f"{verb}/seed", [verb, "--seed", "1"], "unrecognized arguments: --seed 1")
       for verb in ("evolve", "bell", "report")],
     run_reconstruct("reconstruct/deficient", "(?s)rank deficient.*null", flags=()),
@@ -639,8 +651,8 @@ CLI = [
 ]
 
 
-@pytest.mark.parametrize("argv, files, code, err", CLI)
-def test_cli_rejects(argv, files, code, err, tmp_path, capsys):
+@pytest.mark.parametrize("argv, files, code, err, leaves", CLI)
+def test_cli_rejects(argv, files, code, err, leaves, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "out"
@@ -651,4 +663,4 @@ def test_cli_rejects(argv, files, code, err, tmp_path, capsys):
         rc = exc.code
     assert rc == code
     assert re.search(err, capsys.readouterr().err)
-    assert not out.exists()
+    assert (sorted(p.name for p in out.iterdir()) == leaves) if leaves else not out.exists()

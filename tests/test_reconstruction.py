@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (forward_model, generic_unitary_family, identifiability, material_propagator,
-                      random_density_matrix)
+from conftest import (HermitianPropagator, forward_model, generic_propagator, identifiability,
+                      material_propagator, random_density_matrix, state_to_coefficients)
 from musrtomo import entanglement
 from musrtomo.dynamics import (
     HamiltonianSpec,
@@ -19,7 +19,6 @@ from musrtomo.reconstruction import (
     default_times,
     golden_jitter_times,
     reconstruct_initial,
-    state_to_coefficients,
 )
 from musrtomo.tomography import AXES, Direction, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -42,10 +41,7 @@ def design_by_traces(plan):
     eye = np.eye(2)
     rows = []
     for t in plan.times:
-        if isinstance(plan.propagator, PropagatorSpec):
-            u = plan.propagator.unitary(t)
-        else:
-            u = plan.propagator(t)
+        u = plan.propagator.unitary(t)
         for direction in plan.directions:
             proj = (eye + sum(c * p for c, p in zip(direction.vector, SIGMA))) / 2
             evolved = u.conj().T @ np.kron(proj, eye) @ u
@@ -132,8 +128,7 @@ class TestForwardModel:
 
 class TestIdentifiability:
     def test_generic_hamiltonian_reaches_full_rank(self):
-        u_of_t = generic_unitary_family()
-        plan = MeasurementPlan(u_of_t, times=golden_jitter_times(8.0, 5))
+        plan = MeasurementPlan(generic_propagator(), times=golden_jitter_times(8.0, 5))
         rank, cond = identifiability(plan)
         assert rank == 15
         assert cond < 1e6
@@ -173,7 +168,7 @@ class TestIdentifiability:
         for d in plan.directions:
             rotated_dirs.append(Direction.from_vector(rot3 @ d.vector))
         rotated_plan = MeasurementPlan(
-            lambda t: r2 @ prop.unitary(t) @ r2.conj().T,
+            HermitianPropagator(r2 @ prop.matrix() @ r2.conj().T),
             directions=tuple(rotated_dirs), times=plan.times)
         rank1, _ = identifiability(rotated_plan)
         assert rank0 == rank1
@@ -182,11 +177,11 @@ class TestIdentifiability:
 @st.composite
 def plans(draw):
     """Measurement plans over every two-qubit preset (fields along z, along x
-    and oblique; every anisotropy axis) and the generic callable family,
+    and oblique; every anisotropy axis) and generic two-spin Hamiltonians,
     with 1-6 distinct times on a 10 ps grid and 1-4 directions."""
     kind = draw(st.sampled_from([*available_presets(), "generic"]))
     if kind == "generic":
-        prop = generic_unitary_family(draw(st.integers(0, 10_000)))
+        prop = generic_propagator(draw(st.integers(0, 10_000)))
     else:
         b_field = draw(st.one_of(st.just(0.0), st.floats(1.0, 3200.0)))
         b_axis = draw(st.sampled_from(["z", "x", "oblique"]))
@@ -266,7 +261,7 @@ class TestMeasurementPlan:
 
 class TestReconstructInitial:
     def test_noiseless_roundtrip_full_rank(self, rng):
-        plan = MeasurementPlan(generic_unitary_family(),
+        plan = MeasurementPlan(generic_propagator(),
                                times=golden_jitter_times(8.0, 5))
         for _ in range(10):
             rho = random_density_matrix(4, rng)
@@ -303,7 +298,7 @@ class TestReconstructInitial:
     def test_noise_scaling(self, rng):
         # Frobenius error grows linearly with the noise level, within a
         # geometry factor of the condition number
-        plan = MeasurementPlan(generic_unitary_family(),
+        plan = MeasurementPlan(generic_propagator(),
                                times=golden_jitter_times(8.0, 5))
         _, cond = identifiability(plan)
         rho = random_density_matrix(4, rng)
@@ -323,7 +318,7 @@ class TestReconstructInitial:
         # a pure target drives the least-squares estimate outside the
         # positive cone; the result must come back PSD with unit trace, and
         # clipping consistent with the noise level must not raise the flag
-        plan = MeasurementPlan(generic_unitary_family(),
+        plan = MeasurementPlan(generic_propagator(),
                                times=golden_jitter_times(8.0, 5))
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
@@ -343,7 +338,7 @@ class TestReconstructInitial:
         # values generated from a unit-trace Hermitian matrix with a large
         # negative eigenvalue: the fit reproduces it exactly, the cone
         # projection moves an eigenvalue far beyond any noise equivalent
-        plan = MeasurementPlan(generic_unitary_family(),
+        plan = MeasurementPlan(generic_propagator(),
                                times=golden_jitter_times(8.0, 5))
         bad = np.diag([0.8, 0.4, 0.1, -0.3]).astype(complex)
         values = 0.5 + build_design_matrix(plan).matrix @ state_to_coefficients(bad)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SPIN1, material_propagator, random_density_matrix
+from conftest import SPIN1, generic_propagator, material_propagator, random_density_matrix
 from musrtomo.dynamics import (
     PropagatorSpec,
     initial_muonium_state,
@@ -158,19 +158,31 @@ ALL_ORIENTATIONS = [(material, name, aniso)
                     for aniso in (["x", "y", "z"] if material == "si-mustar" else [None])]
 
 
+def best_rank_of_random_plans(prop, rng, n_plans=100) -> int:
+    """The largest design rank of x/y/z plans at 5 random times over four
+    periods of the lowest level gap."""
+    span = 4 * 2 * np.pi / prop.eigenfrequency_gaps()[0]
+    return max(build_design_matrix(MeasurementPlan(
+        prop, times=tuple(rng.uniform(0.0, span, 5)))).rank for _ in range(n_plans))
+
+
 class TestTimeGenericRank:
+    # design rows lie in the span of the table's rows, whatever the times
     @pytest.mark.parametrize("material, orientation, aniso", ALL_ORIENTATIONS)
     def test_is_the_best_rank_of_random_plans(self, material, orientation, aniso):
         b_field, b_axis = ORIENTATIONS[orientation]
         prop = material_propagator(material, b_field, b_axis, AXES[aniso] if aniso else None)
-        plan = MeasurementPlan(prop)
-        generic = time_generic_rank(plan)
+        generic = time_generic_rank(MeasurementPlan(prop))
         rng = np.random.default_rng(len(material) + 7 * len(orientation))
-        span = 4 * 2 * np.pi / prop.eigenfrequency_gaps()[0]
-        ranks = [build_design_matrix(MeasurementPlan(
-            prop, times=tuple(rng.uniform(0.0, span, 5)))).rank for _ in range(100)]
-        # design rows lie in the span of the table's rows, whatever the times
-        assert max(ranks) == generic
+        assert best_rank_of_random_plans(prop, rng) == generic
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    def test_generic_hamiltonian_is_full_rank(self, seed):
+        # no symmetry: every direction is reachable, and a few random time
+        # sets already reach it
+        prop = generic_propagator(seed)
+        assert time_generic_rank(MeasurementPlan(prop)) == 15
+        assert best_rank_of_random_plans(prop, np.random.default_rng(seed), 5) == 15
 
     @pytest.mark.parametrize("material, b_field, b_axis, aniso, want", [
         ("si-mustar", 100.0, AXES["z"], AXES["x"], 13),
